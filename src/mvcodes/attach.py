@@ -12,8 +12,7 @@ structure is transported onto the code's rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .algebras import BckAlgebra, MvAlgebra, WajsbergAlgebra, natural_order
 from .catalog import ChainProduct, enumerate_wajsberg, transport_structure
@@ -142,7 +141,8 @@ def attach_wajsberg(
     word_order = code_poset(code)
     # With ones on the diagonal and distinct rows, a transitive matrix
     # relation always equals the word order; anything else is a logic bug.
-    assert relation.leq == word_order.leq
+    if relation.leq != word_order.leq:
+        raise RuntimeError("matrix relation and word order of the code differ")
 
     matches = []
     for entry in enumerate_wajsberg(code.size):
@@ -150,7 +150,11 @@ def attach_wajsberg(
         for iso in poset_isomorphisms(entry_order, word_order):
             algebra = transport_structure(entry.algebra, iso)
             regenerated = code_from_algebra(algebra)
-            assert regenerated.words == code.words
+            if regenerated.words != code.words:
+                raise RuntimeError(
+                    f"algebra transported from catalog entry {entry.factors} "
+                    "does not regenerate the code"
+                )
             result = AttachmentResult(algebra, iso, entry)
             if not all_matches:
                 return result
@@ -208,8 +212,51 @@ def _canonical_embedding(
         if restricted not in seen:
             seen.append(restricted)
     restriction = BlockCode(tuple(seen))
-    assert want <= set(restriction.words)
+    if not want <= set(restriction.words):
+        raise RuntimeError(f"columns {cols} of host {entry.factors} do not cover the code")
     return EmbeddingResult(q, host, entry.factors, tuple(ordered), restriction)
+
+
+def _covering_columns(
+    words: tuple[tuple[int, ...], ...], want: set, m: int
+) -> Iterator[tuple[int, ...]]:
+    """Injective column tuples of length ``m`` on which ``words`` cover ``want``.
+
+    Yields them in the order of ``itertools.permutations(range(q), m)``. For
+    each wanted word, a bitmask over ``words`` marks those that agree with it
+    on the columns chosen so far; a prefix with an empty mask is dropped.
+    """
+    q = len(words[0])
+    full = (1 << len(words)) - 1
+    split = []  # per column: (words with bit 0, words with bit 1) as bitmasks
+    for c in range(q):
+        ones = sum(1 << i for i, w in enumerate(words) if w[c])
+        split.append((full ^ ones, ones))
+    targets = tuple(want)
+    chosen = []
+
+    def extend(live):
+        depth = len(chosen)
+        if depth == m:
+            yield tuple(chosen)
+            return
+        bits = [w[depth] for w in targets]
+        for c in range(q):
+            if c in chosen:
+                continue
+            by_bit = split[c]
+            narrowed = []
+            for mask, bit in zip(live, bits):
+                mask &= by_bit[bit]
+                if not mask:
+                    break
+                narrowed.append(mask)
+            else:
+                chosen.append(c)
+                yield from extend(narrowed)
+                chosen.pop()
+
+    return extend([full] * len(targets))
 
 
 def embed_code(
@@ -223,8 +270,16 @@ def embed_code(
     enumeration order, and injective column tuples in lexicographic order.
     Column tuples are ordered, not merely ascending sets: relabelled hosts
     are exactly the column permutations of catalog codes, and each hit is
-    canonicalised by sorting its columns through a host relabelling. Raises
-    NoEmbeddingFound when the search space up to ``max_order`` is exhausted.
+    canonicalised by sorting its columns through a host relabelling.
+
+    The tuples are searched depth first, one column position at a time,
+    trying unused columns in ascending order. For every input word the
+    search keeps the set of host words that agree with it on the columns
+    chosen so far, and abandons a prefix as soon as one of these sets is
+    empty. Pruning drops only prefixes that no covering tuple extends, so
+    the hits, and the ``all_matches`` list, come in the same lexicographic
+    order as a scan of every tuple. Raises NoEmbeddingFound when the search
+    space up to ``max_order`` is exhausted.
     """
     m = code.length
     n = code.size
@@ -238,13 +293,11 @@ def embed_code(
     for q in range(lo, max_order + 1):
         for entry in enumerate_wajsberg(q):
             words = code_from_algebra(entry.algebra).words
-            for cols in permutations(range(q), m):
-                restricted = {tuple(w[c] for c in cols) for w in words}
-                if want <= restricted:
-                    result = _canonical_embedding(entry, cols, want)
-                    if not all_matches:
-                        return result
-                    results.append(result)
+            for cols in _covering_columns(words, want, m):
+                result = _canonical_embedding(entry, cols, want)
+                if not all_matches:
+                    return result
+                results.append(result)
     if not results:
         raise NoEmbeddingFound(max_order)
     return results

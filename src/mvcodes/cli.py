@@ -96,9 +96,13 @@ def _build_parser() -> _Parser:
 
 def _read(path: Path) -> str:
     try:
-        return path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def _load_verified(path: Path, out) -> Algebra:

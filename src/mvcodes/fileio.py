@@ -56,7 +56,8 @@ def _match(line: str, pattern: str, what: str) -> tuple[str, ...]:
 
 def _int_row(line: str, k: int, what: str) -> tuple[int, ...]:
     parts = line.split()
-    if len(parts) != k or not all(p.isdigit() for p in parts):
+    # isdigit alone also accepts non-ASCII digits such as '²', which int() refuses
+    if len(parts) != k or not line.isascii() or not all(p.isdigit() for p in parts):
         raise ParseError(f"expected {what} of {k} indices, got: {line!r}")
     return tuple(int(p) for p in parts)
 
@@ -65,25 +66,25 @@ def parse_algebra(text: str) -> Algebra:
     """Parse one algebra file; raises ParseError on any deviation."""
     lines = _content_lines(text)
     (kind,) = _match(_take(lines, "kind line"), r"kind:\s*(bck|mv|wajsberg)", "kind: bck|mv|wajsberg")
-    (order,) = _match(_take(lines, "order line"), r"order:\s*(\d+)", "order: <k>")
+    (order,) = _match(_take(lines, "order line"), r"order:\s*([0-9]+)", "order: <k>")
     k = int(order)
     if k < 1:
         raise ParseError("order must be at least 1")
     if kind == "bck":
         zero, one = _match(
             _take(lines, "constants line"),
-            r"zero:\s*(\d+)\s+one:\s*(\d+)",
+            r"zero:\s*([0-9]+)\s+one:\s*([0-9]+)",
             "zero: <i> one: <j>",
         )
         unary = None
     elif kind == "mv":
-        (zero,) = _match(_take(lines, "constants line"), r"zero:\s*(\d+)", "zero: <i>")
+        (zero,) = _match(_take(lines, "constants line"), r"zero:\s*([0-9]+)", "zero: <i>")
         one = None
         unary = _int_row(
             _match(_take(lines, "unary line"), r"unary:\s*(.+)", "unary: row")[0], k, "unary row"
         )
     else:
-        (one,) = _match(_take(lines, "constants line"), r"one:\s*(\d+)", "one: <j>")
+        (one,) = _match(_take(lines, "constants line"), r"one:\s*([0-9]+)", "one: <j>")
         zero = None
         unary = _int_row(
             _match(_take(lines, "unary line"), r"unary:\s*(.+)", "unary: row")[0], k, "unary row"

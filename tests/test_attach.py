@@ -1,8 +1,18 @@
 """Attaching algebras to codes, rejections, and embeddings."""
 
-import pytest
+import os
+import subprocess
+import sys
+import textwrap
+from itertools import permutations
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import mvcodes
 from mvcodes import (
+    BlockCode,
     CodeRejected,
     NoEmbeddingFound,
     NonSquare,
@@ -17,6 +27,7 @@ from mvcodes import (
     natural_order,
     validate_code_matrix,
 )
+from mvcodes.attach import _canonical_embedding, _covering_columns
 
 from conftest import (
     CODE_CYCLED,
@@ -226,3 +237,93 @@ class TestEmbedding:
         with pytest.raises(NoEmbeddingFound) as exc:
             embed_code(code_of(("01", "10")), max_order=3)
         assert exc.value.max_order == 3
+
+    @pytest.mark.parametrize("m", [6, 7, 8])
+    def test_unit_vector_codes_exhaust_quickly(self, m):
+        # a scan of every injective column tuple needs minutes at m = 8
+        code = BlockCode(tuple(tuple(int(i == j) for j in range(m)) for i in range(m)))
+        with pytest.raises(NoEmbeddingFound) as exc:
+            embed_code(code)
+        assert exc.value.max_order == m + 4
+
+
+def scan_columns(words, want, m):
+    """Reference: every injective column tuple, kept when it covers ``want``."""
+    q = len(words[0])
+    return [
+        cols
+        for cols in permutations(range(q), m)
+        if want <= {tuple(w[c] for c in cols) for w in words}
+    ]
+
+
+def scan_embed(code, max_order):
+    """Reference for ``embed_code(code, max_order, all_matches=True)``."""
+    want = set(code.words)
+    results = []
+    for q in range(max(code.length, code.size), max_order + 1):
+        for entry in enumerate_wajsberg(q):
+            words = code_from_algebra(entry.algebra).words
+            for cols in scan_columns(words, want, code.length):
+                results.append(_canonical_embedding(entry, cols, want))
+    return results
+
+
+@st.composite
+def host_and_wanted_words(draw):
+    """A catalog entry of order <= 8 and a word set: part of its restriction
+    to some column tuple, sometimes with one arbitrary word added."""
+    q = draw(st.integers(1, 8))
+    entry = draw(st.sampled_from(enumerate_wajsberg(q)))
+    m = draw(st.integers(1, min(q, 5)))
+    cols = draw(st.permutations(range(q)))[:m]
+    words = code_from_algebra(entry.algebra).words
+    restricted = sorted({tuple(w[c] for c in cols) for w in words})
+    want = set(draw(st.lists(st.sampled_from(restricted), min_size=1, unique=True)))
+    if draw(st.booleans()):
+        want.add(tuple(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))))
+    return entry, m, want
+
+
+@settings(max_examples=15, deadline=None)
+@given(host_and_wanted_words())
+def test_pruned_search_matches_full_scan(case):
+    entry, m, want = case
+    words = code_from_algebra(entry.algebra).words
+    assert list(_covering_columns(words, want, m)) == scan_columns(words, want, m)
+
+    code = BlockCode(tuple(sorted(want, reverse=True)))
+    max_order = max(entry.order, code.size)
+    expected = scan_embed(code, max_order)
+    if expected:
+        assert embed_code(code, max_order=max_order, all_matches=True) == expected
+    else:
+        with pytest.raises(NoEmbeddingFound):
+            embed_code(code, max_order=max_order, all_matches=True)
+
+
+def test_invariant_checks_survive_optimised_mode():
+    # attach re-derives the code from the transported algebra; a wrong
+    # regeneration must be reported even when python -O strips asserts
+    script = textwrap.dedent(
+        """
+        import mvcodes.attach as attach
+        from mvcodes import BlockCode
+
+        attach.code_from_algebra = lambda algebra: BlockCode(((1, 0), (1, 1)))
+        try:
+            attach.attach_wajsberg(BlockCode.from_strings(("11", "01")))
+        except RuntimeError as exc:
+            print(f"debug={__debug__} raised: {exc}")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(mvcodes.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("debug=False raised: ")

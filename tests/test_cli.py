@@ -3,8 +3,15 @@
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mvcodes import chain_wajsberg, format_algebra, format_code, parse_algebra
+from mvcodes import (
+    chain_wajsberg,
+    enumerate_wajsberg,
+    format_algebra,
+    format_code,
+    parse_algebra,
+)
 from mvcodes.cli import run
 
 from conftest import (
@@ -73,6 +80,13 @@ class TestVerify:
         status, _, err = invoke(["verify", "/nonexistent.alg"])
         assert status == 1
         assert "error" in err
+
+    def test_non_utf8_file_exits_1(self, tmp_path):
+        path = tmp_path / "latin1.alg"
+        path.write_bytes("kind: bck\norder: 1\nzero: 0 one: 0\n0 # \u00e9\n".encode("latin-1"))
+        status, _, err = invoke(["verify", str(path)])
+        assert status == 1
+        assert "not UTF-8" in err
 
 
 class TestConvert:
@@ -284,3 +298,56 @@ def test_output_is_deterministic(six_bck_file, six_code_file):
         ["attach", str(six_code_file)],
     ):
         assert invoke(argv) == invoke(argv)
+
+
+@st.composite
+def algebra_like_text(draw):
+    """Headers and rows shaped like an algebra file, entries possibly out of range."""
+    k = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["bck", "mv", "wajsberg"]))
+    index = st.integers(0, k).map(str)
+    row = st.lists(index, min_size=k, max_size=k).map(" ".join)
+    lines = [f"kind: {kind}", f"order: {k}"]
+    if kind == "bck":
+        lines.append(f"zero: {draw(index)} one: {draw(index)}")
+    else:
+        lines.append(f"{'zero' if kind == 'mv' else 'one'}: {draw(index)}")
+        lines.append("unary: " + draw(row))
+    lines += [draw(row) for _ in range(k)]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def catalog_text_with_one_edit(draw):
+    """A catalog algebra file with one character overwritten."""
+    entry = draw(st.sampled_from([e for n in range(1, 7) for e in enumerate_wajsberg(n)]))
+    text = format_algebra(entry.algebra)
+    at = draw(st.integers(0, len(text) - 1))
+    return text[:at] + draw(st.sampled_from("0123 \n")) + text[at + 1 :]
+
+
+FUZZ_INPUTS = st.one_of(
+    st.binary(max_size=120),
+    st.text("01\n#", max_size=80).map(str.encode),
+    st.text("0123456789 \n#:abdegiknorstuvwyz\u00b2\u0662\u00e9", max_size=120).map(str.encode),
+    algebra_like_text().map(str.encode),
+    catalog_text_with_one_edit().map(str.encode),
+)
+FUZZ_COMMANDS = (
+    ["verify"],
+    ["skeleton"],
+    ["code"],
+    ["mindist"],
+    ["attach"],
+    ["embed", "--max-order", "6"],
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(FUZZ_INPUTS)
+def test_run_never_raises_on_arbitrary_files(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.input"
+    path.write_bytes(data)
+    for command in FUZZ_COMMANDS:
+        status, _, _ = invoke([command[0], str(path), *command[1:]])
+        assert status in (0, 1, 2, 64)

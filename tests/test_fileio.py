@@ -53,6 +53,8 @@ def test_comments_and_blanks_ignored():
         "kind: bck\norder: 2\nzero: 0 one: 1\n0 0\n1 0 0",
         "kind: wajsberg\norder: 2\none: 1\nunary: 1 0\n1 1\n",  # missing row
         "size: 2\nkind: bck",
+        "kind: bck\norder: 1\nzero: 0 one: 0\n\u00b2",  # superscript two passes str.isdigit
+        "kind: bck\norder: \u0662\nzero: 0 one: 1\n0 0\n1 0",  # Arabic-Indic two
     ],
 )
 def test_malformed_algebra_files(text):
