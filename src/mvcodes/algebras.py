@@ -290,23 +290,29 @@ def ensure_verified(algebra: Algebra) -> None:
         raise NotAnAlgebra(f"{kind_of(algebra)} verification failed: {axioms}", report)
 
 
+def _order_row(algebra: Algebra, x: int) -> tuple[bool, ...]:
+    """Row x of the natural order: which y satisfy x*y = 0 / x'+y = 1 / x->y = 1.
+
+    The one place the order is read off a presentation; row x is the up-set
+    of x, i.e. its cut subset.
+    """
+    if isinstance(algebra, BckAlgebra):
+        row, target = algebra.table.rows[x], algebra.zero
+    elif isinstance(algebra, MvAlgebra):
+        row, target = algebra.oplus.rows[algebra.complement[x]], algebra.one
+    else:
+        row, target = algebra.circ.rows[x], algebra.one
+    return tuple([v == target for v in row])
+
+
 def natural_order(algebra: Algebra) -> Poset:
     """The order x <= y given by x*y = 0 / x'+y = 1 / x->y = 1 per kind.
 
-    Raises NotAPoset when the relation breaks an order law, which signals an
-    unverified input table.
+    Its rows come from ``_order_row``, the single reader of the order that
+    cut subsets and codewords also use. Raises NotAPoset when the relation
+    breaks an order law, which signals an unverified input table.
     """
-    k = algebra.k
-    if isinstance(algebra, BckAlgebra):
-        s, z = algebra.table.rows, algebra.zero
-        rows = [[s[x][y] == z for y in range(k)] for x in range(k)]
-    elif isinstance(algebra, MvAlgebra):
-        p, c, o = algebra.oplus.rows, algebra.complement, algebra.one
-        rows = [[p[c[x]][y] == o for y in range(k)] for x in range(k)]
-    else:
-        t, o = algebra.circ.rows, algebra.one
-        rows = [[t[x][y] == o for y in range(k)] for x in range(k)]
-    return Poset(tuple(tuple(row) for row in rows))
+    return Poset(tuple(_order_row(algebra, x) for x in range(algebra.k)))
 
 
 def mv_derived_ops(m: MvAlgebra) -> tuple[CayleyTable, CayleyTable]:

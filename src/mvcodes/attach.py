@@ -1,10 +1,10 @@
 """Attaching algebras to binary block codes, and embedding under-sized codes.
 
 A square code whose matrix has the right boundary shape carries a candidate
-order in two guises: the matrix read as a relation (bit (i,j) says row i is
-below row j), and the reverse-componentwise comparison of the words. For
-codes generated by an algebra the two coincide; when the matrix relation is
-not transitive they cannot, and no algebra reproduces the code. Otherwise the
+order: the matrix read as a relation, bit (i,j) saying row i is below row j.
+When that relation is an order, row i is the up-set of i, so the relation is
+also the reverse-componentwise order of the words. When it is not an order
+(for instance not transitive), no algebra reproduces the code. Otherwise the
 catalog of chain products is searched for an order-isomorphic entry and its
 structure is transported onto the code's rows.
 """
@@ -16,10 +16,10 @@ from typing import Iterator, Optional, Union
 
 from .algebras import BckAlgebra, MvAlgebra, WajsbergAlgebra, natural_order
 from .catalog import ChainProduct, enumerate_wajsberg, transport_structure
-from .codes import BlockCode, code_from_algebra, code_poset
+from .codes import BlockCode, code_from_algebra
 from .convert import mv_to_bck, wajsberg_to_mv
-from .errors import AlgebraError, NoEmbeddingFound, NonSquare
-from .order import OrderIso, Poset, order_violation, poset_isomorphisms
+from .errors import AlgebraError, NoEmbeddingFound, NonSquare, NotAPoset
+from .order import OrderIso, Poset, poset_isomorphisms
 
 
 @dataclass(frozen=True)
@@ -100,21 +100,6 @@ def validate_code_matrix(code: BlockCode) -> MatrixReport:
     return MatrixReport(tuple(failures))
 
 
-def _matrix_relation_poset(code: BlockCode) -> Poset:
-    """The matrix read as an order relation; rejects when it is not one."""
-    words = code.words
-    k = code.size
-    rows = tuple(tuple(words[i][j] == 1 for j in range(k)) for i in range(k))
-    bad = order_violation(rows)
-    if bad is not None:
-        law, witness = bad
-        kind = "transitivity-failure" if law == "transitivity" else "not-a-poset"
-        raise CodeRejected(
-            RejectionReason(kind, witness, f"matrix relation breaks {law} at {witness}")
-        )
-    return Poset(rows)
-
-
 def attach_wajsberg(
     code: BlockCode, all_matches: bool = False
 ) -> Union[AttachmentResult, list[AttachmentResult]]:
@@ -137,12 +122,14 @@ def attach_wajsberg(
                 f"{first.condition} fails at {first.position}",
             )
         )
-    relation = _matrix_relation_poset(code)
-    word_order = code_poset(code)
-    # With ones on the diagonal and distinct rows, a transitive matrix
-    # relation always equals the word order; anything else is a logic bug.
-    if relation.leq != word_order.leq:
-        raise RuntimeError("matrix relation and word order of the code differ")
+    try:
+        word_order = Poset(code.words)
+    except NotAPoset as exc:
+        law, witness = exc.law, exc.witness
+        kind = "transitivity-failure" if law == "transitivity" else "not-a-poset"
+        raise CodeRejected(
+            RejectionReason(kind, witness, f"matrix relation breaks {law} at {witness}")
+        ) from exc
 
     matches = []
     for entry in enumerate_wajsberg(code.size):

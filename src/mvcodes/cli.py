@@ -56,40 +56,49 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="check the axioms of an algebra file")
     p.add_argument("algebra", type=Path)
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("convert", help="translate an algebra to another presentation")
     p.add_argument("algebra", type=Path)
     p.add_argument("--to", required=True, choices=("bck", "mv", "wajsberg"), dest="kind")
+    p.set_defaults(handler=_cmd_convert)
 
     p = sub.add_parser("code", help="print the block code generated by an algebra")
     p.add_argument("algebra", type=Path)
+    p.set_defaults(handler=_cmd_code)
 
     p = sub.add_parser("distance", help="cut-set distance between two elements")
     p.add_argument("algebra", type=Path)
     p.add_argument("r", type=int)
     p.add_argument("s", type=int)
+    p.set_defaults(handler=_cmd_distance)
 
     p = sub.add_parser("mindist", help="minimum Hamming distance of a code file")
     p.add_argument("code", type=Path)
+    p.set_defaults(handler=_cmd_mindist)
 
     p = sub.add_parser("skeleton", help="print the order skeleton of an algebra")
     p.add_argument("algebra", type=Path)
+    p.set_defaults(handler=_cmd_skeleton)
 
     p = sub.add_parser("enumerate", help="all Wajsberg algebras of a given order")
     p.add_argument("n", type=int)
     p.add_argument("--output", type=Path, default=None)
+    p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("attach", help="reconstruct the algebra behind a square code")
     p.add_argument("code", type=Path)
     p.add_argument("--all", action="store_true", dest="all_matches")
     p.add_argument("--to", choices=("bck", "mv", "wajsberg"), dest="kind", default="wajsberg")
     p.add_argument("--output", type=Path, default=None)
+    p.set_defaults(handler=_cmd_attach)
 
     p = sub.add_parser("embed", help="embed a code into a larger algebra's code")
     p.add_argument("code", type=Path)
     p.add_argument("--max-order", type=int, default=None, dest="max_order")
     p.add_argument("--all", action="store_true", dest="all_matches")
     p.add_argument("--output", type=Path, default=None)
+    p.set_defaults(handler=_cmd_embed)
 
     return parser
 
@@ -121,7 +130,7 @@ def _print_violations(algebra, report, out) -> None:
         print(f"violated {v.axiom} witness ({args})", file=out)
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args, out, err) -> int:
     algebra = parse_algebra(_read(args.algebra))
     report = verify(algebra)
     if report.valid:
@@ -131,19 +140,19 @@ def _cmd_verify(args, out) -> int:
     return EX_REJECTED
 
 
-def _cmd_convert(args, out) -> int:
+def _cmd_convert(args, out, err) -> int:
     algebra = parse_algebra(_read(args.algebra))
     out.write(format_algebra(convert(algebra, args.kind)))
     return EX_OK
 
 
-def _cmd_code(args, out) -> int:
+def _cmd_code(args, out, err) -> int:
     algebra = _load_verified(args.algebra, out)
     out.write(format_code(code_from_algebra(algebra)))
     return EX_OK
 
 
-def _cmd_distance(args, out) -> int:
+def _cmd_distance(args, out, err) -> int:
     algebra = _load_verified(args.algebra, out)
     if not (0 <= args.r < algebra.k and 0 <= args.s < algebra.k):
         raise ParseError(f"elements must lie in [0,{algebra.k})")
@@ -151,13 +160,13 @@ def _cmd_distance(args, out) -> int:
     return EX_OK
 
 
-def _cmd_mindist(args, out) -> int:
+def _cmd_mindist(args, out, err) -> int:
     code = parse_code(_read(args.code))
     print(min_hamming_distance(code), file=out)
     return EX_OK
 
 
-def _cmd_skeleton(args, out) -> int:
+def _cmd_skeleton(args, out, err) -> int:
     algebra = _load_verified(args.algebra, out)
     print(skeleton(algebra).render(), file=out)
     return EX_OK
@@ -166,16 +175,19 @@ def _cmd_skeleton(args, out) -> int:
 def _write_or_print(texts: list[tuple[str, str]], output: Optional[Path], out) -> None:
     """Emit named documents to a directory, or to stdout with separators."""
     if output is not None:
-        output.mkdir(parents=True, exist_ok=True)
-        for name, text in texts:
-            (output / name).write_text(text)
+        try:
+            output.mkdir(parents=True, exist_ok=True)
+            for name, text in texts:
+                (output / name).write_text(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {output}: {exc.strerror}") from exc
     else:
         for _, text in texts:
             print("---", file=out)
             out.write(text)
 
 
-def _cmd_enumerate(args, out) -> int:
+def _cmd_enumerate(args, out, err) -> int:
     entries = enumerate_wajsberg(args.n)
     pi = pi_count(args.n) if args.n >= 2 else 0
     print(f"n={args.n} pi={pi} total={pi + 1}", file=out)
@@ -244,23 +256,7 @@ def run(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
         print(f"usage error: {exc}", file=err)
         return EX_USAGE
     try:
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        if args.command == "convert":
-            return _cmd_convert(args, out)
-        if args.command == "code":
-            return _cmd_code(args, out)
-        if args.command == "distance":
-            return _cmd_distance(args, out)
-        if args.command == "mindist":
-            return _cmd_mindist(args, out)
-        if args.command == "skeleton":
-            return _cmd_skeleton(args, out)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args, out)
-        if args.command == "attach":
-            return _cmd_attach(args, out, err)
-        return _cmd_embed(args, out, err)
+        return args.handler(args, out, err)
     except NotAnAlgebra as exc:
         print(f"error: {exc}", file=err)
         return EX_REJECTED

@@ -2,6 +2,10 @@
 
 Each element r of a verified algebra yields one codeword: bit i is set when
 element i lies in the cut subset of r (the up-set of r in the natural order).
+Both are row r of the order as read by ``algebras._order_row``, the single
+reader that ``natural_order`` also uses. They skip natural_order's Poset
+validation, so an unverified table still gives sets and words here.
+
 The word order of a BlockCode is meaningful: it is the construction order,
 which doubles as the row order of the associated matrix and as the carrier
 indexing when an algebra is attached back onto a code. Codes generated from
@@ -12,9 +16,10 @@ algebras coincides with descending lexicographic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
-from .algebras import Algebra, BckAlgebra, MvAlgebra, natural_order
+from .algebras import Algebra, MvAlgebra, _order_row, natural_order
 from .errors import DuplicateWord, LengthMismatch, MalformedTable, TooFewWords
 from .order import Poset
 
@@ -63,15 +68,7 @@ class BlockCode:
 
 def cut_subset(algebra: Algebra, r: int) -> frozenset[int]:
     """Elements x with r*x = 0 / r'+x = 1 / r->x = 1: the up-set of r."""
-    k = algebra.k
-    if isinstance(algebra, BckAlgebra):
-        s, z = algebra.table.rows, algebra.zero
-        return frozenset(x for x in range(k) if s[r][x] == z)
-    if isinstance(algebra, MvAlgebra):
-        p, c, o = algebra.oplus.rows, algebra.complement, algebra.one
-        return frozenset(x for x in range(k) if p[c[r]][x] == o)
-    t, o = algebra.circ.rows, algebra.one
-    return frozenset(x for x in range(k) if t[r][x] == o)
+    return frozenset(compress(range(algebra.k), _order_row(algebra, r)))
 
 
 def code_from_algebra(algebra: Algebra) -> BlockCode:
@@ -81,12 +78,7 @@ def code_from_algebra(algebra: Algebra) -> BlockCode:
     words are distinct; a DuplicateWord error here means the input never
     passed verification.
     """
-    k = algebra.k
-    words = []
-    for r in range(k):
-        cut = cut_subset(algebra, r)
-        words.append(tuple(1 if x in cut else 0 for x in range(k)))
-    return BlockCode(tuple(words))
+    return BlockCode(tuple(_order_row(algebra, r) for r in range(algebra.k)))
 
 
 def code_equivalent(a1: Algebra, a2: Algebra) -> bool:

@@ -8,11 +8,13 @@ Algebra files:
     zero: <i>                 (mv)
     one: <j>                  (wajsberg)
     unary: i0 i1 ... i(k-1)   (mv and wajsberg only)
-    <k rows of k whitespace-separated indices; row x, column y holds x.y>
+    <k rows of k space-separated indices; row x, column y holds x.y>
 
 Code files hold one bit string per line, all of equal length. Lines starting
 with ``#`` and blank lines are ignored in both formats; anything else that
-does not fit the schema is an error.
+does not fit the schema is an error. Lines end in ``\n`` or ``\r\n``; fields
+are separated, and lines padded, by ASCII spaces and tabs only, so no other
+control or Unicode separator character is read as a break.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .errors import ParseError
 
 def _content_lines(text: str) -> list[str]:
     lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
+    for raw in text.split("\n"):
+        line = raw.removesuffix("\r").strip(" \t")
         if not line or line.startswith("#"):
             continue
         lines.append(line)
@@ -56,38 +58,45 @@ def _match(line: str, pattern: str, what: str) -> tuple[str, ...]:
 
 def _int_row(line: str, k: int, what: str) -> tuple[int, ...]:
     parts = line.split()
-    # isdigit alone also accepts non-ASCII digits such as '²', which int() refuses
-    if len(parts) != k or not line.isascii() or not all(p.isdigit() for p in parts):
+    # split() also breaks at control characters such as \x1c, and isdigit also
+    # accepts non-ASCII digits such as '²', which int() refuses: only ASCII
+    # digits separated by spaces and tabs pass
+    if (
+        len(parts) != k
+        or not line.isascii()
+        or not line.replace("\t", " ").isprintable()
+        or not all(map(str.isdigit, parts))
+    ):
         raise ParseError(f"expected {what} of {k} indices, got: {line!r}")
-    return tuple(int(p) for p in parts)
+    return tuple(map(int, parts))
 
 
 def parse_algebra(text: str) -> Algebra:
     """Parse one algebra file; raises ParseError on any deviation."""
     lines = _content_lines(text)
-    (kind,) = _match(_take(lines, "kind line"), r"kind:\s*(bck|mv|wajsberg)", "kind: bck|mv|wajsberg")
-    (order,) = _match(_take(lines, "order line"), r"order:\s*([0-9]+)", "order: <k>")
+    (kind,) = _match(_take(lines, "kind line"), r"kind:[ \t]*(bck|mv|wajsberg)", "kind: bck|mv|wajsberg")
+    (order,) = _match(_take(lines, "order line"), r"order:[ \t]*([0-9]+)", "order: <k>")
     k = int(order)
     if k < 1:
         raise ParseError("order must be at least 1")
     if kind == "bck":
         zero, one = _match(
             _take(lines, "constants line"),
-            r"zero:\s*([0-9]+)\s+one:\s*([0-9]+)",
+            r"zero:[ \t]*([0-9]+)[ \t]+one:[ \t]*([0-9]+)",
             "zero: <i> one: <j>",
         )
         unary = None
     elif kind == "mv":
-        (zero,) = _match(_take(lines, "constants line"), r"zero:\s*([0-9]+)", "zero: <i>")
+        (zero,) = _match(_take(lines, "constants line"), r"zero:[ \t]*([0-9]+)", "zero: <i>")
         one = None
         unary = _int_row(
-            _match(_take(lines, "unary line"), r"unary:\s*(.+)", "unary: row")[0], k, "unary row"
+            _match(_take(lines, "unary line"), r"unary:[ \t]*(.+)", "unary: row")[0], k, "unary row"
         )
     else:
-        (one,) = _match(_take(lines, "constants line"), r"one:\s*([0-9]+)", "one: <j>")
+        (one,) = _match(_take(lines, "constants line"), r"one:[ \t]*([0-9]+)", "one: <j>")
         zero = None
         unary = _int_row(
-            _match(_take(lines, "unary line"), r"unary:\s*(.+)", "unary: row")[0], k, "unary row"
+            _match(_take(lines, "unary line"), r"unary:[ \t]*(.+)", "unary: row")[0], k, "unary row"
         )
     rows = tuple(_int_row(_take(lines, f"table row {i}"), k, f"table row {i}") for i in range(k))
     if lines:

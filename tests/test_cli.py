@@ -149,6 +149,13 @@ class TestEnumerate:
         parsed = parse_algebra((outdir / "w6_chain.alg").read_text())
         assert parsed == chain_wajsberg(6)
 
+    def test_unwritable_output_exits_1(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        status, out, err = invoke(["enumerate", "4", "--output", str(blocker / "sub")])
+        assert status == 1
+        assert err == f"error: cannot write {blocker / 'sub'}: Not a directory\n"
+
 
 class TestAttach:
     def test_attach_writes_algebra(self, six_code_file):
@@ -225,6 +232,15 @@ class TestAttach:
         (name,) = [p.name for p in outdir.iterdir()]
         assert name == "attached_1_wajsberg.alg"
         assert parse_algebra((outdir / name).read_text()).circ.rows == SIX_IMPL
+
+    def test_output_onto_existing_file_exits_1(self, tmp_path, six_code_file):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        status, out, err = invoke(["attach", str(six_code_file), "--output", str(blocker)])
+        assert status == 1
+        assert out == ""
+        assert err == f"error: cannot write {blocker}: File exists\n"
+        assert blocker.read_text() == "kept"
 
     def test_all_matches_on_cube(self, tmp_path):
         path = tmp_path / "cube.code"
@@ -351,3 +367,82 @@ def test_run_never_raises_on_arbitrary_files(tmp_path_factory, data):
     for command in FUZZ_COMMANDS:
         status, _, _ = invoke([command[0], str(path), *command[1:]])
         assert status in (0, 1, 2, 64)
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    """Files the argv fuzz names: ``@``-keys mapped to paths."""
+    base = tmp_path_factory.mktemp("argv")
+    texts = {
+        "@algebra": format_algebra(chain_wajsberg(4)),
+        "@invalid": "kind: bck\norder: 2\nzero: 0 one: 1\n0 0\n1 1\n",
+        "@code": format_code(code_of(CODE_SIX)),
+        "@intransitive": format_code(code_of(CODE_INTRANSITIVE)),
+        "@triple": format_code(code_of(CODE_TRIPLE)),
+        "@file": "an existing regular file\n",
+    }
+    paths = {key: base / key[1:] for key in texts}
+    for key, text in texts.items():
+        paths[key].write_text(text)
+    paths["@missing"] = base / "missing"
+    paths["@dir"] = base / "out"
+    return {key: str(path) for key, path in paths.items()}
+
+
+def _argv(*fragments):
+    """Concatenate drawn argv fragments, each a list of tokens."""
+    return st.tuples(*fragments).map(lambda parts: [t for part in parts for t in part])
+
+
+def _one(values):
+    return values.map(lambda v: [v])
+
+
+def _maybe(flag, values=None):
+    if values is None:
+        return st.sampled_from([[], [flag]])
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _int(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+ARGV_INPUTS = st.sampled_from(
+    ["@algebra", "@invalid", "@code", "@intransitive", "@triple", "@missing", "@file"]
+)
+ARGV_OUTPUTS = st.sampled_from(["@file", "@dir"])
+ARGV_KINDS = st.sampled_from(["bck", "mv", "wajsberg", "ring"])
+ARGV_TOKENS = st.sampled_from(
+    ["verify", "convert", "code", "distance", "mindist", "skeleton", "enumerate",
+     "attach", "embed", "--to", "--all", "--output", "--max-order", "mv", "0", "1",
+     "-2", "40", "@code", "@algebra", "@missing", "@file", "@dir"]
+)
+FUZZ_ARGV = st.one_of(
+    _argv(_one(st.sampled_from(["verify", "code", "skeleton", "mindist"])), _one(ARGV_INPUTS)),
+    _argv(st.just(["convert"]), _one(ARGV_INPUTS), _maybe("--to", ARGV_KINDS)),
+    _argv(st.just(["distance"]), _one(ARGV_INPUTS), _one(_int(-2, 20)), _one(_int(-2, 20))),
+    _argv(st.just(["enumerate"]), _one(_int(-3, 40)), _maybe("--output", ARGV_OUTPUTS)),
+    _argv(
+        st.just(["attach"]),
+        _one(ARGV_INPUTS),
+        _maybe("--all"),
+        _maybe("--to", ARGV_KINDS),
+        _maybe("--output", ARGV_OUTPUTS),
+    ),
+    _argv(
+        st.just(["embed"]),
+        _one(ARGV_INPUTS),
+        _maybe("--max-order", _int(-1, 8)),
+        _maybe("--all"),
+        _maybe("--output", ARGV_OUTPUTS),
+    ),
+    st.lists(ARGV_TOKENS, max_size=6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(FUZZ_ARGV)
+def test_run_never_raises_on_arbitrary_argv(argv_paths, argv):
+    status, _, _ = invoke([argv_paths.get(token, token) for token in argv])
+    assert status in (0, 1, 2, 64)

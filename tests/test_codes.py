@@ -3,7 +3,10 @@
 import pytest
 
 from mvcodes import (
+    BckAlgebra,
+    CayleyTable,
     DuplicateWord,
+    MvAlgebra,
     LengthMismatch,
     TooFewWords,
     chain_wajsberg,
@@ -20,7 +23,9 @@ from mvcodes import (
     natural_order,
     skeleton,
     bck_to_mv,
+    mv_to_bck,
     mv_to_wajsberg,
+    wajsberg_to_mv,
 )
 
 from conftest import (
@@ -44,6 +49,15 @@ SIX_SKELETON = "\n".join(
 )
 
 
+def oracle_leq(algebra, x, y):
+    """x <= y written out per presentation: x*y = 0, x'+y = 1, x->y = 1."""
+    if isinstance(algebra, BckAlgebra):
+        return algebra.star(x, y) == algebra.zero
+    if isinstance(algebra, MvAlgebra):
+        return algebra.plus(algebra.neg(x), y) == algebra.one
+    return algebra.imp(x, y) == algebra.one
+
+
 class TestCutSubsets:
     def test_middle_element(self, six_wajsberg):
         assert cut_subset(six_wajsberg, 1) == {1, 3, 4, 5}
@@ -59,6 +73,30 @@ class TestCutSubsets:
             poset = natural_order(algebra)
             for r in range(algebra.k):
                 assert cut_subset(algebra, r) == poset.up_set(r)
+
+    def test_order_readers_match_per_kind_formulas(self):
+        for _, _, wajsberg in catalog_upto(12):
+            mv = wajsberg_to_mv(wajsberg)
+            for algebra in (wajsberg, mv, mv_to_bck(mv)):
+                k = algebra.k
+                cuts = [
+                    frozenset(y for y in range(k) if oracle_leq(algebra, x, y))
+                    for x in range(k)
+                ]
+                assert [cut_subset(algebra, x) for x in range(k)] == cuts
+                rows = tuple(tuple(y in cut for y in range(k)) for cut in cuts)
+                assert natural_order(algebra).leq == rows
+                assert code_from_algebra(algebra).words == rows
+                for r in range(k):
+                    for s in range(k):
+                        assert distance_D(algebra, r, s) == len(cuts[r] ^ cuts[s])
+
+    def test_unverified_table_still_gives_sets(self):
+        # the table of test_garbage_table_raises: natural_order rejects it
+        garbage = BckAlgebra(CayleyTable(((0, 0, 0), (0, 0, 0), (2, 2, 0))), 0, 2)
+        assert cut_subset(garbage, 0) == cut_subset(garbage, 1) == {0, 1, 2}
+        with pytest.raises(DuplicateWord):
+            code_from_algebra(garbage)
 
 
 class TestCodeFromAlgebra:

@@ -55,11 +55,19 @@ def test_comments_and_blanks_ignored():
         "size: 2\nkind: bck",
         "kind: bck\norder: 1\nzero: 0 one: 0\n\u00b2",  # superscript two passes str.isdigit
         "kind: bck\norder: \u0662\nzero: 0 one: 1\n0 0\n1 0",  # Arabic-Indic two
+        "kind: wajsberg\norder: 2\none: 1\nunary: 1 0\n1\x1c1\n0 1",  # str.split breaks at \x1c
+        "kind:\xa0wajsberg\norder: 2\none: 1\nunary: 1 0\n1 1\n0 1",  # no-break space
     ],
 )
 def test_malformed_algebra_files(text):
     with pytest.raises(ParseError):
         parse_algebra(text)
+
+
+def test_crlf_line_endings_and_tabs_parse():
+    text = "kind: wajsberg\r\norder: 2\r\none:\t1\r\nunary: 1 0\r\n1\t1\r\n0 1\r\n"
+    assert parse_algebra(text) == chain_wajsberg(2)
+    assert parse_code("11\r\n01\r\n").word_strings() == ("11", "01")
 
 
 def test_out_of_range_entries_are_table_errors():
@@ -77,7 +85,18 @@ def test_code_comments_allowed():
     assert parse_code("# words\n11\n01\n").word_strings() == ("11", "01")
 
 
-@pytest.mark.parametrize("text", ["", "11\n0a\n", "11\n2\n", "# only comments\n"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "11\n0a\n",
+        "11\n2\n",
+        "# only comments\n",
+        "11\x1c01",  # str.splitlines breaks lines at these three
+        "11\u202801",
+        "11\x8501",
+    ],
+)
 def test_malformed_code_files(text):
     with pytest.raises(ParseError):
         parse_code(text)
