@@ -8,6 +8,7 @@ deterministic: identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -45,12 +46,21 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    """Carries the help text of ``-h``/``--help`` back to ``run()``."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
+
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = _Parser(prog="mvcodes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -249,12 +259,14 @@ def _cmd_embed(args, out, err) -> int:
 def run(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return EX_USAGE
+    except _HelpRequested as exc:
+        out.write(str(exc))
+        return EX_OK
     try:
         return args.handler(args, out, err)
     except NotAnAlgebra as exc:

@@ -8,6 +8,8 @@ elements. The CODE_* tuples are block codes whose attached algebras are the
 correspondingly named tables.
 """
 
+import functools
+
 import pytest
 
 from mvcodes import (
@@ -182,13 +184,17 @@ def wajsberg_from_table(rows):
     return WajsbergAlgebra(CayleyTable(rows), negation, one)
 
 
+@functools.cache
 def catalog_upto(max_n):
-    """Every catalog entry of order 1..max_n as (n, factors, algebra)."""
+    """Every catalog entry of order 1..max_n as (n, factors, algebra).
+
+    Built once per bound and shared; the entries are immutable.
+    """
     out = []
     for n in range(1, max_n + 1):
         for entry in enumerate_wajsberg(n):
             out.append((n, entry.factors, entry.algebra))
-    return out
+    return tuple(out)
 
 
 def code_of(strings):

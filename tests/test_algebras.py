@@ -1,7 +1,18 @@
 """Axiom verification, natural orders, and the MV derived operations."""
 
+import functools
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from itertools import product
+from pathlib import Path
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import mvcodes
 
 from mvcodes import (
     BckAlgebra,
@@ -11,6 +22,8 @@ from mvcodes import (
     MvAlgebra,
     NotAPoset,
     WajsbergAlgebra,
+    convert,
+    enumerate_wajsberg,
     evaluate_axiom,
     mv_derived_ops,
     mv_leq_equivalences,
@@ -20,6 +33,7 @@ from mvcodes import (
     verify_mv,
     verify_wajsberg,
 )
+from mvcodes.algebras import _scan, axiom_suite
 
 from conftest import (
     PROD23,
@@ -150,6 +164,106 @@ def test_wajsberg_witnesses_always_reproduce(i, j, v):
     report = verify(algebra)
     for violation in report.violations:
         assert not evaluate_axiom(algebra, violation.axiom, violation.witness)
+
+
+def with_rows(algebra, rows):
+    """The same presentation and constants over another table."""
+    table = CayleyTable(rows)
+    if isinstance(algebra, BckAlgebra):
+        return BckAlgebra(table, algebra.zero, algebra.one)
+    if isinstance(algebra, MvAlgebra):
+        return MvAlgebra(table, algebra.complement, algebra.zero)
+    return WajsbergAlgebra(table, algebra.negation, algebra.one)
+
+
+def rows_of(algebra):
+    if isinstance(algebra, BckAlgebra):
+        return algebra.table.rows
+    if isinstance(algebra, MvAlgebra):
+        return algebra.oplus.rows
+    return algebra.circ.rows
+
+
+def assert_matches_plain_scan(algebra):
+    """verify's byte filters give the report of the triple-by-triple scan."""
+    assert verify(algebra) == _scan(algebra.k, axiom_suite(algebra))
+
+
+@functools.cache
+def presentations_upto_24():
+    """Every catalog entry of order <= 24 in each of the three presentations."""
+    return tuple(convert(w, kind) for _, _, w in catalog_upto(24) for kind in ("wajsberg", "mv", "bck"))
+
+
+class TestSliceFilters:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_mutated_catalog_algebras(self, data):
+        algebra = data.draw(st.sampled_from(presentations_upto_24()))
+        k = algebra.k
+        rows = rows_of(algebra)
+        for _ in range(data.draw(st.integers(1, 5))):
+            i, j, v = data.draw(st.tuples(*[st.integers(0, k - 1)] * 3))
+            rows = mutate(rows, i, j, v)
+        assert_matches_plain_scan(with_rows(algebra, rows))
+
+    def test_every_single_cell_edit_up_to_order_4(self):
+        for algebra in presentations_upto_24():
+            k = algebra.k
+            if k <= 4:
+                for i, j, v in product(range(k), repeat=3):
+                    assert_matches_plain_scan(with_rows(algebra, mutate(rows_of(algebra), i, j, v)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_small_tables(self, data):
+        k = data.draw(st.integers(1, 6))
+        cells = data.draw(st.lists(st.integers(0, k - 1), min_size=k * k + k + 2, max_size=k * k + k + 2))
+        table = CayleyTable([cells[i : i + k] for i in range(0, k * k, k)])
+        unary, first, second = cells[k * k : -2], cells[-2], cells[-1]
+        assert_matches_plain_scan(BckAlgebra(table, first, second))
+        assert_matches_plain_scan(MvAlgebra(table, unary, first))
+        assert_matches_plain_scan(WajsbergAlgebra(table, unary, first))
+
+    @pytest.mark.parametrize(
+        "factors, kind", [((2, 4, 6), "wajsberg"), ((2, 4, 7), "mv"), ((2, 2, 4, 4), "bck")]
+    )
+    def test_products_of_order_48_to_64(self, factors, kind):
+        (entry,) = [e for e in enumerate_wajsberg(math.prod(factors)) if e.factors == factors]
+        algebra = convert(entry.algebra, kind)
+        assert_matches_plain_scan(algebra)
+        k = algebra.k
+        i, j = 2 * k // 3, k // 3
+        rows = rows_of(algebra)
+        corrupted = with_rows(algebra, mutate(rows, i, j, (rows[i][j] + 1) % k))
+        assert not verify(corrupted).valid
+        assert_matches_plain_scan(corrupted)
+
+    def test_wrong_filter_raises_in_optimised_mode(self):
+        # a filter that flags a clean slice must not yield an empty report,
+        # even when python -O strips asserts
+        script = textwrap.dedent(
+            """
+            import mvcodes.algebras as algebras
+            from mvcodes import chain_wajsberg
+
+            algebras._w2_first_slice = lambda w: 0
+            try:
+                algebras.verify(chain_wajsberg(4))
+            except RuntimeError as exc:
+                print(f"debug={__debug__} raised: {exc}")
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(mvcodes.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("debug=False raised: ")
 
 
 class TestNaturalOrder:

@@ -306,6 +306,23 @@ class TestUsage:
         status, _, _ = invoke(["convert", str(six_bck_file), "--to", "ring"])
         assert status == 64
 
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_goes_to_out_and_exits_0(self, flag):
+        status, out, err = invoke(["verify", flag])
+        assert (status, err) == (0, "")
+        assert out.startswith("usage: mvcodes verify [-h] algebra\n")
+        assert "show this help message and exit" in out
+        status, out, err = invoke([flag])
+        assert (status, err) == (0, "")
+        assert out.startswith("usage: mvcodes [-h]")
+        assert "check the axioms of an algebra file" in out
+
+    def test_parser_is_shared_without_carrying_state(self, six_bck_file):
+        first = invoke(["frobnicate"])
+        assert invoke(["embed", "--help"])[0] == 0
+        assert invoke(["verify", str(six_bck_file)]) == (0, "valid: bounded commutative BCK\n", "")
+        assert invoke(["frobnicate"]) == first
+
 
 def test_output_is_deterministic(six_bck_file, six_code_file):
     for argv in (
@@ -415,8 +432,8 @@ ARGV_OUTPUTS = st.sampled_from(["@file", "@dir"])
 ARGV_KINDS = st.sampled_from(["bck", "mv", "wajsberg", "ring"])
 ARGV_TOKENS = st.sampled_from(
     ["verify", "convert", "code", "distance", "mindist", "skeleton", "enumerate",
-     "attach", "embed", "--to", "--all", "--output", "--max-order", "mv", "0", "1",
-     "-2", "40", "@code", "@algebra", "@missing", "@file", "@dir"]
+     "attach", "embed", "--to", "--all", "--output", "--max-order", "-h", "--help",
+     "mv", "0", "1", "-2", "40", "@code", "@algebra", "@missing", "@file", "@dir"]
 )
 FUZZ_ARGV = st.one_of(
     _argv(_one(st.sampled_from(["verify", "code", "skeleton", "mindist"])), _one(ARGV_INPUTS)),

@@ -1,5 +1,8 @@
 """Text format round trips and strict parsing."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from mvcodes import (
@@ -12,6 +15,7 @@ from mvcodes import (
     format_code,
     parse_algebra,
     parse_code,
+    verify,
 )
 
 from conftest import CODE_SIX, SIX_COMPLEMENT, SIX_PLUS, SIX_STAR, code_of
@@ -105,3 +109,12 @@ def test_malformed_code_files(text):
 def test_bck_equality_via_parse(six_bck):
     clone = BckAlgebra(CayleyTable(SIX_STAR), 0, 5)
     assert clone == six_bck
+
+
+def test_readme_algebra_example_parses_as_written():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme[readme.index("### File formats") :]
+    example = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    algebra = parse_algebra(example)
+    assert algebra.k == 6
+    assert verify(algebra).valid
