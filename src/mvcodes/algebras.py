@@ -31,7 +31,7 @@ Rows = tuple[tuple[int, ...], ...]
 
 
 def _as_rows(rows) -> Rows:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,9 @@ class CayleyTable:
         for i, row in enumerate(rows):
             if len(row) != k:
                 raise MalformedTable(f"row {i} has length {len(row)}, expected {k}")
-            for j, v in enumerate(row):
-                if not 0 <= v < k:
-                    raise MalformedTable(f"entry ({i},{j}) = {v} out of range [0,{k})")
+            if min(row) < 0 or max(row) >= k:
+                j = next(j for j, v in enumerate(row) if not 0 <= v < k)
+                raise MalformedTable(f"entry ({i},{j}) = {row[j]} out of range [0,{k})")
 
     @property
     def k(self) -> int:

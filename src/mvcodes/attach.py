@@ -5,8 +5,9 @@ order: the matrix read as a relation, bit (i,j) saying row i is below row j.
 When that relation is an order, row i is the up-set of i, so the relation is
 also the reverse-componentwise order of the words. When it is not an order
 (for instance not transitive), no algebra reproduces the code. Otherwise the
-catalog of chain products is searched for an order-isomorphic entry and its
-structure is transported onto the code's rows.
+chain factors are read off the order's join-irreducibles, only that one
+chain product is built, and its structure is transported onto the code's
+rows along each order isomorphism.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .algebras import BckAlgebra, MvAlgebra, WajsbergAlgebra, natural_order
-from .catalog import ChainProduct, enumerate_wajsberg, transport_structure
+from .catalog import (
+    ChainProduct,
+    _chain_factors,
+    _fold_product,
+    enumerate_wajsberg,
+    transport_structure,
+)
 from .codes import BlockCode, code_from_algebra
 from .convert import mv_to_bck, wajsberg_to_mv
 from .errors import AlgebraError, NoEmbeddingFound, NonSquare, NotAPoset
@@ -108,9 +115,11 @@ def attach_wajsberg(
     Rows of the code become carrier elements in their listed order. Raises
     CodeRejected with a re-checkable witness when the matrix fails the
     boundary shape, its relation is not an order, or the word order matches
-    no catalog entry. With ``all_matches`` every (catalog entry, order
-    isomorphism) pair is returned; the transported tables all coincide, so
-    the default first match is canonical.
+    no catalog entry. The one candidate entry is the chain product whose
+    factors are read off the join-irreducibles of the word order; catalog
+    entries are pairwise non-isomorphic, so no other entry can match. With
+    ``all_matches`` every order isomorphism from that entry is returned; the
+    transported tables all coincide, so the default first match is canonical.
     """
     report = validate_code_matrix(code)
     if not report.valid:
@@ -131,13 +140,13 @@ def attach_wajsberg(
             RejectionReason(kind, witness, f"matrix relation breaks {law} at {witness}")
         ) from exc
 
+    factors = _chain_factors(word_order)
     matches = []
-    for entry in enumerate_wajsberg(code.size):
-        entry_order = natural_order(entry.algebra)
-        for iso in poset_isomorphisms(entry_order, word_order):
+    if factors is not None:
+        entry = ChainProduct(factors, _fold_product(factors))
+        for iso in poset_isomorphisms(natural_order(entry.algebra), word_order):
             algebra = transport_structure(entry.algebra, iso)
-            regenerated = code_from_algebra(algebra)
-            if regenerated.words != code.words:
+            if code_from_algebra(algebra).words != code.words:
                 raise RuntimeError(
                     f"algebra transported from catalog entry {entry.factors} "
                     "does not regenerate the code"

@@ -6,16 +6,25 @@ unordered factorization of n into factors >= 2, plus the chain itself.
 ``enumerate_wajsberg`` materialises one canonical representative per class;
 ``transport_structure`` relabels a representative onto any order-isomorphic
 carrier.
+
+A representative is built in one pass on the mixed-radix carrier, the last
+factor the least significant digit: the componentwise Łukasiewicz
+implication is tabulated factor by factor from the last digit up, with no
+intermediate algebra per factor. Its factors can be read back off its order
+(Birkhoff): the join-irreducibles, the elements with exactly one lower
+cover, form one chain of n - 1 elements per factor n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
+from math import prod
 from typing import Iterator, Optional
 
 from .algebras import CayleyTable, WajsbergAlgebra, natural_order
 from .errors import InvalidSize, NotAnOrderIso, SizeMismatch
-from .order import OrderIso, poset_isomorphisms
+from .order import OrderIso, Poset, poset_isomorphisms
 
 
 def chain_wajsberg(k: int) -> WajsbergAlgebra:
@@ -26,12 +35,7 @@ def chain_wajsberg(k: int) -> WajsbergAlgebra:
     """
     if k < 1:
         raise InvalidSize(f"chain needs at least one element, got {k}")
-    top = k - 1
-    rows = tuple(
-        tuple(top if i <= j else top - i + j for j in range(k)) for i in range(k)
-    )
-    negation = tuple(top - i for i in range(k))
-    return WajsbergAlgebra(CayleyTable(rows), negation, top)
+    return _fold_product((k,))
 
 
 def product_wajsberg(w1: WajsbergAlgebra, w2: WajsbergAlgebra) -> WajsbergAlgebra:
@@ -93,10 +97,42 @@ class ChainProduct:
 
 
 def _fold_product(factors: tuple[int, ...]) -> WajsbergAlgebra:
-    algebra = chain_wajsberg(factors[0])
-    for f in factors[1:]:
-        algebra = product_wajsberg(algebra, chain_wajsberg(f))
-    return algebra
+    """The chain product, equal to folding ``product_wajsberg`` left to right."""
+    rows, k = [(0,)], 1
+    for f in reversed(factors):
+        # Cell (a*k + r, c*k + s) is min(top, top - a + c)*k + rows[r][s]:
+        # row r shifted by m*k is block m, and row a picks its blocks by c.
+        top = f - 1
+        blocks = [[tuple(map((k * m).__add__, row)) for m in range(f)] for row in rows]
+        picks = [[*range(top - a, top), *[top] * (f - a)] for a in range(f)]
+        rows = [tuple(chain.from_iterable(map(b.__getitem__, p))) for p in picks for b in blocks]
+        k *= f
+    return WajsbergAlgebra(CayleyTable(tuple(rows)), tuple(range(k - 1, -1, -1)), k - 1)
+
+
+def _chain_factors(poset: Poset) -> Optional[tuple[int, ...]]:
+    """Factors of the chain product whose order ``poset`` could be, or None.
+
+    Reads up-sets and down-sets as bitmasks. An element x is join-irreducible
+    when its strict down-set is the down-set of one element, its one lower
+    cover. In a product of chains these elements split into disjoint chains,
+    one of n - 1 elements per factor n, and the factors multiply to k; the
+    one-element order gives (1,).
+    """
+    k = poset.k
+    bits = [1 << i for i in range(k)]
+    up = [sum(compress(bits, row)) for row in poset.leq]
+    down = [sum(compress(bits, col)) for col in zip(*poset.leq)]
+    below = set(down)
+    irreducible = [x for x in range(k) if down[x] ^ bits[x] in below]
+    mask = sum(bits[x] for x in irreducible)
+    # The irreducibles comparable to x: these sets partition the
+    # irreducibles exactly when they are disjoint chains.
+    chains = {(up[x] | down[x]) & mask for x in irreducible}
+    if sum(c.bit_count() for c in chains) != len(irreducible):
+        return None
+    factors = sorted(c.bit_count() + 1 for c in chains) or [1]
+    return tuple(factors) if prod(factors) == k else None
 
 
 def enumerate_wajsberg(n: int) -> list[ChainProduct]:
@@ -104,11 +140,8 @@ def enumerate_wajsberg(n: int) -> list[ChainProduct]:
     factorization, pairwise non-isomorphic as ordered sets."""
     if n < 1:
         raise InvalidSize(f"enumeration needs n >= 1, got {n}")
-    entries = [ChainProduct((n,), chain_wajsberg(n))]
-    if n >= 2:
-        for factors in factorizations(n):
-            entries.append(ChainProduct(factors, _fold_product(factors)))
-    return entries
+    every = [(n,)] + (factorizations(n) if n >= 2 else [])
+    return [ChainProduct(factors, _fold_product(factors)) for factors in every]
 
 
 def pi_count(n: int) -> int:

@@ -16,7 +16,7 @@ algebras coincides with descending lexicographic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import combinations, compress
 from typing import Iterable, Sequence
 
 from .algebras import Algebra, MvAlgebra, _order_row, natural_order
@@ -120,12 +120,8 @@ def distance_D(algebra: Algebra, r: int, s: int) -> int:
 def min_hamming_distance(code: BlockCode) -> int:
     if code.size < 2:
         raise TooFewWords("minimum distance needs at least two words")
-    words = code.words
-    return min(
-        hamming(words[i], words[j])
-        for i in range(len(words))
-        for j in range(i + 1, len(words))
-    )
+    masks = [int("".join(map(str, w)), 2) for w in code.words]
+    return min((a ^ b).bit_count() for a, b in combinations(masks, 2))
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,24 @@ class TestCayleyTable:
         with pytest.raises(MalformedTable):
             CayleyTable(())
 
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (((0, 2), (0, 1)), "entry (0,1) = 2 out of range [0,2)"),
+            (((0, 1), (-1, 5)), "entry (1,0) = -1 out of range [0,2)"),
+            (((0, 1, 2), (0, 1, 2), (2, 0, 3)), "entry (2,2) = 3 out of range [0,3)"),
+            (((0, 5), (0, 1, 1)), "entry (0,1) = 5 out of range [0,2)"),
+            (((0, 1), (0, 1, 1)), "row 1 has length 3, expected 2"),
+        ],
+    )
+    def test_first_bad_cell_named(self, rows, message):
+        with pytest.raises(MalformedTable) as exc:
+            CayleyTable(rows)
+        assert str(exc.value) == message
+
+    def test_entries_converted_to_int(self):
+        assert CayleyTable(((True, False), ("1", 0))).rows == ((1, 0), (1, 0))
+
     def test_constants_must_be_elements(self):
         with pytest.raises(MalformedTable):
             BckAlgebra(CayleyTable(((0,),)), 0, 1)

@@ -8,7 +8,7 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import mvcodes
 from mvcodes import (
@@ -28,6 +28,9 @@ from mvcodes import (
     validate_code_matrix,
 )
 from mvcodes.attach import _canonical_embedding, _covering_columns
+from mvcodes.catalog import _chain_factors, transport_structure
+from mvcodes.errors import NotAPoset
+from mvcodes.order import OrderIso, Poset, poset_isomorphisms
 
 from conftest import (
     CODE_CYCLED,
@@ -187,6 +190,94 @@ class TestRoundTripOverCatalog:
                 result = attach_wajsberg(code)
                 assert code_from_algebra(result.algebra).words == code.words
                 assert result.algebra.circ.rows == entry.algebra.circ.rows
+
+
+def catalog_scan(code):
+    """Reference for ``attach_wajsberg(code, all_matches=True)``: every entry
+    of the catalog of the code's order is tried, each by order isomorphism.
+    Returns the (algebra, iso, factors) list or the rejection's fields."""
+    report = validate_code_matrix(code)
+    if not report.valid:
+        first = report.failures[0]
+        return ("boundary-violation", first.position, f"{first.condition} fails at {first.position}")
+    try:
+        word_order = Poset(code.words)
+    except NotAPoset as exc:
+        kind = "transitivity-failure" if exc.law == "transitivity" else "not-a-poset"
+        return (kind, exc.witness, f"matrix relation breaks {exc.law} at {exc.witness}")
+    matches = [
+        (transport_structure(entry.algebra, iso), iso, entry.factors)
+        for entry in enumerate_wajsberg(code.size)
+        for iso in poset_isomorphisms(natural_order(entry.algebra), word_order)
+    ]
+    if not matches:
+        detail = f"word order of the {code.size}-word code matches no product of chains"
+        return ("no-catalog-match", (), detail)
+    return matches
+
+
+def attach_outcome(code):
+    try:
+        results = attach_wajsberg(code, all_matches=True)
+    except CodeRejected as exc:
+        reason = exc.reason
+        return (reason.kind, reason.witness, reason.detail)
+    return [(r.algebra, r.iso, r.source.factors) for r in results]
+
+
+@st.composite
+def relabelled_catalog_words(draw, max_n=48):
+    """Words of a catalog code, carrier relabelled with bottom first, top last."""
+    n = draw(st.integers(1, max_n))
+    entry = draw(st.sampled_from(enumerate_wajsberg(n)))
+    inner = draw(st.permutations(range(1, n - 1))) if n > 2 else []
+    forward = (0, *inner, n - 1)[:n]
+    algebra = transport_structure(entry.algebra, OrderIso(forward))
+    return [list(w) for w in code_from_algebra(algebra).words]
+
+
+@st.composite
+def ordinal_sums(draw):
+    """The code of a chain product stacked below the code of another."""
+    lower, upper = (
+        draw(st.sampled_from(enumerate_wajsberg(draw(st.integers(1, 24)))))
+        for _ in range(2)
+    )
+    a, b = lower.order, upper.order
+    words = tuple(w + (1,) * b for w in code_from_algebra(lower.algebra).words)
+    words += tuple((0,) * a + w for w in code_from_algebra(upper.algebra).words)
+    return lower, upper, BlockCode(words)
+
+
+class TestAttachAgainstCatalogScan:
+    @settings(max_examples=25, deadline=None)
+    @given(relabelled_catalog_words())
+    def test_relabelled_catalog_codes(self, words):
+        code = BlockCode(tuple(map(tuple, words)))
+        assert attach_outcome(code) == catalog_scan(code)
+
+    @settings(max_examples=40, deadline=None)
+    @given(relabelled_catalog_words(), st.data())
+    def test_inner_bits_flipped(self, words, data):
+        n = len(words)
+        inner = st.integers(1, max(1, n - 2))
+        for i, j in data.draw(st.lists(st.tuples(inner, inner), max_size=2 if n > 2 else 0)):
+            words[i][j] ^= 1
+        code_words = tuple(map(tuple, words))
+        assume(len(set(code_words)) == n)
+        code = BlockCode(code_words)
+        assert attach_outcome(code) == catalog_scan(code)
+
+    @settings(max_examples=25, deadline=None)
+    @given(ordinal_sums())
+    def test_ordinal_sums(self, case):
+        lower, upper, code = case
+        assert attach_outcome(code) == catalog_scan(code)
+        factors = _chain_factors(code_poset(code))
+        if len(lower.factors) == len(upper.factors) == 1:
+            assert factors == (code.size,)
+        else:
+            assert factors is None
 
 
 class TestEmbedding:

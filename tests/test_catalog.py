@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mvcodes import (
+    BlockCode,
     CayleyTable,
     InvalidSize,
     SizeMismatch,
     WajsbergAlgebra,
     chain_wajsberg,
+    code_poset,
     enumerate_wajsberg,
     factorizations,
     natural_order,
@@ -21,6 +23,7 @@ from mvcodes import (
     verify,
     wajsberg_isomorphic,
 )
+from mvcodes.catalog import _chain_factors, _fold_product
 from mvcodes.order import OrderIso
 
 from conftest import (
@@ -154,6 +157,46 @@ class TestProducts:
                 for y in range(a * b)
             )
             assert wajsberg_isomorphic(w1, w2) is not None
+
+
+class TestOnePassProducts:
+    def test_chains_match_closed_form_up_to_64(self):
+        for k in range(1, 65):
+            w = chain_wajsberg(k)
+            top = k - 1
+            assert w.circ.rows == tuple(
+                tuple(top if i <= j else top - i + j for j in range(k)) for i in range(k)
+            )
+            assert w.negation == tuple(top - i for i in range(k))
+            assert w.one == top
+
+    def test_equal_product_folds_up_to_64(self):
+        for n in range(4, 65):
+            for factors in factorizations(n):
+                folded = chain_wajsberg(factors[0])
+                for f in factors[1:]:
+                    folded = product_wajsberg(folded, chain_wajsberg(f))
+                built = _fold_product(factors)
+                assert built.circ.rows == folded.circ.rows, factors
+                assert built.negation == folded.negation, factors
+                assert built.one == folded.one, factors
+
+
+class TestChainFactors:
+    def test_read_off_every_entry_up_to_64(self):
+        for n in range(1, 65):
+            for entry in enumerate_wajsberg(n):
+                assert _chain_factors(natural_order(entry.algebra)) == entry.factors
+
+    def test_irreducibles_not_disjoint_chains(self):
+        # 0 < 1 < {2, 3} < 4: 1 is comparable to 2 and 3, which are not
+        words = ("11111", "01111", "00101", "00011", "00001")
+        assert _chain_factors(code_poset(BlockCode.from_strings(words))) is None
+
+    def test_factor_product_not_the_order(self):
+        # 0 < {1, 2, 3} < 4: three one-element chains, but 2 * 2 * 2 != 5
+        words = ("11111", "01001", "00101", "00011", "00001")
+        assert _chain_factors(code_poset(BlockCode.from_strings(words))) is None
 
 
 def bruteforce_factor_multisets(n):

@@ -1,9 +1,13 @@
 """Code generation, the codeword order, distances, and skeletons."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, strategies as st
 
 from mvcodes import (
     BckAlgebra,
+    BlockCode,
     CayleyTable,
     DuplicateWord,
     MvAlgebra,
@@ -223,6 +227,17 @@ class TestMinHamming:
     def test_too_few_words(self):
         with pytest.raises(TooFewWords):
             min_hamming_distance(code_of(("1",)))
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda m: st.lists(
+                st.tuples(*[st.integers(0, 1)] * m), min_size=2, max_size=24, unique=True
+            )
+        )
+    )
+    def test_matches_pairwise_hamming(self, words):
+        expected = min(hamming(a, b) for a, b in combinations(words, 2))
+        assert min_hamming_distance(BlockCode(tuple(words))) == expected
 
 
 class TestSkeleton:
