@@ -30,10 +30,6 @@ from .order import Poset
 Rows = tuple[tuple[int, ...], ...]
 
 
-def _as_rows(rows) -> Rows:
-    return tuple(tuple(map(int, row)) for row in rows)
-
-
 @dataclass(frozen=True)
 class CayleyTable:
     """A k-by-k operation table closed over ``{0, .., k-1}``."""
@@ -41,7 +37,7 @@ class CayleyTable:
     rows: Rows
 
     def __post_init__(self):
-        rows = _as_rows(self.rows)
+        rows = tuple(tuple(map(int, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         k = len(rows)
         if k == 0:
@@ -354,17 +350,17 @@ def verify(algebra: Algebra) -> AxiomReport:
 
 
 def verify_bck(table, zero: int, one: int) -> AxiomReport:
-    table = table if isinstance(table, CayleyTable) else CayleyTable(_as_rows(table))
+    table = table if isinstance(table, CayleyTable) else CayleyTable(table)
     return verify(BckAlgebra(table, zero, one))
 
 
 def verify_mv(oplus, complement, zero: int) -> AxiomReport:
-    oplus = oplus if isinstance(oplus, CayleyTable) else CayleyTable(_as_rows(oplus))
+    oplus = oplus if isinstance(oplus, CayleyTable) else CayleyTable(oplus)
     return verify(MvAlgebra(oplus, tuple(complement), zero))
 
 
 def verify_wajsberg(circ, negation, one: int) -> AxiomReport:
-    circ = circ if isinstance(circ, CayleyTable) else CayleyTable(_as_rows(circ))
+    circ = circ if isinstance(circ, CayleyTable) else CayleyTable(circ)
     return verify(WajsbergAlgebra(circ, tuple(negation), one))
 
 
@@ -425,7 +421,7 @@ def mv_derived_ops(m: MvAlgebra) -> tuple[CayleyTable, CayleyTable]:
     k = m.k
     odot = [[c[p[c[x]][c[y]]] for y in range(k)] for x in range(k)]
     ominus = [[c[p[c[x]][y]] for y in range(k)] for x in range(k)]
-    return CayleyTable(_as_rows(odot)), CayleyTable(_as_rows(ominus))
+    return CayleyTable(odot), CayleyTable(ominus)
 
 
 def mv_leq_equivalences(m: MvAlgebra, x: int, y: int) -> bool:

@@ -26,7 +26,7 @@ from .catalog import (
 from .codes import BlockCode, code_from_algebra
 from .convert import mv_to_bck, wajsberg_to_mv
 from .errors import AlgebraError, NoEmbeddingFound, NonSquare, NotAPoset
-from .order import OrderIso, Poset, poset_isomorphisms
+from .order import OrderIso, Poset, _masks, poset_isomorphisms
 
 
 @dataclass(frozen=True)
@@ -224,10 +224,8 @@ def _covering_columns(
     """
     q = len(words[0])
     full = (1 << len(words)) - 1
-    split = []  # per column: (words with bit 0, words with bit 1) as bitmasks
-    for c in range(q):
-        ones = sum(1 << i for i, w in enumerate(words) if w[c])
-        split.append((full ^ ones, ones))
+    # per column: (words with bit 0, words with bit 1) as bitmasks
+    split = [(full ^ ones, ones) for ones in _masks(zip(*words))]
     targets = tuple(want)
     chosen = []
 

@@ -18,13 +18,15 @@ cover, form one chain of n - 1 elements per factor n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from math import prod
 from typing import Iterator, Optional
 
 from .algebras import CayleyTable, WajsbergAlgebra, natural_order
 from .errors import InvalidSize, NotAnOrderIso, SizeMismatch
 from .order import OrderIso, Poset, poset_isomorphisms
+
+MAX_CATALOG_CELLS = 1 << 26  # per enumerate_wajsberg; n = 720: 98 entries, 50.8 M cells
 
 
 def chain_wajsberg(k: int) -> WajsbergAlgebra:
@@ -107,40 +109,40 @@ def _fold_product(factors: tuple[int, ...]) -> WajsbergAlgebra:
         picks = [[*range(top - a, top), *[top] * (f - a)] for a in range(f)]
         rows = [tuple(chain.from_iterable(map(b.__getitem__, p))) for p in picks for b in blocks]
         k *= f
-    return WajsbergAlgebra(CayleyTable(tuple(rows)), tuple(range(k - 1, -1, -1)), k - 1)
+    return WajsbergAlgebra(CayleyTable(rows), tuple(range(k - 1, -1, -1)), k - 1)
 
 
 def _chain_factors(poset: Poset) -> Optional[tuple[int, ...]]:
     """Factors of the chain product whose order ``poset`` could be, or None.
 
-    Reads up-sets and down-sets as bitmasks. An element x is join-irreducible
-    when its strict down-set is the down-set of one element, its one lower
-    cover. In a product of chains these elements split into disjoint chains,
-    one of n - 1 elements per factor n, and the factors multiply to k; the
-    one-element order gives (1,).
+    Works on the poset's up-set and down-set bitmasks. An element x is
+    join-irreducible when its strict down-set is the down-set of one element,
+    its one lower cover. In a product of chains these elements split into
+    disjoint chains, one of n - 1 elements per factor n, and the factors
+    multiply to k; the one-element order gives (1,).
     """
-    k = poset.k
-    bits = [1 << i for i in range(k)]
-    up = [sum(compress(bits, row)) for row in poset.leq]
-    down = [sum(compress(bits, col)) for col in zip(*poset.leq)]
-    below = set(down)
-    irreducible = [x for x in range(k) if down[x] ^ bits[x] in below]
-    mask = sum(bits[x] for x in irreducible)
+    below = set(poset.down)
+    irreducible = [x for x, d in enumerate(poset.down) if d ^ 1 << x in below]
+    mask = sum(1 << x for x in irreducible)
     # The irreducibles comparable to x: these sets partition the
     # irreducibles exactly when they are disjoint chains.
-    chains = {(up[x] | down[x]) & mask for x in irreducible}
+    chains = {(poset.up[x] | poset.down[x]) & mask for x in irreducible}
     if sum(c.bit_count() for c in chains) != len(irreducible):
         return None
     factors = sorted(c.bit_count() + 1 for c in chains) or [1]
-    return tuple(factors) if prod(factors) == k else None
+    return tuple(factors) if prod(factors) == poset.k else None
 
 
 def enumerate_wajsberg(n: int) -> list[ChainProduct]:
     """One algebra per order type of size n: the chain, then one per
-    factorization, pairwise non-isomorphic as ordered sets."""
+    factorization, pairwise non-isomorphic as ordered sets. Raises
+    InvalidSize, building nothing, over ``MAX_CATALOG_CELLS`` table cells."""
     if n < 1:
         raise InvalidSize(f"enumeration needs n >= 1, got {n}")
-    every = [(n,)] + (factorizations(n) if n >= 2 else [])
+    # n * n is checked before factorizations, which takes minutes for n near 10**18
+    every = [(n,)] + (factorizations(n) if 2 <= n and n * n <= MAX_CATALOG_CELLS else [])
+    if len(every) * n * n > MAX_CATALOG_CELLS:
+        raise InvalidSize(f"enumeration of order {n} needs more than {MAX_CATALOG_CELLS} table cells")
     return [ChainProduct(factors, _fold_product(factors)) for factors in every]
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .algebras import Algebra, MvAlgebra, _order_row, natural_order
 from .errors import DuplicateWord, LengthMismatch, MalformedTable, TooFewWords
-from .order import Poset
+from .order import Poset, _masks
 
 Word = tuple[int, ...]
 
@@ -94,13 +94,9 @@ def codeword_leq(wx: Word, wy: Word) -> bool:
 
 
 def code_poset(code: BlockCode) -> Poset:
-    """The partial order of the code's words, over their listed positions."""
-    words = code.words
-    k = len(words)
-    rows = tuple(
-        tuple(codeword_leq(words[i], words[j]) for j in range(k)) for i in range(k)
-    )
-    return Poset(rows)
+    """The order ``codeword_leq`` of the code's words, over their listed positions."""
+    masks = _masks(code.words)
+    return Poset(tuple(tuple(not mj & ~mi for mj in masks) for mi in masks))
 
 
 def hamming(wx: Word, wy: Word) -> int:
@@ -120,7 +116,7 @@ def distance_D(algebra: Algebra, r: int, s: int) -> int:
 def min_hamming_distance(code: BlockCode) -> int:
     if code.size < 2:
         raise TooFewWords("minimum distance needs at least two words")
-    masks = [int("".join(map(str, w)), 2) for w in code.words]
+    masks = _masks(code.words)
     return min((a ^ b).bit_count() for a, b in combinations(masks, 2))
 
 

@@ -39,7 +39,7 @@ def bck_to_mv(b: BckAlgebra) -> MvAlgebra:
     oplus = [
         [complement[s[complement[x]][y]] for y in range(k)] for x in range(k)
     ]
-    return MvAlgebra(CayleyTable(tuple(map(tuple, oplus))), complement, b.zero)
+    return MvAlgebra(CayleyTable(oplus), complement, b.zero)
 
 
 def mv_to_bck(m: MvAlgebra) -> BckAlgebra:
@@ -55,7 +55,7 @@ def wajsberg_to_mv(w: WajsbergAlgebra) -> MvAlgebra:
     t, n = w.circ.rows, w.negation
     k = w.k
     oplus = [[t[n[x]][y] for y in range(k)] for x in range(k)]
-    return MvAlgebra(CayleyTable(tuple(map(tuple, oplus))), n, w.zero)
+    return MvAlgebra(CayleyTable(oplus), n, w.zero)
 
 
 def mv_to_wajsberg(m: MvAlgebra) -> WajsbergAlgebra:
@@ -64,7 +64,7 @@ def mv_to_wajsberg(m: MvAlgebra) -> WajsbergAlgebra:
     p, c = m.oplus.rows, m.complement
     k = m.k
     circ = [[p[c[x]][y] for y in range(k)] for x in range(k)]
-    return WajsbergAlgebra(CayleyTable(tuple(map(tuple, circ))), c, m.one)
+    return WajsbergAlgebra(CayleyTable(circ), c, m.one)
 
 
 def convert(algebra: Algebra, kind: str) -> Algebra:

@@ -1,44 +1,59 @@
-"""Finite partial orders as boolean relation matrices, plus isomorphism search."""
+"""Finite partial orders as boolean relation matrices, plus isomorphism search.
+
+Order queries read up-set / down-set ``int`` bitmasks built by ``_masks``, the
+one place rows, columns or codewords become bitmasks.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass, field
+from itertools import compress
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NotAnOrderIso, NotAPoset, SizeMismatch
 
 LeqRows = tuple[tuple[bool, ...], ...]
 
 
-def order_violation(leq: Sequence[Sequence[bool]]):
-    """First broken order law in ``leq``, as ``(law, witness)``, or None.
+def _masks(rows: Iterable[Sequence]) -> tuple[int, ...]:
+    """One ``int`` per row, with bit j set when entry j of the row is truthy."""
+    rows = tuple(rows)
+    bits = [1 << j for j in range(max(map(len, rows), default=0))]
+    return tuple(sum(compress(bits, row)) for row in rows)
+
+
+def order_violation(up: Sequence[int], down: Sequence[int]):
+    """First broken order law of up-set / down-set masks, as (law, witness), or None.
 
     Laws are checked in the order reflexivity, antisymmetry, transitivity;
     within each law the lexicographically least witness is returned.
     """
-    k = len(leq)
-    for x in range(k):
-        if not leq[x][x]:
+    for x, ux in enumerate(up):
+        if not ux >> x & 1:
             return ("reflexivity", (x,))
-    for x in range(k):
-        for y in range(k):
-            if x != y and leq[x][y] and leq[y][x]:
-                return ("antisymmetry", (x, y))
-    for x in range(k):
-        for y in range(k):
-            if not leq[x][y]:
-                continue
-            for z in range(k):
-                if leq[y][z] and not leq[x][z]:
-                    return ("transitivity", (x, y, z))
+    for x, (ux, dx) in enumerate(zip(up, down)):
+        both = ux & dx & ~(1 << x)
+        if both:
+            return ("antisymmetry", (x, (both & -both).bit_length() - 1))
+    for x, ux in enumerate(up):
+        rest = ux
+        while rest:  # y runs over up(x) in ascending order
+            y = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            missing = up[y] & ~ux
+            if missing:
+                return ("transitivity", (x, y, (missing & -missing).bit_length() - 1))
     return None
 
 
 @dataclass(frozen=True)
 class Poset:
-    """A reflexive, antisymmetric, transitive relation on ``{0, .., k-1}``."""
+    """A reflexive, antisymmetric, transitive relation on ``{0, .., k-1}``;
+    ``up`` / ``down`` hold the rows / columns of ``leq`` as ``_masks`` bitmasks."""
 
     leq: LeqRows
+    up: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    down: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(bool(v) for v in row) for row in self.leq)
@@ -46,7 +61,9 @@ class Poset:
         k = len(rows)
         if any(len(row) != k for row in rows):
             raise NotAPoset("shape", ())
-        bad = order_violation(rows)
+        object.__setattr__(self, "up", _masks(rows))
+        object.__setattr__(self, "down", _masks(zip(*rows)))
+        bad = order_violation(self.up, self.down)
         if bad is not None:
             raise NotAPoset(*bad)
 
@@ -62,24 +79,14 @@ class Poset:
 
     @property
     def bottom(self) -> Optional[int]:
-        for x in range(self.k):
-            if all(self.leq[x][y] for y in range(self.k)):
-                return x
-        return None
+        return next((x for x, u in enumerate(self.up) if u.bit_count() == self.k), None)
 
     @property
     def top(self) -> Optional[int]:
-        for x in range(self.k):
-            if all(self.leq[y][x] for y in range(self.k)):
-                return x
-        return None
+        return next((x for x, d in enumerate(self.down) if d.bit_count() == self.k), None)
 
     def is_total(self) -> bool:
-        return all(
-            self.leq[x][y] or self.leq[y][x]
-            for x in range(self.k)
-            for y in range(self.k)
-        )
+        return all((u | d).bit_count() == self.k for u, d in zip(self.up, self.down))
 
     def strict_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(
@@ -118,7 +125,7 @@ class OrderIso:
 
 
 def _signatures(p: Poset) -> list[tuple[int, int]]:
-    return [(len(p.down_set(x)), len(p.up_set(x))) for x in range(p.k)]
+    return [(d.bit_count(), u.bit_count()) for d, u in zip(p.down, p.up)]
 
 
 def poset_isomorphisms(source: Poset, target: Poset) -> Iterator[OrderIso]:

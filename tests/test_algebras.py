@@ -257,6 +257,16 @@ class TestSliceFilters:
         assert not verify(corrupted).valid
         assert_matches_plain_scan(corrupted)
 
+    def test_assoc_failing_only_at_the_last_corner(self):
+        # the one failing triple (x, k-1, k-1) sits where no single-cell edit
+        # of a catalog algebra puts the only assoc failure
+        m = MvAlgebra(CayleyTable(((0, 1, 0), (0, 1, 1), (0, 1, 0))), (2, 1, 0), 0)
+        p = m.oplus.rows
+        failing = [t for t in product(range(3), repeat=3) if p[p[t[0]][t[1]]][t[2]] != p[t[0]][p[t[1]][t[2]]]]
+        assert failing == [(1, 2, 2)]
+        assert verify(m).witness("assoc") == (1, 2, 2)
+        assert_matches_plain_scan(m)
+
     def test_wrong_filter_raises_in_optimised_mode(self):
         # a filter that flags a clean slice must not yield an empty report,
         # even when python -O strips asserts

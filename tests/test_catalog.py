@@ -23,6 +23,7 @@ from mvcodes import (
     verify,
     wajsberg_isomorphic,
 )
+from mvcodes import catalog
 from mvcodes.catalog import _chain_factors, _fold_product
 from mvcodes.order import OrderIso
 
@@ -269,6 +270,24 @@ class TestEnumeration:
     def test_count_is_pi_plus_one(self):
         for n in range(2, 13):
             assert len(enumerate_wajsberg(n)) == pi_count(n) + 1
+
+    def test_huge_order_is_refused_before_factoring(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("built or factored an oversized catalog")
+
+        monkeypatch.setattr(catalog, "factorizations", never)
+        monkeypatch.setattr(catalog, "_fold_product", never)
+        with pytest.raises(InvalidSize):
+            enumerate_wajsberg(10**18)
+
+    def test_cell_bound_counts_every_entry(self, monkeypatch):
+        # 1440 fits the bound as a single table but not with its 171 entries;
+        # 720 (98 entries, 50.8 M cells) still fits
+        monkeypatch.setattr(catalog, "_fold_product", lambda factors: None)
+        assert 1440 * 1440 <= catalog.MAX_CATALOG_CELLS
+        with pytest.raises(InvalidSize):
+            enumerate_wajsberg(1440)
+        assert len(enumerate_wajsberg(720)) == 98
 
 
 class TestTransport:

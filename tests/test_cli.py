@@ -149,6 +149,12 @@ class TestEnumerate:
         parsed = parse_algebra((outdir / "w6_chain.alg").read_text())
         assert parsed == chain_wajsberg(6)
 
+    def test_oversized_order_exits_1(self):
+        status, out, err = invoke(["enumerate", "1000000000000"])
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unwritable_output_exits_1(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")

@@ -1,25 +1,83 @@
 """Poset validation and the order-isomorphism backtracking search."""
 
+import random
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvcodes import (
+    BlockCode,
     NotAPoset,
     NotAnOrderIso,
     OrderIso,
     Poset,
     SizeMismatch,
     chain_wajsberg,
+    code_poset,
+    codeword_leq,
     natural_order,
     poset_isomorphism,
     poset_isomorphisms,
     product_wajsberg,
 )
 
-from conftest import PROD23, SIX_IMPL, wajsberg_from_table
+from conftest import PROD23, SIX_IMPL, catalog_upto, wajsberg_from_table
 
 
 def poset_of(rows):
     return natural_order(wajsberg_from_table(rows))
+
+
+def triple_loop_violation(leq):
+    """The order-law check on bool rows, kept as the oracle of the bitmask one."""
+    k = len(leq)
+    for x in range(k):
+        if not leq[x][x]:
+            return ("reflexivity", (x,))
+    for x in range(k):
+        for y in range(k):
+            if x != y and leq[x][y] and leq[y][x]:
+                return ("antisymmetry", (x, y))
+    for x in range(k):
+        for y in range(k):
+            if not leq[x][y]:
+                continue
+            for z in range(k):
+                if leq[y][z] and not leq[x][z]:
+                    return ("transitivity", (x, y, z))
+    return None
+
+
+def verdict(rows):
+    """``(law, witness)`` of the NotAPoset that Poset raises, or None."""
+    try:
+        Poset(rows)
+    except NotAPoset as exc:
+        return (exc.law, exc.witness)
+    return None
+
+
+def flip(rows, i, j):
+    rows = [list(row) for row in rows]
+    rows[i][j] = not rows[i][j]
+    return rows
+
+
+@st.composite
+def near_orders(draw):
+    """A random order on k <= 10 elements with 0-2 cells flipped."""
+    k = draw(st.integers(1, 10))
+    rank = draw(st.permutations(range(k)))
+    leq = [[x == y for y in range(k)] for x in range(k)]
+    for x, y in product(range(k), repeat=2):
+        if rank[x] < rank[y] and draw(st.booleans()):
+            leq[x][y] = True
+    for z, x, y in product(range(k), repeat=3):  # transitive closure
+        leq[x][y] = leq[x][y] or (leq[x][z] and leq[z][y])
+    for _ in range(draw(st.integers(0, 2))):
+        leq = flip(leq, draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1)))
+    return leq
 
 
 class TestPoset:
@@ -104,3 +162,54 @@ class TestPosetIsomorphism:
         autos = list(poset_isomorphisms(p, p))
         assert len(autos) == 2  # identity and the middle swap
         assert autos[0].forward == (0, 1, 2, 3)
+
+
+class TestBitmaskCore:
+    """The mask-based order core against the bool-row formulas."""
+
+    def test_every_relation_up_to_three_elements(self):
+        for k in range(1, 4):
+            for cells in product((False, True), repeat=k * k):
+                rows = [cells[i : i + k] for i in range(0, k * k, k)]
+                assert verdict(rows) == triple_loop_violation(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_orders())
+    def test_near_orders(self, rows):
+        assert verdict(rows) == triple_loop_violation(rows)
+
+    def test_catalog_orders_and_one_flipped_cell(self):
+        rng = random.Random(0)
+        for n, _, algebra in catalog_upto(64):
+            rows = natural_order(algebra).leq
+            assert triple_loop_violation(rows) is None
+            flipped = flip(rows, rng.randrange(n), rng.randrange(n))
+            assert verdict(flipped) == triple_loop_violation(flipped)
+
+    @settings(max_examples=60, deadline=None)
+    @given(near_orders())
+    def test_masks_bounds_and_totality_match_rows(self, rows):
+        if verdict(rows) is not None:
+            return
+        p = Poset(rows)
+        k = p.k
+        assert p.up == tuple(sum(1 << j for j in range(k) if p.leq[x][j]) for x in range(k))
+        assert p.down == tuple(sum(1 << j for j in range(k) if p.leq[j][x]) for x in range(k))
+        assert p.bottom == next((x for x in range(k) if all(p.leq[x])), None)
+        assert p.top == next((x for x in range(k) if all(row[x] for row in p.leq)), None)
+        assert p.is_total() == all(p.leq[x][y] or p.leq[y][x] for x in range(k) for y in range(k))
+
+    def test_masks_take_no_part_in_equality(self):
+        p = natural_order(chain_wajsberg(3))
+        assert p == Poset(p.leq) and hash(p) == hash(Poset(p.leq))
+        assert repr(p) == f"Poset(leq={p.leq!r})"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7).flatmap(
+        lambda n: st.sets(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=12)
+    ))
+    def test_code_poset_matches_pairwise_codeword_order(self, words):
+        code = BlockCode(tuple(sorted(words)))
+        w = code.words
+        expected = tuple(tuple(codeword_leq(a, b) for b in w) for a in w)
+        assert code_poset(code).leq == expected
