@@ -9,23 +9,25 @@ names live in calling code.
 
 Verification checks every axiom over the whole carrier and reports the
 lexicographically least witness per violated axiom. The predicates of the
-``*_axiom_suite`` functions are the one definition of each axiom. The
-three-variable axioms (w2, bck1, assoc) cost O(k^3): for carriers of at most
-256 elements, whose table rows fit byte strings, a byte filter finds the first
-x whose slice (x, ., .) holds a failing triple with C-level ``bytes`` work
-(``translate`` as table lookup, strided slices as transposes), and the
-predicate is run only over that slice, so it still picks the witness. Larger
-carriers and the axioms in one or two variables are scanned triple by triple.
+``*_axiom_suite`` functions are the one definition of each axiom. For carriers
+of at most 256 elements, whose table rows fit byte strings, every axiom in two
+or three variables first goes through a byte filter that finds the first x
+whose slice (x, ...) holds a failing pair or triple, with C-level ``bytes``
+work over one ``_ByteView`` per call (``translate`` as table lookup, strided
+slices as transposes); the predicate is run only over that slice, so it still
+picks the witness. The axioms in one variable, and every axiom of a larger
+carrier, are scanned element by element, pair by pair or triple by triple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product, repeat
+from operator import getitem
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import EquivalenceBroken, MalformedTable, NotAnAlgebra
-from .order import Poset
+from .order import Poset, _masks
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -235,51 +237,77 @@ def axiom_suite(algebra: Algebra) -> AxiomSuite:
     raise TypeError(f"not an algebra: {algebra!r}")
 
 
-def _byte_rows(table: CayleyTable) -> list[bytes]:
-    return [bytes(row) for row in table.rows]
-
-
 def _lookup(values: bytes) -> bytes:
     """Values as a ``bytes.translate`` table: byte i maps to values[i]."""
     return values.ljust(256, b"\0")
 
 
-def _w2_first_slice(w: WajsbergAlgebra) -> Optional[int]:
+class _ByteView:
+    """A table's rows, columns and the rows joined, as bytes, with a ``translate``
+    lookup per row and per column; built once per ``verify`` call and read by
+    every filter."""
+
+    def __init__(self, table: CayleyTable):
+        self.rows = [bytes(row) for row in table.rows]
+        k = len(self.rows)
+        self.flat = b"".join(self.rows)
+        self.cols = [self.flat[y::k] for y in range(k)]
+        self.lookups = [_lookup(row) for row in self.rows]
+        self.col_lookups = [_lookup(col) for col in self.cols]
+
+
+def _first_asymmetric(flat: bytes, k: int) -> Optional[int]:
+    """First x where row x of a flattened k-by-k matrix differs from column x;
+    the transpose gives the same x, so either order of flattening serves."""
+    return next((x for x in range(k) if flat[x * k : x * k + k] != flat[x::k]), None)
+
+
+def _w2_first_slice(w: WajsbergAlgebra, view: _ByteView) -> Optional[int]:
     """First x with t[t[x][y]][t[t[y][v]][t[x][v]]] != 1 for some y, v."""
-    t = _byte_rows(w.circ)
-    k = len(t)
-    lookups = [_lookup(row) for row in t]
-    cols = [bytes(col) for col in zip(*t)]
-    col_lookups = [_lookup(col) for col in cols]
+    k = len(view.rows)
     row_of = [slice(y, None, k) for y in range(k)]
     ones = bytes([w.one]) * k
-    for x, tx in enumerate(t):
+    for x, tx in enumerate(view.rows):
         # Column v, over y, of t[t[y][v]][t[x][v]]; its row y is every k-th byte.
-        inner = b"".join(map(bytes.translate, cols, map(col_lookups.__getitem__, tx)))
-        outer = map(bytes.translate, map(inner.__getitem__, row_of), map(lookups.__getitem__, tx))
+        inner = b"".join(map(bytes.translate, view.cols, map(view.col_lookups.__getitem__, tx)))
+        outer = map(bytes.translate, map(inner.__getitem__, row_of), map(view.lookups.__getitem__, tx))
         if not all(map(ones.__eq__, outer)):
             return x
     return None
 
 
-def _bck1_first_slice(b: BckAlgebra) -> Optional[int]:
+def _w3_first_slice(w: WajsbergAlgebra, view: _ByteView) -> Optional[int]:
+    """First x with t[t[x][y]][y] != t[t[y][x]][x] for some y."""
+    # Column y, over x, of t[t[x][y]][y].
+    return _first_asymmetric(b"".join(map(bytes.translate, view.cols, view.col_lookups)), w.k)
+
+
+def _w4_first_slice(w: WajsbergAlgebra, view: _ByteView) -> Optional[int]:
+    """First x with t[t[n[x]][n[y]]][t[y][x]] != 1 for some y."""
+    n = bytes(w.negation)
+    ones = bytes([w.one]) * w.k
+    for x, col in enumerate(view.cols):
+        # Row x, over y, of t[a][b] with a = t[n[x]][n[y]] and b = t[y][x].
+        if bytes(map(getitem, map(view.rows.__getitem__, n.translate(view.lookups[n[x]])), col)) != ones:
+            return x
+    return None
+
+
+def _bck1_first_slice(b: BckAlgebra, view: _ByteView) -> Optional[int]:
     """First x with s[s[s[x][y]][s[x][w]]][s[w][y]] != 0 for some y, w.
 
     Scanned by y: with y and w fixed, d = s[w][y] is the same for every x, so
     a whole column over x is checked against column d of s in one translate.
     """
-    s = _byte_rows(b.table)
-    k = len(s)
-    lookups = [_lookup(row) for row in s]
-    cols = [bytes(col) for col in zip(*s)]
+    k = len(view.rows)
     # fails[d] maps u to 1 where s[u][d] != 0, else to 0.
-    nonzero = _lookup(bytes(v != b.zero for v in range(k)))
-    fails = [_lookup(col.translate(nonzero)) for col in cols]
+    nonzero = _lookup(bytes(u != b.zero for u in range(k)))
+    fails = [_lookup(col.translate(nonzero)) for col in view.cols]
     col_of = [slice(w, None, k) for w in range(k)]
     first = k
-    for coly in cols:
+    for coly in view.cols:
         # Row x, over w, of u = s[s[x][y]][s[x][w]].
-        u = b"".join(map(bytes.translate, s, map(lookups.__getitem__, coly)))
+        u = b"".join(map(bytes.translate, view.rows, map(view.lookups.__getitem__, coly)))
         # Byte w*k + x is 1 where (x, y, w) fails.
         marks = b"".join(map(bytes.translate, map(u.__getitem__, col_of), map(fails.__getitem__, coly)))
         if 1 in marks:
@@ -289,31 +317,81 @@ def _bck1_first_slice(b: BckAlgebra) -> Optional[int]:
     return first if first < k else None
 
 
-def _assoc_first_slice(m: MvAlgebra) -> Optional[int]:
+def _meets(view: _ByteView) -> bytes:
+    """s[x][s[x][y]], flattened row by row."""
+    return b"".join(map(bytes.translate, view.rows, view.lookups))
+
+
+def _bck2_first_slice(b: BckAlgebra, view: _ByteView) -> Optional[int]:
+    """First x with s[s[x][s[x][y]]][y] != 0 for some y."""
+    meets, k = _meets(view), b.k
+    # Column y, over x, of s[s[x][s[x][y]]][y]; its row x is every k-th byte.
+    marks = b"".join(map(bytes.translate, (meets[y::k] for y in range(k)), view.col_lookups))
+    zeros = bytes([b.zero]) * k
+    return next((x for x in range(k) if marks[x::k] != zeros), None)
+
+
+def _bck4_first_slice(b: BckAlgebra, view: _ByteView) -> Optional[int]:
+    """First x with s[x][y] = s[y][x] = 0 for some y != x."""
+    is_zero = _lookup(bytes(u == b.zero for u in range(b.k)))
+    up = _masks(row.translate(is_zero) for row in view.rows)
+    down = _masks(col.translate(is_zero) for col in view.cols)
+    return next((x for x, (u, d) in enumerate(zip(up, down)) if u & d & ~(1 << x)), None)
+
+
+def _commutative_first_slice(b: BckAlgebra, view: _ByteView) -> Optional[int]:
+    """First x with s[y][s[y][x]] != s[x][s[x][y]] for some y."""
+    return _first_asymmetric(_meets(view), b.k)
+
+
+def _assoc_first_slice(m: MvAlgebra, view: _ByteView) -> Optional[int]:
     """First x with p[p[x][y]][w] != p[x][p[y][w]] for some y, w."""
-    p = _byte_rows(m.oplus)
-    flat = b"".join(p)
-    for x, px in enumerate(p):
-        if flat.translate(_lookup(px)) != b"".join(map(p.__getitem__, px)):
+    for x, px in enumerate(view.rows):
+        if view.flat.translate(view.lookups[x]) != b"".join(map(view.rows.__getitem__, px)):
             return x
     return None
 
 
-def _first_slices(algebra: Algebra) -> dict[str, Optional[int]]:
-    """Map the cubic axiom of the algebra's kind to the first x whose slice
-    (x, ., .) holds a failing triple, or to None when no slice does.
+def _comm_first_slice(m: MvAlgebra, view: _ByteView) -> Optional[int]:
+    """First x with p[x][y] != p[y][x] for some y."""
+    return _first_asymmetric(view.flat, m.k)
 
-    Byte filters decide this exactly, in C-level ``bytes`` operations, while
-    the table's values fit a byte; larger carriers get no entry and are
-    scanned triple by triple.
+
+def _lukasiewicz_first_slice(m: MvAlgebra, view: _ByteView) -> Optional[int]:
+    """First x with p[c[p[c[x]][y]]][y] != p[c[p[c[y]][x]]][x] for some y."""
+    c = bytes(m.complement)
+    # Column y, over x, of c[p[c[x]][y]], then of p[c[p[c[x]][y]]][y].
+    inner = map(bytes.translate, map(c.translate, view.col_lookups), repeat(_lookup(c)))
+    return _first_asymmetric(b"".join(map(bytes.translate, inner, view.col_lookups)), m.k)
+
+
+def _first_slices(algebra: Algebra) -> dict[str, Optional[int]]:
+    """Map each axiom in two or three variables to the first x whose slice
+    (x, ...) holds a failing pair or triple, or to None when no slice does.
+
+    Byte filters decide this exactly, in C-level ``bytes`` operations over
+    one shared ``_ByteView``, while the table's values fit a byte; larger
+    carriers get no entry and are scanned pair by pair and triple by triple.
     """
     if algebra.k > 256:
         return {}
     if isinstance(algebra, BckAlgebra):
-        return {"bck1": _bck1_first_slice(algebra)}
-    if isinstance(algebra, MvAlgebra):
-        return {"assoc": _assoc_first_slice(algebra)}
-    return {"w2": _w2_first_slice(algebra)}
+        table, filters = algebra.table, (
+            ("bck1", _bck1_first_slice),
+            ("bck2", _bck2_first_slice),
+            ("bck4", _bck4_first_slice),
+            ("commutative", _commutative_first_slice),
+        )
+    elif isinstance(algebra, MvAlgebra):
+        table, filters = algebra.oplus, (
+            ("assoc", _assoc_first_slice),
+            ("comm", _comm_first_slice),
+            ("lukasiewicz", _lukasiewicz_first_slice),
+        )
+    else:
+        table, filters = algebra.circ, (("w2", _w2_first_slice), ("w3", _w3_first_slice), ("w4", _w4_first_slice))
+    view = _ByteView(table)
+    return {name: first_slice(algebra, view) for name, first_slice in filters}
 
 
 def _scan(
@@ -340,7 +418,7 @@ def _scan(
                 break
         else:
             if name in first_slices:
-                raise RuntimeError(f"{name} filter flagged slice x = {x}, but every triple there holds")
+                raise RuntimeError(f"{name} filter flagged slice x = {x}, but every pair or triple there holds")
     return AxiomReport(tuple(violations))
 
 

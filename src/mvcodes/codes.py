@@ -25,6 +25,8 @@ from .order import Poset, _masks
 
 Word = tuple[int, ...]
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
 
 @dataclass(frozen=True)
 class BlockCode:
@@ -33,7 +35,7 @@ class BlockCode:
     words: tuple[Word, ...]
 
     def __post_init__(self):
-        words = tuple(tuple(int(b) for b in w) for w in self.words)
+        words = tuple(tuple(map(int, w)) for w in self.words)
         object.__setattr__(self, "words", words)
         if not words:
             raise MalformedTable("a block code needs at least one word")
@@ -41,14 +43,14 @@ class BlockCode:
         for w in words:
             if len(w) != n:
                 raise LengthMismatch(f"word lengths differ: {len(w)} vs {n}")
-            if any(b not in (0, 1) for b in w):
+            if not set(w) <= {0, 1}:
                 raise MalformedTable(f"non-binary word: {w}")
         if len(set(words)) != len(words):
             raise DuplicateWord("repeated codeword")
 
     @classmethod
     def from_strings(cls, strings: Iterable[str]) -> "BlockCode":
-        return cls(tuple(tuple(int(ch) for ch in s) for s in strings))
+        return cls(tuple(tuple(map(int, s)) for s in strings))
 
     @property
     def length(self) -> int:
@@ -59,7 +61,7 @@ class BlockCode:
         return len(self.words)
 
     def word_strings(self) -> tuple[str, ...]:
-        return tuple("".join(str(b) for b in w) for w in self.words)
+        return tuple(bytes(w).translate(_DIGITS).decode() for w in self.words)
 
     def sorted_desc(self) -> "BlockCode":
         """The same word set listed in descending lexicographic order."""

@@ -56,19 +56,19 @@ def _match(line: str, pattern: str, what: str) -> tuple[str, ...]:
     return m.groups()
 
 
-def _int_row(line: str, k: int, what: str) -> tuple[int, ...]:
+def _int_row(line: str, k: int, values: dict[str, int], what: str) -> tuple[int, ...]:
     parts = line.split()
     # split() also breaks at control characters such as \x1c, and isdigit also
     # accepts non-ASCII digits such as '²', which int() refuses: only ASCII
     # digits separated by spaces and tabs pass
-    if (
-        len(parts) != k
-        or not line.isascii()
-        or not line.replace("\t", " ").isprintable()
-        or not all(map(str.isdigit, parts))
-    ):
+    if len(parts) != k or not line.isascii() or not line.replace("\t", " ").isprintable():
         raise ParseError(f"expected {what} of {k} indices, got: {line!r}")
-    return tuple(map(int, parts))
+    try:
+        return tuple(map(values.__getitem__, parts))
+    except KeyError:  # a token such as '007', a value >= k, or no number at all
+        if not all(map(str.isdigit, parts)):
+            raise ParseError(f"expected {what} of {k} indices, got: {line!r}") from None
+        return tuple(map(int, parts))
 
 
 def parse_algebra(text: str) -> Algebra:
@@ -79,6 +79,9 @@ def parse_algebra(text: str) -> Algebra:
     k = int(order)
     if k < 1:
         raise ParseError("order must be at least 1")
+    # the canonical token of each element; a file of k rows has at least k
+    # lines left, so a huge order on a short file builds no huge lookup
+    values = {str(v): v for v in range(min(k, len(lines)))}
     if kind == "bck":
         zero, one = _match(
             _take(lines, "constants line"),
@@ -90,15 +93,15 @@ def parse_algebra(text: str) -> Algebra:
         (zero,) = _match(_take(lines, "constants line"), r"zero:[ \t]*([0-9]+)", "zero: <i>")
         one = None
         unary = _int_row(
-            _match(_take(lines, "unary line"), r"unary:[ \t]*(.+)", "unary: row")[0], k, "unary row"
+            _match(_take(lines, "unary line"), r"unary:[ \t]*(.+)", "unary: row")[0], k, values, "unary row"
         )
     else:
         (one,) = _match(_take(lines, "constants line"), r"one:[ \t]*([0-9]+)", "one: <j>")
         zero = None
         unary = _int_row(
-            _match(_take(lines, "unary line"), r"unary:[ \t]*(.+)", "unary: row")[0], k, "unary row"
+            _match(_take(lines, "unary line"), r"unary:[ \t]*(.+)", "unary: row")[0], k, values, "unary row"
         )
-    rows = tuple(_int_row(_take(lines, f"table row {i}"), k, f"table row {i}") for i in range(k))
+    rows = tuple(_int_row(_take(lines, f"table row {i}"), k, values, f"table row {i}") for i in range(k))
     if lines:
         raise ParseError(f"trailing content: {lines[0]!r}")
     table = CayleyTable(rows)
@@ -113,19 +116,19 @@ def format_algebra(algebra: Algebra) -> str:
     """Serialise an algebra in the exact file format (no comments)."""
     kind = kind_of(algebra)
     lines = [f"kind: {kind}", f"order: {algebra.k}"]
+    row_format = " ".join(["%d"] * algebra.k)
     if isinstance(algebra, BckAlgebra):
         lines.append(f"zero: {algebra.zero} one: {algebra.one}")
         rows = algebra.table.rows
     elif isinstance(algebra, MvAlgebra):
         lines.append(f"zero: {algebra.zero}")
-        lines.append("unary: " + " ".join(str(v) for v in algebra.complement))
+        lines.append("unary: " + row_format % algebra.complement)
         rows = algebra.oplus.rows
     else:
         lines.append(f"one: {algebra.one}")
-        lines.append("unary: " + " ".join(str(v) for v in algebra.negation))
+        lines.append("unary: " + row_format % algebra.negation)
         rows = algebra.circ.rows
-    for row in rows:
-        lines.append(" ".join(str(v) for v in row))
+    lines.extend(map(row_format.__mod__, rows))
     return "\n".join(lines) + "\n"
 
 

@@ -56,7 +56,7 @@ class Poset:
     down: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(bool(v) for v in row) for row in self.leq)
+        rows = tuple(tuple(map(bool, row)) for row in self.leq)
         object.__setattr__(self, "leq", rows)
         k = len(rows)
         if any(len(row) != k for row in rows):

@@ -22,6 +22,7 @@ from mvcodes import (
     MvAlgebra,
     NotAPoset,
     WajsbergAlgebra,
+    chain_wajsberg,
     convert,
     enumerate_wajsberg,
     evaluate_axiom,
@@ -33,7 +34,7 @@ from mvcodes import (
     verify_mv,
     verify_wajsberg,
 )
-from mvcodes.algebras import _scan, axiom_suite
+from mvcodes.algebras import _first_slices, _scan, axiom_suite
 
 from conftest import (
     PROD23,
@@ -204,13 +205,18 @@ def rows_of(algebra):
 
 def assert_matches_plain_scan(algebra):
     """verify's byte filters give the report of the triple-by-triple scan."""
-    assert verify(algebra) == _scan(algebra.k, axiom_suite(algebra))
+    report = verify(algebra)
+    assert report == _scan(algebra.k, axiom_suite(algebra))
+    return report
 
 
 @functools.cache
 def presentations_upto_24():
     """Every catalog entry of order <= 24 in each of the three presentations."""
     return tuple(convert(w, kind) for _, _, w in catalog_upto(24) for kind in ("wajsberg", "mv", "bck"))
+
+
+FILTERED = {"bck1", "bck2", "bck4", "commutative", "assoc", "comm", "lukasiewicz", "w2", "w3", "w4"}
 
 
 class TestSliceFilters:
@@ -226,11 +232,14 @@ class TestSliceFilters:
         assert_matches_plain_scan(with_rows(algebra, rows))
 
     def test_every_single_cell_edit_up_to_order_4(self):
+        flagged = set()
         for algebra in presentations_upto_24():
             k = algebra.k
             if k <= 4:
                 for i, j, v in product(range(k), repeat=3):
-                    assert_matches_plain_scan(with_rows(algebra, mutate(rows_of(algebra), i, j, v)))
+                    flagged |= assert_matches_plain_scan(with_rows(algebra, mutate(rows_of(algebra), i, j, v))).axioms()
+        # the sweep reaches every filter with a failing slice, not only clean ones
+        assert flagged >= FILTERED
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -267,6 +276,30 @@ class TestSliceFilters:
         assert verify(m).witness("assoc") == (1, 2, 2)
         assert_matches_plain_scan(m)
 
+    @pytest.mark.parametrize(
+        "algebra, axiom, failing",
+        [
+            (BckAlgebra(CayleyTable(((0, 0, 0), (1, 0, 0), (0, 1, 2))), 0, 2), "bck2", [(2, 2)]),
+            (WajsbergAlgebra(CayleyTable(((0, 2, 1), (1, 2, 2), (2, 1, 2))), (2, 1, 0), 2), "w4", [(2, 2)]),
+            # the other five fail in mirrored pairs, never on the diagonal, so
+            # the last row and the last column each hold one failure
+            (BckAlgebra(CayleyTable(((0, 0, 0, 0), (1, 0, 0, 0), (2, 1, 0, 0), (3, 2, 0, 0))), 0, 3), "bck4", [(2, 3), (3, 2)]),
+            (BckAlgebra(CayleyTable(((0, 0, 0), (2, 1, 0), (2, 1, 0))), 0, 2), "commutative", [(1, 2), (2, 1)]),
+            (MvAlgebra(CayleyTable(((0, 1, 2), (1, 2, 1), (2, 2, 2))), (2, 1, 0), 0), "comm", [(1, 2), (2, 1)]),
+            (MvAlgebra(CayleyTable(((0, 1, 2), (1, 0, 2), (2, 2, 2))), (2, 1, 0), 0), "lukasiewicz", [(1, 2), (2, 1)]),
+            (WajsbergAlgebra(CayleyTable(((2, 2, 2), (1, 0, 2), (0, 1, 2))), (2, 1, 0), 2), "w3", [(1, 2), (2, 1)]),
+        ],
+    )
+    def test_two_variable_failures_only_in_the_last_row_or_column(self, algebra, axiom, failing):
+        (pred,) = [pred for name, _, pred in axiom_suite(algebra) if name == axiom]
+        assert [t for t in product(range(algebra.k), repeat=2) if not pred(*t)] == failing
+        assert verify(algebra).witness(axiom) == failing[0]
+        assert_matches_plain_scan(algebra)
+
+    def test_every_axiom_in_two_or_three_variables_is_filtered(self):
+        for algebra in (chain_wajsberg(3), convert(chain_wajsberg(3), "mv"), convert(chain_wajsberg(3), "bck")):
+            assert set(_first_slices(algebra)) == {name for name, arity, _ in axiom_suite(algebra) if arity > 1}
+
     def test_wrong_filter_raises_in_optimised_mode(self):
         # a filter that flags a clean slice must not yield an empty report,
         # even when python -O strips asserts
@@ -275,7 +308,7 @@ class TestSliceFilters:
             import mvcodes.algebras as algebras
             from mvcodes import chain_wajsberg
 
-            algebras._w2_first_slice = lambda w: 0
+            algebras._w2_first_slice = lambda w, view: 0
             try:
                 algebras.verify(chain_wajsberg(4))
             except RuntimeError as exc:

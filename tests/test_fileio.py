@@ -80,6 +80,45 @@ def test_out_of_range_entries_are_table_errors():
         parse_algebra(text)
 
 
+def test_leading_zeros_parse_as_their_value():
+    text = format_algebra(chain_wajsberg(8))
+    lines = text.splitlines()
+    lines[3] = "unary: 007 " + lines[3].split(" ", 2)[2]
+    lines[4] = lines[4].replace("7", "007")
+    assert lines[3].startswith("unary: 007 6") and "007" in lines[4]
+    assert parse_algebra("\n".join(lines)) == chain_wajsberg(8)
+
+
+WAJSBERG_2 = "kind: wajsberg\norder: 2\none: 1\nunary: {unary}\n{row}\n0 1\n"
+
+
+@pytest.mark.parametrize(
+    "unary, row, error, message",
+    [
+        ("1 0", "1 2", MalformedTable, "entry (0,1) = 2 out of range [0,2)"),
+        ("1 0", "002 1", MalformedTable, "entry (0,0) = 2 out of range [0,2)"),
+        ("2 0", "1 1", MalformedTable, "unary entry 0 = 2 out of range [0,2)"),
+        ("1 0", "1_0 1", ParseError, "expected table row 0 of 2 indices, got: '1_0 1'"),
+        ("1 0", "+1 1", ParseError, "expected table row 0 of 2 indices, got: '+1 1'"),
+        ("1 0", "\u0663 1", ParseError, "expected table row 0 of 2 indices, got: '\u0663 1'"),
+        ("1_0 0", "1 1", ParseError, "expected unary row of 2 indices, got: '1_0 0'"),
+        ("+1 0", "1 1", ParseError, "expected unary row of 2 indices, got: '+1 0'"),
+        ("\u0663 0", "1 1", ParseError, "expected unary row of 2 indices, got: '\u0663 0'"),
+    ],
+)
+def test_tokens_that_are_not_element_names(unary, row, error, message):
+    # int() accepts '1_0', '+1' and the Arabic-Indic three; the format does not
+    with pytest.raises(error) as exc:
+        parse_algebra(WAJSBERG_2.format(unary=unary, row=row))
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_huge_order_on_a_short_file_fails_fast():
+    with pytest.raises(ParseError, match="expected unary row of 1000000000000 indices"):
+        parse_algebra("kind: mv\norder: 1000000000000\nzero: 0\nunary: 1 0\n1 1\n0 1\n")
+
+
 def test_code_round_trip():
     code = code_of(CODE_SIX)
     assert parse_code(format_code(code)) == code
