@@ -22,7 +22,7 @@ carrier, are scanned element by element, pair by pair or triple by triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from operator import getitem
 from typing import Callable, Optional, Sequence, Union
 
@@ -31,17 +31,35 @@ from .order import Poset, _masks
 
 Rows = tuple[tuple[int, ...], ...]
 
+_BYTES = bytes(range(256))
+
 
 @dataclass(frozen=True)
 class CayleyTable:
-    """A k-by-k operation table closed over ``{0, .., k-1}``."""
+    """A k-by-k operation table closed over ``{0, .., k-1}``.
+
+    Every table is checked. One fast test comes first: for k <= 256, rows of
+    length k whose cells, read one by one through the row iterators, are ints
+    that ``bytes`` takes and that all lie below k. Only when it fails is the
+    table walked cell by cell with ``int()``, which converts what it can and
+    names the first bad row or cell.
+    """
 
     rows: Rows
 
     def __post_init__(self):
-        rows = tuple(tuple(map(int, row)) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+        rows = tuple(self.rows)
         k = len(rows)
+        try:  # lengths first: a generator row has none, and stays unconsumed
+            flat = bytes(chain.from_iterable(rows)) if k <= 256 and set(map(len, rows)) == {k} else None
+        except (TypeError, ValueError):
+            flat = None
+        # a total other than k * k: some row yields other than len() cells
+        if flat is not None and len(flat) == k * k and not flat.translate(None, _BYTES[:k]):
+            object.__setattr__(self, "rows", tuple(tuple(flat[i : i + k]) for i in range(0, k * k, k)))
+            return
+        rows = tuple(tuple(map(int, row)) for row in rows)
+        object.__setattr__(self, "rows", rows)
         if k == 0:
             raise MalformedTable("empty table")
         for i, row in enumerate(rows):
@@ -60,7 +78,7 @@ class CayleyTable:
 
 
 def _check_unary(values, k: int) -> tuple[int, ...]:
-    vals = tuple(int(v) for v in values)
+    vals = tuple(map(int, values))
     if len(vals) != k:
         raise MalformedTable(f"unary map has {len(vals)} entries, expected {k}")
     for i, v in enumerate(vals):

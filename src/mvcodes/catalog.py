@@ -10,9 +10,15 @@ carrier.
 A representative is built in one pass on the mixed-radix carrier, the last
 factor the least significant digit: the componentwise Łukasiewicz
 implication is tabulated factor by factor from the last digit up, with no
-intermediate algebra per factor. Its factors can be read back off its order
-(Birkhoff): the join-irreducibles, the elements with exactly one lower
-cover, form one chain of n - 1 elements per factor n.
+intermediate algebra per factor. Up to 256 elements the rows are ``bytes``:
+a block of a row shifted by a constant is one ``translate`` through a rotated
+identity table, and a new row is one ``join`` of blocks; a larger product is
+folded the same way in tuples of ints. ``transport_structure`` also builds
+rows of up to 256 elements as ``bytes``, looked up through the relabelling.
+
+A representative's factors can be read back off its order (Birkhoff): the
+join-irreducibles, the elements with exactly one lower cover, form one chain
+of n - 1 elements per factor n.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from itertools import chain
 from math import prod
 from typing import Iterator, Optional
 
-from .algebras import CayleyTable, WajsbergAlgebra, natural_order
+from .algebras import _BYTES, CayleyTable, WajsbergAlgebra, _lookup, natural_order
 from .errors import InvalidSize, NotAnOrderIso, SizeMismatch
 from .order import OrderIso, Poset, poset_isomorphisms
 
@@ -100,14 +106,20 @@ class ChainProduct:
 
 def _fold_product(factors: tuple[int, ...]) -> WajsbergAlgebra:
     """The chain product, equal to folding ``product_wajsberg`` left to right."""
-    rows, k = [(0,)], 1
+    small = prod(factors) <= 256  # rows fit bytes, and a shift is a translate
+    rows, k = [b"\0" if small else (0,)], 1
     for f in reversed(factors):
         # Cell (a*k + r, c*k + s) is min(top, top - a + c)*k + rows[r][s]:
         # row r shifted by m*k is block m, and row a picks its blocks by c.
         top = f - 1
-        blocks = [[tuple(map((k * m).__add__, row)) for m in range(f)] for row in rows]
         picks = [[*range(top - a, top), *[top] * (f - a)] for a in range(f)]
-        rows = [tuple(chain.from_iterable(map(b.__getitem__, p))) for p in picks for b in blocks]
+        if small:
+            shifts = [_BYTES[s:] + _BYTES[:s] for s in range(0, k * f, k)]
+            blocks = [list(map(row.translate, shifts)) for row in rows]
+            rows = [b"".join(map(b.__getitem__, p)) for p in picks for b in blocks]
+        else:
+            blocks = [[tuple(map((k * m).__add__, row)) for m in range(f)] for row in rows]
+            rows = [tuple(chain.from_iterable(map(b.__getitem__, p))) for p in picks for b in blocks]
         k *= f
     return WajsbergAlgebra(CayleyTable(rows), tuple(range(k - 1, -1, -1)), k - 1)
 
@@ -164,9 +176,11 @@ def transport_structure(w: WajsbergAlgebra, iso: OrderIso) -> WajsbergAlgebra:
     inv = iso.inverse
     t, n = w.circ.rows, w.negation
     k = w.k
-    rows = tuple(
-        tuple(f[t[inv[x]][inv[y]]] for y in range(k)) for x in range(k)
-    )
+    if k <= 256:  # row x is row inv[x] read at inv, then looked up in f
+        lookup = _lookup(bytes(f))
+        rows = [bytes(map(t[i].__getitem__, inv)).translate(lookup) for i in inv]
+    else:
+        rows = [tuple(map(f.__getitem__, map(t[i].__getitem__, inv))) for i in inv]
     negation = tuple(f[n[inv[x]]] for x in range(k))
     return WajsbergAlgebra(CayleyTable(rows), negation, f[w.one])
 

@@ -50,7 +50,7 @@ class BlockCode:
 
     @classmethod
     def from_strings(cls, strings: Iterable[str]) -> "BlockCode":
-        return cls(tuple(tuple(map(int, s)) for s in strings))
+        return cls(tuple(strings))
 
     @property
     def length(self) -> int:

@@ -20,6 +20,7 @@ control or Unicode separator character is read as a break.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 from .algebras import (
     Algebra,
@@ -115,21 +116,31 @@ def parse_algebra(text: str) -> Algebra:
 def format_algebra(algebra: Algebra) -> str:
     """Serialise an algebra in the exact file format (no comments)."""
     kind = kind_of(algebra)
-    lines = [f"kind: {kind}", f"order: {algebra.k}"]
-    row_format = " ".join(["%d"] * algebra.k)
+    k = algebra.k
+    lines = [f"kind: {kind}", f"order: {k}"]
+    names = [str(v) for v in range(k)]
     if isinstance(algebra, BckAlgebra):
         lines.append(f"zero: {algebra.zero} one: {algebra.one}")
         rows = algebra.table.rows
     elif isinstance(algebra, MvAlgebra):
         lines.append(f"zero: {algebra.zero}")
-        lines.append("unary: " + row_format % algebra.complement)
+        lines.append("unary: " + " ".join(map(names.__getitem__, algebra.complement)))
         rows = algebra.oplus.rows
     else:
         lines.append(f"one: {algebra.one}")
-        lines.append("unary: " + row_format % algebra.negation)
+        lines.append("unary: " + " ".join(map(names.__getitem__, algebra.negation)))
         rows = algebra.circ.rows
-    lines.extend(map(row_format.__mod__, rows))
-    return "\n".join(lines) + "\n"
+    # The table is one join over the names of all cells, each with the
+    # separator after it; no string is built per row. At k = 240 row strings,
+    # freed among the tables still held, left the heap too fragmented to take
+    # a large output string, which then needed fresh memory.
+    spaced = [name + " " for name in names]
+    cells = []
+    for row in rows:
+        # one index makes itemgetter return the item itself; at k = 1 the one row is (0,)
+        cells += itemgetter(*row)(spaced) if k > 1 else spaced
+    cells[k - 1 :: k] = [names[row[-1]] + "\n" for row in rows]
+    return "\n".join(lines) + "\n" + "".join(cells)
 
 
 def parse_code(text: str) -> BlockCode:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from array import array
 from itertools import product
 from pathlib import Path
 
@@ -53,6 +54,34 @@ def mutate(rows, i, j, value):
     return tuple(tuple(r) for r in out)
 
 
+def cell_walk(rows):
+    """The cell-by-cell conversion and checks of ``CayleyTable``: the oracle of
+    its fast test."""
+    rows = tuple(tuple(map(int, row)) for row in rows)
+    k = len(rows)
+    if k == 0:
+        raise MalformedTable("empty table")
+    for i, row in enumerate(rows):
+        if len(row) != k:
+            raise MalformedTable(f"row {i} has length {len(row)}, expected {k}")
+        if min(row) < 0 or max(row) >= k:
+            j = next(j for j, v in enumerate(row) if not 0 <= v < k)
+            raise MalformedTable(f"entry ({i},{j}) = {row[j]} out of range [0,{k})")
+    return rows
+
+
+def table_rows(rows):
+    return CayleyTable(rows).rows
+
+
+def table_outcome(build, rows):
+    """The rows built, or the type name and message of the exception raised."""
+    try:
+        return "ok", build(rows)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
 class TestCayleyTable:
     def test_rejects_non_square(self):
         with pytest.raises(MalformedTable):
@@ -83,6 +112,56 @@ class TestCayleyTable:
 
     def test_entries_converted_to_int(self):
         assert CayleyTable(((True, False), ("1", 0))).rows == ((1, 0), (1, 0))
+
+    def test_fast_test_matches_cell_walk_on_fixed_tables(self):
+        import numpy as np
+
+        zeros = (0,) * 256
+        cases = [
+            # array('b') and numpy rows must be read cell by cell, not from
+            # their memory buffer, where -1 would pass as byte 255
+            [zeros] * 3 + [array("b", [0] * 255 + [-1])] + [zeros] * 252,
+            [np.array([0, 1], dtype=np.int64), np.array([1, 1], dtype=np.int64)],
+            [np.array([0, 1], dtype=np.int64), np.array([1, 2], dtype=np.int64)],
+            [np.array([0.0, 1.0]), np.array([1.0, 1.5])],
+            lambda: ((v for v in (0, 1)), (v for v in (1, 0))),
+            lambda: ((v for v in (0, 1)), (v for v in (1, 0, 0))),
+            lambda: (row for row in ((0, 1), (1, 1))),
+            ("01", "10"),
+            ("01", "1x"),
+            (5, 6),
+            ((True, False), ("1", 0)),
+            [zeros] * 255 + [(255,) + zeros[1:]],
+            [zeros] * 255 + [(256,) + zeros[1:]],
+            [(0,) * 257] * 256 + [(256,) * 257],
+            [(0,) * 257] * 256 + [(257,) * 257],
+            [(0,) * 256] * 257,
+            (),
+            [],
+        ]
+        for rows in cases:  # generators are made afresh for each build
+            outcomes = {
+                kind: table_outcome(build, rows() if callable(rows) else rows)
+                for kind, build in (("oracle", cell_walk), ("table", table_rows))
+            }
+            assert outcomes["oracle"] == outcomes["table"], outcomes
+            if outcomes["table"][0] == "ok":
+                assert {type(v) for row in outcomes["table"][1] for v in row} == {int}
+        assert table_outcome(table_rows, cases[0]) == ("MalformedTable", "entry (3,255) = -1 out of range [0,256)")
+
+    @given(st.data())
+    def test_fast_test_matches_cell_walk(self, data):
+        k = data.draw(st.integers(0, 8))
+        length = st.sampled_from([k, k, k, k, max(k - 1, 0), k + 1])
+        cell = st.integers(-2, k + 1)
+        rows = data.draw(
+            st.lists(
+                length.flatmap(lambda n: st.one_of(st.lists(cell, min_size=n, max_size=n), st.tuples(*[cell] * n))),
+                min_size=k,
+                max_size=k,
+            )
+        )
+        assert table_outcome(cell_walk, rows) == table_outcome(table_rows, rows)
 
     def test_constants_must_be_elements(self):
         with pytest.raises(MalformedTable):

@@ -1,5 +1,6 @@
 """Chains, products, factorization counts, enumeration, and transports."""
 
+import random
 from itertools import permutations, product as iproduct
 
 import pytest
@@ -160,6 +161,16 @@ class TestProducts:
             assert wajsberg_isomorphic(w1, w2) is not None
 
 
+def assert_fold_matches_products(factors):
+    folded = chain_wajsberg(factors[0])
+    for f in factors[1:]:
+        folded = product_wajsberg(folded, chain_wajsberg(f))
+    built = _fold_product(factors)
+    assert built.circ.rows == folded.circ.rows, factors
+    assert built.negation == folded.negation, factors
+    assert built.one == folded.one, factors
+
+
 class TestOnePassProducts:
     def test_chains_match_closed_form_up_to_64(self):
         for k in range(1, 65):
@@ -171,16 +182,24 @@ class TestOnePassProducts:
             assert w.negation == tuple(top - i for i in range(k))
             assert w.one == top
 
+    @pytest.mark.parametrize("k", [128, 240, 256, 257])
+    def test_large_chains_match_closed_form(self, k):
+        # 256 is the largest carrier folded in bytes; 257 takes the tuple fold
+        top = k - 1
+        assert chain_wajsberg(k).circ.rows == tuple(
+            tuple(top if i <= j else top - i + j for j in range(k)) for i in range(k)
+        )
+
     def test_equal_product_folds_up_to_64(self):
         for n in range(4, 65):
             for factors in factorizations(n):
-                folded = chain_wajsberg(factors[0])
-                for f in factors[1:]:
-                    folded = product_wajsberg(folded, chain_wajsberg(f))
-                built = _fold_product(factors)
-                assert built.circ.rows == folded.circ.rows, factors
-                assert built.negation == folded.negation, factors
-                assert built.one == folded.one, factors
+                assert_fold_matches_products(factors)
+
+    @pytest.mark.parametrize("n", [128, 240, 256, 258])
+    def test_large_products_fold(self, n):
+        # up to 2**8 = 256 the rows are folded in bytes; 2*3*43 = 258 takes the tuple fold
+        for factors in factorizations(n):
+            assert_fold_matches_products(factors)
 
 
 class TestChainFactors:
@@ -320,6 +339,22 @@ class TestTransport:
                 for y in range(6)
             )
             assert wajsberg_isomorphic(w, moved) is not None
+
+
+@pytest.mark.parametrize("factors", [(2, 4), (2,) * 8, (16, 16), (257,)])
+def test_transport_matches_cell_formula(factors):
+    # tables up to 256 elements are transported in bytes, larger ones in tuples
+    w = _fold_product(factors)
+    k = w.k
+    forward = list(range(k))
+    random.Random(k).shuffle(forward)
+    f = tuple(forward)
+    inv = OrderIso(f).inverse
+    t = w.circ.rows
+    moved = transport_structure(w, OrderIso(f))
+    assert moved.circ.rows == tuple(tuple(f[t[inv[x]][inv[y]]] for y in range(k)) for x in range(k))
+    assert moved.negation == tuple(f[w.negation[inv[x]]] for x in range(k))
+    assert moved.one == f[w.one]
 
 
 @given(st.integers(1, 10), st.data())

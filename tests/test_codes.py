@@ -12,6 +12,7 @@ from mvcodes import (
     DuplicateWord,
     MvAlgebra,
     LengthMismatch,
+    MalformedTable,
     TooFewWords,
     chain_wajsberg,
     code_equivalent,
@@ -179,6 +180,14 @@ class TestBlockCode:
     def test_mixed_lengths_rejected(self):
         with pytest.raises(LengthMismatch):
             code_of(("01", "011"))
+
+    def test_non_binary_string_rejected(self):
+        # the strings reach __post_init__ as they are; its int() pass reads them
+        assert code_of(("10", "01")).words == ((1, 0), (0, 1))
+        with pytest.raises(MalformedTable, match=r"non-binary word: \(0, 1, 2\)"):
+            code_of(("012", "110"))
+        with pytest.raises(ValueError, match="invalid literal"):
+            code_of(("0a", "11"))
 
 
 class TestDistance:

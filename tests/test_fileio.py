@@ -9,16 +9,19 @@ from mvcodes import (
     BckAlgebra,
     CayleyTable,
     MalformedTable,
+    MvAlgebra,
     ParseError,
     chain_wajsberg,
+    convert,
     format_algebra,
     format_code,
     parse_algebra,
     parse_code,
     verify,
 )
+from mvcodes.algebras import kind_of
 
-from conftest import CODE_SIX, SIX_COMPLEMENT, SIX_PLUS, SIX_STAR, code_of
+from conftest import CODE_SIX, SIX_COMPLEMENT, SIX_PLUS, SIX_STAR, catalog_upto, code_of
 
 
 def test_bck_round_trip(six_bck):
@@ -39,6 +42,28 @@ def test_mv_round_trip(six_mv):
 def test_wajsberg_round_trip():
     w = chain_wajsberg(4)
     assert parse_algebra(format_algebra(w)) == w
+
+
+def percent_format(algebra):
+    """The row-by-row ``%d`` formatter: the oracle of ``format_algebra``."""
+    row_format = " ".join(["%d"] * algebra.k)
+    lines = [f"kind: {kind_of(algebra)}", f"order: {algebra.k}"]
+    if isinstance(algebra, BckAlgebra):
+        lines.append(f"zero: {algebra.zero} one: {algebra.one}")
+        rows = algebra.table.rows
+    elif isinstance(algebra, MvAlgebra):
+        lines += [f"zero: {algebra.zero}", "unary: " + row_format % algebra.complement]
+        rows = algebra.oplus.rows
+    else:
+        lines += [f"one: {algebra.one}", "unary: " + row_format % algebra.negation]
+        rows = algebra.circ.rows
+    return "\n".join(lines + [row_format % row for row in rows]) + "\n"
+
+
+def test_format_matches_row_by_row_oracle():
+    presented = [convert(a, kind) for _, _, a in catalog_upto(12) for kind in ("bck", "mv", "wajsberg")]
+    for algebra in presented + [chain_wajsberg(240), chain_wajsberg(257)]:
+        assert format_algebra(algebra) == percent_format(algebra)
 
 
 def test_comments_and_blanks_ignored():
