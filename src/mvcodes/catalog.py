@@ -13,8 +13,7 @@ implication is tabulated factor by factor from the last digit up, with no
 intermediate algebra per factor. Up to 256 elements the rows are ``bytes``:
 a block of a row shifted by a constant is one ``translate`` through a rotated
 identity table, and a new row is one ``join`` of blocks; a larger product is
-folded the same way in tuples of ints. ``transport_structure`` also builds
-rows of up to 256 elements as ``bytes``, looked up through the relabelling.
+folded the same way in tuples of ints.
 
 A representative's factors can be read back off its order (Birkhoff): the
 join-irreducibles, the elements with exactly one lower cover, form one chain
@@ -28,7 +27,7 @@ from itertools import chain
 from math import prod
 from typing import Iterator, Optional
 
-from .algebras import _BYTES, CayleyTable, WajsbergAlgebra, _lookup, natural_order
+from .algebras import _BYTES, CayleyTable, WajsbergAlgebra, natural_order
 from .errors import InvalidSize, NotAnOrderIso, SizeMismatch
 from .order import OrderIso, Poset, poset_isomorphisms
 
@@ -176,11 +175,9 @@ def transport_structure(w: WajsbergAlgebra, iso: OrderIso) -> WajsbergAlgebra:
     inv = iso.inverse
     t, n = w.circ.rows, w.negation
     k = w.k
-    if k <= 256:  # row x is row inv[x] read at inv, then looked up in f
-        lookup = _lookup(bytes(f))
-        rows = [bytes(map(t[i].__getitem__, inv)).translate(lookup) for i in inv]
-    else:
-        rows = [tuple(map(f.__getitem__, map(t[i].__getitem__, inv))) for i in inv]
+    rows = tuple(
+        tuple(f[t[inv[x]][inv[y]]] for y in range(k)) for x in range(k)
+    )
     negation = tuple(f[n[inv[x]]] for x in range(k))
     return WajsbergAlgebra(CayleyTable(rows), negation, f[w.one])
 

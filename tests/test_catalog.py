@@ -343,7 +343,7 @@ class TestTransport:
 
 @pytest.mark.parametrize("factors", [(2, 4), (2,) * 8, (16, 16), (257,)])
 def test_transport_matches_cell_formula(factors):
-    # tables up to 256 elements are transported in bytes, larger ones in tuples
+    # the transported rows take CayleyTable's fast test up to 256 elements, the cell walk above
     w = _fold_product(factors)
     k = w.k
     forward = list(range(k))
