@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product, repeat
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import EquivalenceBroken, MalformedTable, NotAnAlgebra
@@ -75,6 +75,20 @@ class CayleyTable:
 
     def at(self, x: int, y: int) -> int:
         return self.rows[x][y]
+
+
+def _relabel(table: CayleyTable, rows, cols=None, cells=None) -> CayleyTable:
+    """The table whose cell (x, y) is ``cells[t[rows[x]][cols[y]]]``; a map
+    left out is the identity. Each row is gathered by one ``itemgetter`` call."""
+    t = table.rows
+    if len(t) == 1:  # itemgetter of one index returns a scalar, not a tuple
+        return table
+    out = map(t.__getitem__, rows)
+    if cols is not None:
+        out = map(itemgetter(*cols), out)
+    if cells is not None:
+        out = [itemgetter(*row)(cells) for row in out]
+    return CayleyTable(tuple(out))
 
 
 def _check_unary(values, k: int) -> tuple[int, ...]:
@@ -466,6 +480,8 @@ def evaluate_axiom(algebra: Algebra, axiom: str, witness: Sequence[int]) -> bool
         if name == axiom:
             if len(witness) != arity:
                 raise ValueError(f"{axiom} takes {arity} variables")
+            if not all(0 <= v < algebra.k for v in witness):
+                raise ValueError(f"witness {tuple(witness)} leaves the carrier [0,{algebra.k})")
             return pred(*witness)
     raise KeyError(axiom)
 
@@ -513,11 +529,8 @@ def natural_order(algebra: Algebra) -> Poset:
 
 def mv_derived_ops(m: MvAlgebra) -> tuple[CayleyTable, CayleyTable]:
     """The product x.y = (x'+y')' and difference x-y = (x'+y)', tabulated."""
-    p, c = m.oplus.rows, m.complement
-    k = m.k
-    odot = [[c[p[c[x]][c[y]]] for y in range(k)] for x in range(k)]
-    ominus = [[c[p[c[x]][y]] for y in range(k)] for x in range(k)]
-    return CayleyTable(odot), CayleyTable(ominus)
+    c = m.complement
+    return _relabel(m.oplus, c, c, c), _relabel(m.oplus, c, cells=c)
 
 
 def mv_leq_equivalences(m: MvAlgebra, x: int, y: int) -> bool:

@@ -7,12 +7,16 @@ also the reverse-componentwise order of the words. When it is not an order
 (for instance not transitive), no algebra reproduces the code. Otherwise the
 chain factors are read off the order's join-irreducibles, only that one
 chain product is built, and its structure is transported onto the code's
-rows along each order isomorphism.
+rows once, along the first order isomorphism. Every other isomorphism
+differs from it by an order automorphism of the product, which only permutes
+equal factors and so is an algebra automorphism: all of them transport to
+the same algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional, Union
 
 from .algebras import BckAlgebra, MvAlgebra, WajsbergAlgebra, natural_order
@@ -117,9 +121,12 @@ def attach_wajsberg(
     boundary shape, its relation is not an order, or the word order matches
     no catalog entry. The one candidate entry is the chain product whose
     factors are read off the join-irreducibles of the word order; catalog
-    entries are pairwise non-isomorphic, so no other entry can match. With
-    ``all_matches`` every order isomorphism from that entry is returned; the
-    transported tables all coincide, so the default first match is canonical.
+    entries are pairwise non-isomorphic, so no other entry can match. Its
+    structure is transported along the first order isomorphism, once per
+    code, and must regenerate the code. With ``all_matches`` every order
+    isomorphism from that entry is listed, in lexicographic order, each with
+    that one algebra: the isomorphisms differ by automorphisms of the entry,
+    so their transported tables coincide.
     """
     report = validate_code_matrix(code)
     if not report.valid:
@@ -141,29 +148,27 @@ def attach_wajsberg(
         ) from exc
 
     factors = _chain_factors(word_order)
-    matches = []
     if factors is not None:
         entry = ChainProduct(factors, _fold_product(factors))
-        for iso in poset_isomorphisms(natural_order(entry.algebra), word_order):
-            algebra = transport_structure(entry.algebra, iso)
+        isos = poset_isomorphisms(natural_order(entry.algebra), word_order)
+        first = next(isos, None)
+        if first is not None:
+            algebra = transport_structure(entry.algebra, first)
             if code_from_algebra(algebra).words != code.words:
                 raise RuntimeError(
                     f"algebra transported from catalog entry {entry.factors} "
                     "does not regenerate the code"
                 )
-            result = AttachmentResult(algebra, iso, entry)
             if not all_matches:
-                return result
-            matches.append(result)
-    if not matches:
-        raise CodeRejected(
-            RejectionReason(
-                "no-catalog-match",
-                (),
-                f"word order of the {code.size}-word code matches no product of chains",
-            )
+                return AttachmentResult(algebra, first, entry)
+            return [AttachmentResult(algebra, iso, entry) for iso in chain((first,), isos)]
+    raise CodeRejected(
+        RejectionReason(
+            "no-catalog-match",
+            (),
+            f"word order of the {code.size}-word code matches no product of chains",
         )
-    return matches
+    )
 
 
 def attach_mv(code: BlockCode) -> MvAlgebra:

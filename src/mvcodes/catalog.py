@@ -27,7 +27,7 @@ from itertools import chain
 from math import prod
 from typing import Iterator, Optional
 
-from .algebras import _BYTES, CayleyTable, WajsbergAlgebra, natural_order
+from .algebras import _BYTES, CayleyTable, WajsbergAlgebra, _relabel, natural_order
 from .errors import InvalidSize, NotAnOrderIso, SizeMismatch
 from .order import OrderIso, Poset, poset_isomorphisms
 
@@ -171,30 +171,9 @@ def transport_structure(w: WajsbergAlgebra, iso: OrderIso) -> WajsbergAlgebra:
     """
     if iso.k != w.k:
         raise NotAnOrderIso(f"map size {iso.k} does not match carrier {w.k}")
-    f = iso.forward
-    inv = iso.inverse
-    t, n = w.circ.rows, w.negation
-    k = w.k
-    rows = tuple(
-        tuple(f[t[inv[x]][inv[y]]] for y in range(k)) for x in range(k)
-    )
-    negation = tuple(f[n[inv[x]]] for x in range(k))
-    return WajsbergAlgebra(CayleyTable(rows), negation, f[w.one])
-
-
-def _is_wajsberg_morphism(
-    w1: WajsbergAlgebra, w2: WajsbergAlgebra, f: tuple[int, ...]
-) -> bool:
-    t1, t2 = w1.circ.rows, w2.circ.rows
-    n1, n2 = w1.negation, w2.negation
-    if f[w1.zero] != w2.zero:
-        return False
-    k = w1.k
-    if any(f[n1[x]] != n2[f[x]] for x in range(k)):
-        return False
-    return all(
-        f[t1[x][y]] == t2[f[x]][f[y]] for x in range(k) for y in range(k)
-    )
+    f, inv = iso.forward, iso.inverse
+    negation = tuple(f[w.negation[x]] for x in inv)
+    return WajsbergAlgebra(_relabel(w.circ, inv, inv, f), negation, f[w.one])
 
 
 def wajsberg_isomorphisms(
@@ -203,14 +182,14 @@ def wajsberg_isomorphisms(
     """All algebra isomorphisms, in lexicographic order of the forward maps.
 
     An algebra isomorphism is in particular an order isomorphism, so the
-    search runs over those and keeps the maps that also preserve the
-    operation and the negation.
+    search runs over those and keeps each map that carries w1 onto w2: its
+    ``transport_structure`` of w1 is w2, implication, negation and unit.
     """
     if w1.k != w2.k:
         raise SizeMismatch(f"algebra sizes differ: {w1.k} vs {w2.k}")
     p1, p2 = natural_order(w1), natural_order(w2)
     for iso in poset_isomorphisms(p1, p2):
-        if _is_wajsberg_morphism(w1, w2, iso.forward):
+        if transport_structure(w1, iso) == w2:
             yield iso.forward
 
 

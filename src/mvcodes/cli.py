@@ -19,7 +19,7 @@ from .attach import (
     attach_wajsberg,
     embed_code,
 )
-from .catalog import enumerate_wajsberg, pi_count
+from .catalog import enumerate_wajsberg
 from .codes import (
     code_from_algebra,
     distance_D,
@@ -199,7 +199,7 @@ def _write_or_print(texts: list[tuple[str, str]], output: Optional[Path], out) -
 
 def _cmd_enumerate(args, out, err) -> int:
     entries = enumerate_wajsberg(args.n)
-    pi = pi_count(args.n) if args.n >= 2 else 0
+    pi = len(entries) - 1  # the chain, then one entry per proper factorization
     print(f"n={args.n} pi={pi} total={pi + 1}", file=out)
     texts = []
     for entry in entries:
@@ -221,14 +221,14 @@ def _cmd_attach(args, out, err) -> int:
         print(reason.detail, file=err)
         return EX_REJECTED
     results = found if args.all_matches else [found]
-    texts = []
-    for i, result in enumerate(results, start=1):
-        algebra = convert(result.algebra, args.kind)
-        header = (
-            f"# catalog: n={result.source.order} factors={result.source.factor_label()}\n"
-            f"# relabeling: {','.join(str(x) for x in result.iso.forward)}\n"
-        )
-        texts.append((f"attached_{i}_{args.kind}.alg", header + format_algebra(algebra)))
+    # every match carries the same algebra; only the relabeling line differs
+    source = results[0].source
+    head = f"# catalog: n={source.order} factors={source.factor_label()}\n"
+    body = format_algebra(convert(results[0].algebra, args.kind))
+    texts = [
+        (f"attached_{i}_{args.kind}.alg", f"{head}# relabeling: {','.join(map(str, r.iso.forward))}\n{body}")
+        for i, r in enumerate(results, start=1)
+    ]
     _write_or_print(texts, args.output, out)
     return EX_OK
 

@@ -70,6 +70,8 @@ class BlockCode:
 
 def cut_subset(algebra: Algebra, r: int) -> frozenset[int]:
     """Elements x with r*x = 0 / r'+x = 1 / r->x = 1: the up-set of r."""
+    if not 0 <= r < algebra.k:
+        raise ValueError(f"element {r} outside the carrier [0,{algebra.k})")
     return frozenset(compress(range(algebra.k), _order_row(algebra, r)))
 
 

@@ -4,7 +4,9 @@ Every conversion keeps the carrier indexing, so converting back yields the
 identical tables and table comparisons in tests can be exact. Inputs are
 verified first and unverified tables are refused: the translation formulas
 produce garbage on non-algebras and the failure would otherwise surface far
-from its cause.
+from its cause. Each translation is one ``_relabel`` of a table: rows through
+the negation (Wajsberg and MV), or rows and cells through the complement (MV
+and BCK).
 """
 
 from __future__ import annotations
@@ -12,12 +14,11 @@ from __future__ import annotations
 from .algebras import (
     Algebra,
     BckAlgebra,
-    CayleyTable,
     MvAlgebra,
     WajsbergAlgebra,
+    _relabel,
     ensure_verified,
     kind_of,
-    mv_derived_ops,
     verify,
 )
 from .errors import NotAnAlgebra, NotBounded, NotCommutative
@@ -33,38 +34,27 @@ def bck_to_mv(b: BckAlgebra) -> MvAlgebra:
         if "commutative" in axioms:
             raise NotCommutative("input BCK algebra is not commutative", report)
         raise NotAnAlgebra("input is not a BCK algebra", report)
-    s = b.table.rows
-    k = b.k
-    complement = tuple(s[b.one][x] for x in range(k))
-    oplus = [
-        [complement[s[complement[x]][y]] for y in range(k)] for x in range(k)
-    ]
-    return MvAlgebra(CayleyTable(oplus), complement, b.zero)
+    complement = b.table.rows[b.one]
+    return MvAlgebra(_relabel(b.table, complement, cells=complement), complement, b.zero)
 
 
 def mv_to_bck(m: MvAlgebra) -> BckAlgebra:
     """Rebuild the BCK presentation; the operation is the MV difference."""
     ensure_verified(m)
-    _, ominus = mv_derived_ops(m)
-    return BckAlgebra(ominus, m.zero, m.one)
+    c = m.complement
+    return BckAlgebra(_relabel(m.oplus, c, cells=c), m.zero, m.one)
 
 
 def wajsberg_to_mv(w: WajsbergAlgebra) -> MvAlgebra:
     """Rebuild the MV presentation: x+y = neg(x)->y, complement = negation."""
     ensure_verified(w)
-    t, n = w.circ.rows, w.negation
-    k = w.k
-    oplus = [[t[n[x]][y] for y in range(k)] for x in range(k)]
-    return MvAlgebra(CayleyTable(oplus), n, w.zero)
+    return MvAlgebra(_relabel(w.circ, w.negation), w.negation, w.zero)
 
 
 def mv_to_wajsberg(m: MvAlgebra) -> WajsbergAlgebra:
     """Rebuild the Wajsberg presentation: x->y = x'+y, negation = complement."""
     ensure_verified(m)
-    p, c = m.oplus.rows, m.complement
-    k = m.k
-    circ = [[p[c[x]][y] for y in range(k)] for x in range(k)]
-    return WajsbergAlgebra(CayleyTable(circ), c, m.one)
+    return WajsbergAlgebra(_relabel(m.oplus, m.complement), m.complement, m.one)
 
 
 def convert(algebra: Algebra, kind: str) -> Algebra:

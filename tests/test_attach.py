@@ -1,9 +1,12 @@
 """Attaching algebras to codes, rejections, and embeddings."""
 
+import io
 import os
+import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from itertools import permutations
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mvcodes
+import mvcodes.cli
 from mvcodes import (
     BlockCode,
     CodeRejected,
@@ -22,13 +26,16 @@ from mvcodes import (
     chain_wajsberg,
     code_from_algebra,
     code_poset,
+    convert,
     embed_code,
     enumerate_wajsberg,
+    format_algebra,
+    format_code,
     natural_order,
     validate_code_matrix,
 )
 from mvcodes.attach import _canonical_embedding, _covering_columns
-from mvcodes.catalog import _chain_factors, transport_structure
+from mvcodes.catalog import _chain_factors, _fold_product, transport_structure
 from mvcodes.errors import NotAPoset
 from mvcodes.order import OrderIso, Poset, poset_isomorphisms
 
@@ -158,6 +165,58 @@ class TestAttachWajsberg:
         results = attach_wajsberg(code_of(CODE_SIX), all_matches=True)
         assert len(results) == 1
         assert results[0].iso.forward == (0, 1, 3, 2, 4, 5)
+
+
+class TestAttachAllTransportsOnce:
+    """``--all`` transports, regenerates, converts and formats once per code.
+
+    The path that did all of that once per match is the oracle: every match
+    of a relabelled code with repeated factors must give the same tables and
+    the same CLI output as before.
+    """
+
+    @pytest.mark.parametrize("kind", ["wajsberg", "mv", "bck"])
+    @pytest.mark.parametrize("factors", [(2,) * 5, (2, 2, 3, 3), (3, 3, 4), (2, 2, 2, 6)])
+    def test_against_per_match_path(self, factors, kind, tmp_path, monkeypatch):
+        entry = _fold_product(factors)
+        inner = list(range(1, entry.k - 1))  # bottom and top keep the boundary shape
+        random.Random(entry.k).shuffle(inner)
+        code = code_from_algebra(transport_structure(entry, OrderIso([0, *inner, entry.k - 1])))
+        calls = Counter()
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(mvcodes.attach, "transport_structure")
+        counted(mvcodes.attach, "code_from_algebra")
+        counted(mvcodes.cli, "convert")
+
+        results = attach_wajsberg(code, all_matches=True)
+        assert calls == {"transport_structure": 1, "code_from_algebra": 1}
+        isos = list(poset_isomorphisms(natural_order(entry), Poset(code.words)))
+        assert [r.iso for r in results] == isos
+        assert len(isos) > 1
+        for r in results:
+            assert r.algebra == transport_structure(entry, r.iso)
+
+        path = tmp_path / "code.txt"
+        path.write_text(format_code(code))
+        out = io.StringIO()
+        assert mvcodes.cli.run(["attach", str(path), "--all", "--to", kind], out=out) == 0
+        assert calls["convert"] == 1
+        label = "x".join(map(str, factors))
+        assert out.getvalue() == "".join(
+            f"---\n# catalog: n={entry.k} factors={label}\n"
+            f"# relabeling: {','.join(map(str, iso.forward))}\n"
+            + format_algebra(convert(transport_structure(entry, iso), kind))
+            for iso in isos
+        )
 
 
 class TestAttachOtherKinds:

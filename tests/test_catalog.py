@@ -1,5 +1,6 @@
 """Chains, products, factorization counts, enumeration, and transports."""
 
+import importlib
 import random
 from itertools import permutations, product as iproduct
 
@@ -7,22 +8,30 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mvcodes import (
+    AxiomReport,
     BlockCode,
     CayleyTable,
     InvalidSize,
     SizeMismatch,
     WajsbergAlgebra,
+    bck_to_mv,
     chain_wajsberg,
     code_poset,
     enumerate_wajsberg,
     factorizations,
+    mv_derived_ops,
+    mv_to_bck,
+    mv_to_wajsberg,
     natural_order,
     pi_count,
     poset_isomorphism,
+    poset_isomorphisms,
     product_wajsberg,
     transport_structure,
     verify,
     wajsberg_isomorphic,
+    wajsberg_isomorphisms,
+    wajsberg_to_mv,
 )
 from mvcodes import catalog
 from mvcodes.catalog import _chain_factors, _fold_product
@@ -40,8 +49,11 @@ from conftest import (
     RELABEL_SWAP,
     SIX_CYCLED,
     SIX_IMPL,
+    catalog_upto,
     wajsberg_from_table,
 )
+
+convert_module = importlib.import_module("mvcodes.convert")  # mvcodes.convert is the function
 
 
 class TestChains:
@@ -341,9 +353,14 @@ class TestTransport:
             assert wajsberg_isomorphic(w, moved) is not None
 
 
-@pytest.mark.parametrize("factors", [(2, 4), (2,) * 8, (16, 16), (257,)])
-def test_transport_matches_cell_formula(factors):
-    # the transported rows take CayleyTable's fast test up to 256 elements, the cell walk above
+@pytest.mark.parametrize("factors", [(2, 4), (2,) * 8, (16, 16), (257,), (1,), (2,) * 6])
+def test_transport_matches_cell_formula(factors, monkeypatch):
+    # Every derived table is one _relabel call; the per-cell formulas it
+    # replaced are the oracles here, in all three presentations. The rows take
+    # CayleyTable's fast test up to 256 elements and the cell walk above.
+    # Verification is tested elsewhere; above 256 it is the plain cubic scan.
+    monkeypatch.setattr(convert_module, "ensure_verified", lambda algebra: None)
+    monkeypatch.setattr(convert_module, "verify", lambda algebra: AxiomReport(()))
     w = _fold_product(factors)
     k = w.k
     forward = list(range(k))
@@ -355,6 +372,19 @@ def test_transport_matches_cell_formula(factors):
     assert moved.circ.rows == tuple(tuple(f[t[inv[x]][inv[y]]] for y in range(k)) for x in range(k))
     assert moved.negation == tuple(f[w.negation[inv[x]]] for x in range(k))
     assert moved.one == f[w.one]
+
+    t, n = moved.circ.rows, moved.negation
+    mv = wajsberg_to_mv(moved)
+    assert mv.oplus.rows == tuple(tuple(t[n[x]][y] for y in range(k)) for x in range(k))
+    p, c = mv.oplus.rows, mv.complement
+    assert mv_to_wajsberg(mv).circ.rows == tuple(tuple(p[c[x]][y] for y in range(k)) for x in range(k)) == t
+    odot, ominus = mv_derived_ops(mv)
+    assert odot.rows == tuple(tuple(c[p[c[x]][c[y]]] for y in range(k)) for x in range(k))
+    assert ominus.rows == tuple(tuple(c[p[c[x]][y]] for y in range(k)) for x in range(k))
+    bck = mv_to_bck(mv)
+    assert bck.table == ominus
+    s, comp = bck.table.rows, bck.table.rows[bck.one]
+    assert bck_to_mv(bck).oplus.rows == tuple(tuple(comp[s[comp[x]][y]] for y in range(k)) for x in range(k)) == p
 
 
 @given(st.integers(1, 10), st.data())
@@ -397,3 +427,36 @@ class TestWajsbergIsomorphism:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             wajsberg_isomorphic(chain_wajsberg(2), chain_wajsberg(3))
+
+    def test_matches_morphism_oracle_up_to_24(self):
+        # Each entry against a relabelled copy, a copy with one cell changed
+        # (same order, not isomorphic) and the other entries of its order.
+        for n, _, w in catalog_upto(24):
+            f = list(range(n))
+            random.Random(n).shuffle(f)
+            copy = transport_structure(w, OrderIso(f))
+            others = [copy] + [other for m, _, other in catalog_upto(24) if m == n and other is not w]
+            if n >= 3:  # move a non-unit cell to another non-unit value
+                rows = [list(row) for row in copy.circ.rows]
+                x, y = next((x, y) for x in range(n) for y in range(n) if rows[x][y] != copy.one)
+                rows[x][y] = next(v for v in range(n) if v not in (rows[x][y], copy.one))
+                others.append(WajsbergAlgebra(CayleyTable(rows), copy.negation, copy.one))
+            for other in others:
+                isos = poset_isomorphisms(natural_order(w), natural_order(other))
+                expected = [iso.forward for iso in isos if _is_wajsberg_morphism(w, other, iso.forward)]
+                assert list(wajsberg_isomorphisms(w, other)) == expected
+            assert list(wajsberg_isomorphisms(w, copy))  # the relabelling itself is one
+            if n >= 3:
+                assert list(wajsberg_isomorphisms(w, others[-1])) == []
+
+
+def _is_wajsberg_morphism(w1, w2, f):
+    """Whether f maps zero to zero and commutes with negation and implication."""
+    t1, t2 = w1.circ.rows, w2.circ.rows
+    n1, n2 = w1.negation, w2.negation
+    if f[w1.zero] != w2.zero:
+        return False
+    k = w1.k
+    if any(f[n1[x]] != n2[f[x]] for x in range(k)):
+        return False
+    return all(f[t1[x][y]] == t2[f[x]][f[y]] for x in range(k) for y in range(k))

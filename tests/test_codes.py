@@ -21,6 +21,7 @@ from mvcodes import (
     codeword_leq,
     cut_subset,
     distance_D,
+    evaluate_axiom,
     hamming,
     min_hamming_distance,
     mv_derived_ops,
@@ -220,6 +221,25 @@ class TestDistance:
                     assert (d == 0) == (r == s)
                     for t in range(k):
                         assert d <= distance_D(algebra, r, t) + distance_D(algebra, t, s)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w: evaluate_axiom(w, "w1", (-1,)),
+        lambda w: evaluate_axiom(w, "w1", (4,)),
+        lambda w: evaluate_axiom(w, "w2", (0, 4, 1)),
+        lambda w: cut_subset(w, -1),
+        lambda w: cut_subset(w, 4),
+        lambda w: distance_D(w, 0, -1),
+        lambda w: distance_D(w, 4, 0),
+    ],
+    ids=["axiom-(-1)", "axiom-(4)", "axiom-(0,4,1)", "cut-(-1)", "cut-(4)", "distance-(0,-1)", "distance-(4,0)"],
+)
+def test_element_outside_carrier_rejected(call):
+    # -1 would silently read element k-1 and k would raise IndexError
+    with pytest.raises(ValueError, match=r"\[0,4\)"):
+        call(chain_wajsberg(4))
 
 
 class TestMinHamming:
