@@ -8,15 +8,20 @@ an involutive negation). Carriers are always ``{0, .., k-1}``; any element
 names live in calling code.
 
 Verification checks every axiom over the whole carrier and reports the
-lexicographically least witness per violated axiom. The predicates of the
-``*_axiom_suite`` functions are the one definition of each axiom. For carriers
-of at most 256 elements, whose table rows fit byte strings, every axiom in two
-or three variables first goes through a byte filter that finds the first x
-whose slice (x, ...) holds a failing pair or triple, with C-level ``bytes``
-work over one ``_ByteView`` per call (``translate`` as table lookup, strided
-slices as transposes); the predicate is run only over that slice, so it still
-picks the witness. The axioms in one variable, and every axiom of a larger
-carrier, are scanned element by element, pair by pair or triple by triple.
+lexicographically least witness per violated axiom. Up to 256 elements a
+Wajsberg or BCK table is first checked through its MV translation: when that
+verifies and translates back to the input, every axiom of the input holds,
+and only otherwise are the input's own axioms scanned for witnesses.
+
+The predicates of the ``*_axiom_suite`` functions are the one definition of
+each axiom. For carriers of at most 256 elements, whose table rows fit byte
+strings, every axiom in two or three variables first goes through a byte
+filter that finds the first x whose slice (x, ...) holds a failing pair or
+triple, with C-level ``bytes`` work over one ``_ByteView`` per call
+(``translate`` as table lookup, strided slices as transposes); the predicate
+is run only over that slice, so it still picks the witness. The axioms in one
+variable, and every axiom of a larger carrier, are scanned element by
+element, pair by pair or triple by triple.
 """
 
 from __future__ import annotations
@@ -454,8 +459,32 @@ def _scan(
     return AxiomReport(tuple(violations))
 
 
+def _mv_translation(algebra: Algebra) -> Optional[MvAlgebra]:
+    """The MV algebra of a Wajsberg or BCK input: x+y = n(x)->y, or x+y =
+    c(c(x)*y) with c = row ``one``. None for an MV input, or a BCK input with
+    1*0 != 1. When it verifies, ``mv_to_wajsberg`` / ``mv_to_bck`` map it back
+    to the input exactly: double-complement makes n and c involutive, and
+    1*0 = 1 keeps BCK's ``one``."""
+    if isinstance(algebra, WajsbergAlgebra):
+        return MvAlgebra(_relabel(algebra.circ, algebra.negation), algebra.negation, algebra.zero)
+    if isinstance(algebra, BckAlgebra):
+        c = algebra.table.rows[algebra.one]
+        if c[algebra.zero] == algebra.one:
+            return MvAlgebra(_relabel(algebra.table, c, cells=c), c, algebra.zero)
+    return None
+
+
 def verify(algebra: Algebra) -> AxiomReport:
-    """Exhaustively check every axiom of the algebra's kind."""
+    """Exhaustively check every axiom of the algebra's kind.
+
+    Up to 256 elements a Wajsberg or BCK input is first proved valid through
+    its MV translation, which is term-equivalent (Font-Rodriguez-Torrens 1984,
+    Mundici 1986); only when that fails are its own axioms scanned, which
+    finds the witnesses.
+    """
+    mv = _mv_translation(algebra) if algebra.k <= 256 else None
+    if mv is not None and _scan(mv.k, mv_axiom_suite(mv), _first_slices(mv)).valid:
+        return AxiomReport(())
     return _scan(algebra.k, axiom_suite(algebra), _first_slices(algebra))
 
 
@@ -540,6 +569,8 @@ def mv_leq_equivalences(m: MvAlgebra, x: int, y: int) -> bool:
     Raises EquivalenceBroken when they disagree, which can only happen for an
     input that is not actually an MV algebra.
     """
+    if not (0 <= x < m.k and 0 <= y < m.k):
+        raise ValueError(f"({x},{y}) leaves the carrier [0,{m.k})")
     p, c = m.oplus.rows, m.complement
     z, o = m.zero, m.one
     cond1 = p[c[x]][y] == o

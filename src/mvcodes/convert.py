@@ -6,7 +6,8 @@ verified first and unverified tables are refused: the translation formulas
 produce garbage on non-algebras and the failure would otherwise surface far
 from its cause. Each translation is one ``_relabel`` of a table: rows through
 the negation (Wajsberg and MV), or rows and cells through the complement (MV
-and BCK).
+and BCK). The translations into MV are ``algebras._mv_translation``, the one
+that ``verify`` also proves Wajsberg and BCK tables valid through.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .algebras import (
     BckAlgebra,
     MvAlgebra,
     WajsbergAlgebra,
+    _mv_translation,
     _relabel,
     ensure_verified,
     kind_of,
@@ -34,8 +36,7 @@ def bck_to_mv(b: BckAlgebra) -> MvAlgebra:
         if "commutative" in axioms:
             raise NotCommutative("input BCK algebra is not commutative", report)
         raise NotAnAlgebra("input is not a BCK algebra", report)
-    complement = b.table.rows[b.one]
-    return MvAlgebra(_relabel(b.table, complement, cells=complement), complement, b.zero)
+    return _mv_translation(b)
 
 
 def mv_to_bck(m: MvAlgebra) -> BckAlgebra:
@@ -48,7 +49,7 @@ def mv_to_bck(m: MvAlgebra) -> BckAlgebra:
 def wajsberg_to_mv(w: WajsbergAlgebra) -> MvAlgebra:
     """Rebuild the MV presentation: x+y = neg(x)->y, complement = negation."""
     ensure_verified(w)
-    return MvAlgebra(_relabel(w.circ, w.negation), w.negation, w.zero)
+    return _mv_translation(w)
 
 
 def mv_to_wajsberg(m: MvAlgebra) -> WajsbergAlgebra:

@@ -35,7 +35,7 @@ from mvcodes import (
     verify_mv,
     verify_wajsberg,
 )
-from mvcodes.algebras import _first_slices, _scan, axiom_suite
+from mvcodes.algebras import _first_slices, _mv_translation, _scan, axiom_suite
 
 from conftest import (
     PROD23,
@@ -295,6 +295,8 @@ def presentations_upto_24():
     return tuple(convert(w, kind) for _, _, w in catalog_upto(24) for kind in ("wajsberg", "mv", "bck"))
 
 
+PRODUCTS_48_TO_64 = [((2, 4, 6), "wajsberg"), ((2, 4, 7), "mv"), ((2, 2, 4, 4), "bck")]
+
 FILTERED = {"bck1", "bck2", "bck4", "commutative", "assoc", "comm", "lukasiewicz", "w2", "w3", "w4"}
 
 
@@ -331,9 +333,7 @@ class TestSliceFilters:
         assert_matches_plain_scan(MvAlgebra(table, unary, first))
         assert_matches_plain_scan(WajsbergAlgebra(table, unary, first))
 
-    @pytest.mark.parametrize(
-        "factors, kind", [((2, 4, 6), "wajsberg"), ((2, 4, 7), "mv"), ((2, 2, 4, 4), "bck")]
-    )
+    @pytest.mark.parametrize("factors, kind", PRODUCTS_48_TO_64)
     def test_products_of_order_48_to_64(self, factors, kind):
         (entry,) = [e for e in enumerate_wajsberg(math.prod(factors)) if e.factors == factors]
         algebra = convert(entry.algebra, kind)
@@ -379,19 +379,34 @@ class TestSliceFilters:
         for algebra in (chain_wajsberg(3), convert(chain_wajsberg(3), "mv"), convert(chain_wajsberg(3), "bck")):
             assert set(_first_slices(algebra)) == {name for name, arity, _ in axiom_suite(algebra) if arity > 1}
 
-    def test_wrong_filter_raises_in_optimised_mode(self):
+    @pytest.mark.parametrize(
+        "axiom, algebra",
+        [
+            # the negation is not an involution, so the MV proof fails and the
+            # Wajsberg scan meets the w2 filter on an intact table
+            ("w2", WajsbergAlgebra(chain_wajsberg(4).circ, (3, 2, 2, 0), 3)),
+            # a valid input reaches only the filters of its MV translation
+            ("assoc", chain_wajsberg(4)),
+        ],
+        ids=["w2", "assoc"],
+    )
+    def test_wrong_filter_raises_in_optimised_mode(self, axiom, algebra):
         # a filter that flags a clean slice must not yield an empty report,
         # even when python -O strips asserts
+        mv = _mv_translation(algebra)
+        assert verify(mv).valid == (axiom == "assoc")
+        (pred,) = [pred for name, _, pred in axiom_suite(algebra if axiom == "w2" else mv) if name == axiom]
+        assert all(pred(0, y, v) for y in range(4) for v in range(4))
         script = textwrap.dedent(
-            """
+            f"""
             import mvcodes.algebras as algebras
-            from mvcodes import chain_wajsberg
+            from mvcodes import CayleyTable, WajsbergAlgebra
 
-            algebras._w2_first_slice = lambda w, view: 0
+            algebras._{axiom}_first_slice = lambda algebra, view: 0
             try:
-                algebras.verify(chain_wajsberg(4))
+                algebras.verify({algebra!r})
             except RuntimeError as exc:
-                print(f"debug={__debug__} raised: {exc}")
+                print(f"debug={{__debug__}} raised: {{exc}}")
             """
         )
         env = dict(os.environ, PYTHONPATH=str(Path(mvcodes.__file__).parents[1]))
@@ -403,7 +418,98 @@ class TestSliceFilters:
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("debug=False raised: ")
+        assert proc.stdout.startswith(f"debug=False raised: {axiom} filter flagged slice x = 0")
+
+
+def with_unary_and_constants(algebra, unary, first, second):
+    """The same table under another unary map (Wajsberg, MV) and constants:
+    ``one`` for Wajsberg, ``zero`` for MV, ``zero`` and ``one`` for BCK."""
+    if isinstance(algebra, BckAlgebra):
+        return BckAlgebra(algebra.table, first, second)
+    if isinstance(algebra, MvAlgebra):
+        return MvAlgebra(algebra.oplus, unary, first)
+    return WajsbergAlgebra(algebra.circ, unary, first)
+
+
+def unary_and_constants(algebra):
+    if isinstance(algebra, BckAlgebra):
+        return (), algebra.zero, algebra.one
+    if isinstance(algebra, MvAlgebra):
+        return algebra.complement, algebra.zero, None
+    return algebra.negation, algebra.one, None
+
+
+def valid_presentations():
+    """Every catalog presentation up to order 24 and the products of order 48-64."""
+    return presentations_upto_24() + tuple(
+        convert(e.algebra, kind)
+        for factors, kind in PRODUCTS_48_TO_64
+        for e in enumerate_wajsberg(math.prod(factors))
+        if e.factors == factors
+    )
+
+
+class TestMvProof:
+    """verify proves Wajsberg and BCK inputs valid through their MV translation;
+    the plain scan without filters is the oracle of every report."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_mutated_unary_maps_and_constants(self, data):
+        algebra = data.draw(st.sampled_from(presentations_upto_24()))
+        element = st.integers(0, algebra.k - 1)
+        unary, first, second = unary_and_constants(algebra)
+        unary = list(unary)
+        for _ in range(data.draw(st.integers(0, 3)) if unary else 0):
+            unary[data.draw(element)] = data.draw(element)
+        first = data.draw(st.one_of(st.just(first), element))
+        second = data.draw(st.one_of(st.just(second), element)) if second is not None else None
+        assert_matches_plain_scan(with_unary_and_constants(algebra, unary, first, second))
+
+    def test_every_unary_entry_and_constant_up_to_order_6(self):
+        guarded = 0
+        for algebra in presentations_upto_24():
+            k = algebra.k
+            if k > 6:
+                continue
+            unary, first, second = unary_and_constants(algebra)
+            for i, v in product(range(len(unary)), range(k)):
+                edited = list(unary)
+                edited[i] = v
+                assert_matches_plain_scan(with_unary_and_constants(algebra, edited, first, second))
+            for a, b in product(range(k), range(k) if second is not None else (None,)):
+                mutated = with_unary_and_constants(algebra, unary, a, b)
+                assert_matches_plain_scan(mutated)
+                guarded += isinstance(algebra, BckAlgebra) and _mv_translation(mutated) is None
+        # BCK inputs with s[one][zero] != one, which get no MV translation
+        assert guarded
+
+    def test_every_edit_of_bck_row_one_up_to_order_8(self):
+        guarded = 0
+        for algebra in presentations_upto_24():
+            if isinstance(algebra, BckAlgebra) and algebra.k <= 8:
+                for j, v in product(range(algebra.k), repeat=2):
+                    mutated = with_rows(algebra, mutate(rows_of(algebra), algebra.one, j, v))
+                    assert_matches_plain_scan(mutated)
+                    guarded += _mv_translation(mutated) is None
+        assert guarded
+
+    def test_cubic_filters_find_nothing_on_valid_tables(self):
+        # verify no longer runs w2 and bck1 on valid tables; their filters
+        # still clear every slice of one
+        for algebra in valid_presentations():
+            slices = _first_slices(algebra)
+            assert slices and set(slices.values()) == {None}, algebra
+
+    @pytest.mark.parametrize("kind", ["wajsberg", "bck"])
+    def test_valid_product_skips_the_cubic_filters(self, kind, monkeypatch):
+        (entry,) = [e for e in enumerate_wajsberg(64) if e.factors == (8, 8)]
+        algebra = convert(entry.algebra, kind)
+        calls = []
+        for name in ("_w2_first_slice", "_bck1_first_slice"):
+            monkeypatch.setattr(mvcodes.algebras, name, lambda algebra, view, name=name: calls.append(name))
+        assert verify(algebra).valid
+        assert calls == []
 
 
 class TestNaturalOrder:
@@ -470,6 +576,11 @@ class TestMvLeqEquivalences:
         for x in range(six_mv.k):
             for y in range(six_mv.k):
                 assert mv_leq_equivalences(six_mv, x, y) == poset.leq[x][y]
+
+    @pytest.mark.parametrize("x, y", [(-1, 0), (0, -1), (6, 0), (0, 6), (-7, 5)])
+    def test_element_outside_carrier_rejected(self, six_mv, x, y):
+        with pytest.raises(ValueError, match="leaves the carrier"):
+            mv_leq_equivalences(six_mv, x, y)
 
     def test_broken_input_raises(self):
         oplus = CayleyTable(((0, 1), (1, 0)))  # not an MV sum
