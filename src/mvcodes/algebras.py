@@ -44,10 +44,11 @@ class CayleyTable:
     """A k-by-k operation table closed over ``{0, .., k-1}``.
 
     Every table is checked. One fast test comes first: for k <= 256, rows of
-    length k whose cells, read one by one through the row iterators, are ints
-    that ``bytes`` takes and that all lie below k. Only when it fails is the
-    table walked cell by cell with ``int()``, which converts what it can and
-    names the first bad row or cell.
+    length k that are ``bytes`` or ``bytearray``, or whose cells, read one by
+    one through the row iterators, are ints that ``bytes`` takes, with every
+    cell below k.
+    Only when it fails is the table walked cell by cell with ``int()``, which
+    converts what it can and names the first bad row or cell.
     """
 
     rows: Rows
@@ -55,10 +56,15 @@ class CayleyTable:
     def __post_init__(self):
         rows = tuple(self.rows)
         k = len(rows)
+        flat = None
         try:  # lengths first: a generator row has none, and stays unconsumed
-            flat = bytes(chain.from_iterable(rows)) if k <= 256 and set(map(len, rows)) == {k} else None
+            if k <= 256 and set(map(len, rows)) == {k}:
+                if all(isinstance(row, (bytes, bytearray)) for row in rows):  # rows of ``_fold_product``
+                    flat = b"".join(rows)
+                else:  # not the buffer of an array('b'), where -1 would read as 255
+                    flat = bytes(chain.from_iterable(rows))
         except (TypeError, ValueError):
-            flat = None
+            pass
         # a total other than k * k: some row yields other than len() cells
         if flat is not None and len(flat) == k * k and not flat.translate(None, _BYTES[:k]):
             object.__setattr__(self, "rows", tuple(tuple(flat[i : i + k]) for i in range(0, k * k, k)))

@@ -3,34 +3,40 @@
 A square code whose matrix has the right boundary shape carries a candidate
 order: the matrix read as a relation, bit (i,j) saying row i is below row j.
 When that relation is an order, row i is the up-set of i, so the relation is
-also the reverse-componentwise order of the words. When it is not an order
-(for instance not transitive), no algebra reproduces the code. Otherwise the
-chain factors are read off the order's join-irreducibles, only that one
-chain product is built, and its structure is transported onto the code's
-rows once, along the first order isomorphism. Every other isomorphism
-differs from it by an order automorphism of the product, which only permutes
-equal factors and so is an algebra automorphism: all of them transport to
-the same algebra.
+also the reverse-componentwise order of the words. A finite MV algebra is a
+product of chains (Cignoli-D'Ottaviano-Mundici 2000), and its order, a
+distributive lattice, is fixed by its join-irreducibles (Birkhoff). They
+form one chain per factor, and the number of members of each chain below an
+element is its digit for that factor. So the factors and the first order
+isomorphism are read off the relation in closed form, only that one chain
+product is built, and its structure is transported onto the code's rows
+once. When that algebra regenerates the code, the relation is the product's
+order and no order law needs checking. Otherwise the order laws are checked
+and give the witness (for instance of a broken transitivity), and an order
+that passes them is no product of chains. Every other isomorphism differs
+from the first by an order automorphism of the product, which only permutes
+the digits of equal factors and so is an algebra automorphism: all of them
+transport to the same algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Optional, Union
 
 from .algebras import BckAlgebra, MvAlgebra, WajsbergAlgebra, natural_order
 from .catalog import (
     ChainProduct,
-    _chain_factors,
+    _all_isos,
     _fold_product,
+    _product_iso,
     enumerate_wajsberg,
     transport_structure,
 )
 from .codes import BlockCode, code_from_algebra
 from .convert import mv_to_bck, wajsberg_to_mv
-from .errors import AlgebraError, NoEmbeddingFound, NonSquare, NotAPoset
-from .order import OrderIso, Poset, _masks, poset_isomorphisms
+from .errors import AlgebraError, NoEmbeddingFound, NonSquare
+from .order import OrderIso, Poset, _masks, order_violation, poset_isomorphisms
 
 
 @dataclass(frozen=True)
@@ -120,13 +126,17 @@ def attach_wajsberg(
     CodeRejected with a re-checkable witness when the matrix fails the
     boundary shape, its relation is not an order, or the word order matches
     no catalog entry. The one candidate entry is the chain product whose
-    factors are read off the join-irreducibles of the word order; catalog
+    factors are read off the join-irreducibles of the relation; catalog
     entries are pairwise non-isomorphic, so no other entry can match. Its
-    structure is transported along the first order isomorphism, once per
-    code, and must regenerate the code. With ``all_matches`` every order
-    isomorphism from that entry is listed, in lexicographic order, each with
-    that one algebra: the isomorphisms differ by automorphisms of the entry,
-    so their transported tables coincide.
+    structure is transported along the least order isomorphism, read off
+    the same join-irreducibles (``catalog._product_iso``), once per code; the
+    code is accepted when that algebra regenerates it. Only a code that is
+    not accepted has its order laws checked; an order that passes them is
+    rejected, once ``poset_isomorphisms`` finds no isomorphism from the
+    entry when there is one. With ``all_matches`` every order isomorphism from that entry is
+    listed, in lexicographic order, each with that one algebra: the
+    isomorphisms differ by automorphisms of the entry, so their transported
+    tables coincide.
     """
     report = validate_code_matrix(code)
     if not report.valid:
@@ -138,30 +148,30 @@ def attach_wajsberg(
                 f"{first.condition} fails at {first.position}",
             )
         )
-    try:
-        word_order = Poset(code.words)
-    except NotAPoset as exc:
-        law, witness = exc.law, exc.witness
-        kind = "transitivity-failure" if law == "transitivity" else "not-a-poset"
-        raise CodeRejected(
-            RejectionReason(kind, witness, f"matrix relation breaks {law} at {witness}")
-        ) from exc
-
-    factors = _chain_factors(word_order)
-    if factors is not None:
-        entry = ChainProduct(factors, _fold_product(factors))
-        isos = poset_isomorphisms(natural_order(entry.algebra), word_order)
-        first = next(isos, None)
-        if first is not None:
-            algebra = transport_structure(entry.algebra, first)
-            if code_from_algebra(algebra).words != code.words:
-                raise RuntimeError(
-                    f"algebra transported from catalog entry {entry.factors} "
-                    "does not regenerate the code"
-                )
+    up, down = _masks(code.words), _masks(zip(*code.words))
+    found = _product_iso(up, down)
+    if found is not None and found[1] is not None:
+        factors, forward = found
+        entry, iso = ChainProduct(factors, _fold_product(factors)), OrderIso(forward)
+        algebra = transport_structure(entry.algebra, iso)
+        # equal codes prove that the relation is the product's order
+        if code_from_algebra(algebra).words == code.words:
             if not all_matches:
-                return AttachmentResult(algebra, first, entry)
-            return [AttachmentResult(algebra, iso, entry) for iso in chain((first,), isos)]
+                return AttachmentResult(algebra, iso, entry)
+            return [AttachmentResult(algebra, OrderIso(f), entry) for f in _all_isos(factors, forward)]
+    bad = order_violation(up, down)
+    if bad is not None:
+        law, witness = bad
+        kind = "transitivity-failure" if law == "transitivity" else "not-a-poset"
+        raise CodeRejected(RejectionReason(kind, witness, f"matrix relation breaks {law} at {witness}"))
+    if found is not None:
+        # the closed form accepts every product of chains, so an isomorphism here is a defect
+        entry_order = natural_order(_fold_product(found[0]))
+        if next(poset_isomorphisms(entry_order, Poset(code.words)), None) is not None:
+            raise RuntimeError(
+                f"the code's order is isomorphic to catalog entry {found[0]}, but the algebra "
+                "transported along its Birkhoff coordinates does not regenerate the code"
+            )
     raise CodeRejected(
         RejectionReason(
             "no-catalog-match",

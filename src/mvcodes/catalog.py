@@ -17,7 +17,9 @@ folded the same way in tuples of ints.
 
 A representative's factors can be read back off its order (Birkhoff): the
 join-irreducibles, the elements with exactly one lower cover, form one chain
-of n - 1 elements per factor n.
+of n - 1 elements per factor n, and the number of members of each chain
+below an element is its digit for that factor, so an order isomorphism from
+the product comes in closed form (``_product_iso``).
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import prod
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .algebras import _BYTES, CayleyTable, WajsbergAlgebra, _relabel, natural_order
 from .errors import InvalidSize, NotAnOrderIso, SizeMismatch
-from .order import OrderIso, Poset, poset_isomorphisms
+from .order import OrderIso, poset_isomorphisms
 
 MAX_CATALOG_CELLS = 1 << 26  # per enumerate_wajsberg; n = 720: 98 entries, 50.8 M cells
 
@@ -123,25 +126,80 @@ def _fold_product(factors: tuple[int, ...]) -> WajsbergAlgebra:
     return WajsbergAlgebra(CayleyTable(rows), tuple(range(k - 1, -1, -1)), k - 1)
 
 
-def _chain_factors(poset: Poset) -> Optional[tuple[int, ...]]:
-    """Factors of the chain product whose order ``poset`` could be, or None.
+def _chain_masks(up, down) -> Optional[list[int]]:
+    """The join-irreducibles of the order with up-set / down-set masks ``up``
+    / ``down``, as one chain mask per factor, most significant digit first.
 
-    Works on the poset's up-set and down-set bitmasks. An element x is
-    join-irreducible when its strict down-set is the down-set of one element,
-    its one lower cover. In a product of chains these elements split into
-    disjoint chains, one of n - 1 elements per factor n, and the factors
-    multiply to k; the one-element order gives (1,).
+    An element x is join-irreducible when its strict down-set is the down-set
+    of one element, its one lower cover. In a product of chains these
+    elements split into disjoint chains, one of n - 1 elements per factor n,
+    and the factors multiply to k; otherwise the result is None. A finite
+    distributive lattice is fixed by its join-irreducibles (Birkhoff), so no
+    product with other factors has this order. The chains are sorted by
+    size, and among equal sizes the chain whose atom (least member) has the
+    larger label comes first.
     """
-    below = set(poset.down)
-    irreducible = [x for x, d in enumerate(poset.down) if d ^ 1 << x in below]
+    below = set(down)
+    irreducible = [x for x, d in enumerate(down) if d ^ 1 << x in below]
     mask = sum(1 << x for x in irreducible)
     # The irreducibles comparable to x: these sets partition the
     # irreducibles exactly when they are disjoint chains.
-    chains = {(poset.up[x] | poset.down[x]) & mask for x in irreducible}
-    if sum(c.bit_count() for c in chains) != len(irreducible):
+    chain_of = {x: (up[x] | down[x]) & mask for x in irreducible}
+    chains = set(chain_of.values())
+    if sum(c.bit_count() for c in chains) != len(irreducible) or prod(c.bit_count() + 1 for c in chains) != len(down):
         return None
-    factors = sorted(c.bit_count() + 1 for c in chains) or [1]
-    return tuple(factors) if prod(factors) == poset.k else None
+    atom = {c: x for x, c in chain_of.items() if down[x] & c == 1 << x}
+    return sorted(chains, key=lambda c: (c.bit_count(), -atom.get(c, 0)))
+
+
+def _product_iso(up, down) -> Optional[tuple[tuple[int, ...], Optional[tuple[int, ...]]]]:
+    """Factors and forward map of the least order isomorphism from the chain
+    product onto the order of masks ``up`` / ``down``; None without
+    ``_chain_masks``, and the map None when it is no bijection.
+
+    Element x is the image of the mixed-radix number whose digits are
+    ``|down(x) & chain|`` over the chains of ``_chain_masks``. Product
+    element 1 goes to the least atom that the least significant digit may
+    take, and so on up, so on a product of chains the map is the least
+    isomorphism in lexicographic order of forward maps. On any other
+    relation the caller checks it.
+    """
+    chains = _chain_masks(up, down)
+    if chains is None:
+        return None
+    factors = [c.bit_count() + 1 for c in chains]
+    inverse = []
+    for d in down:
+        i = 0
+        for f, c in zip(factors, chains):
+            i = i * f + (d & c).bit_count()
+        inverse.append(i)
+    bijective = len(set(inverse)) == len(inverse)
+    return tuple(factors) or (1,), tuple(sorted(range(len(inverse)), key=inverse.__getitem__)) if bijective else None
+
+
+def _all_isos(factors: tuple[int, ...], forward: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """``forward`` composed with every order automorphism of the chain product
+    of ``factors``, in lexicographic order: all the order isomorphisms when
+    ``forward`` is one.
+
+    The automorphisms permute the digits of equal factors. Every one of them
+    is, once, a product of one swap per digit, with itself (the identity) or
+    a more significant digit of the same factor; a composition is one
+    ``itemgetter`` gather.
+    """
+    k = len(forward)
+    strides = [prod(factors[p + 1 :]) for p in range(len(factors))]
+    out = [forward]
+    for q, f in enumerate(factors):
+        sq = strides[q]
+        swaps = [
+            itemgetter(*(e + (e // sq % f - e // sp % f) * (sp - sq) for e in range(k)))
+            for sp, g in zip(strides[:q], factors)
+            if g == f
+        ]
+        out += [swap(iso) for swap in swaps for iso in out]
+    return sorted(out)
 
 
 def enumerate_wajsberg(n: int) -> list[ChainProduct]:

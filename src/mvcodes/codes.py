@@ -16,7 +16,7 @@ algebras coincides with descending lexicographic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from typing import Iterable, Sequence
 
 from .algebras import Algebra, MvAlgebra, _order_row, natural_order
@@ -26,16 +26,41 @@ from .order import Poset, _masks
 Word = tuple[int, ...]
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
 class BlockCode:
-    """A sequence of distinct equal-length bit words."""
+    """A sequence of distinct equal-length bit words.
+
+    One fast test comes first, as in ``CayleyTable``: words of one length n
+    that are all ASCII ``0`` / ``1`` strings, or whose entries ``bytes``
+    takes and that are all 0 or 1, n * size of them in all. Only when it
+    fails is every entry converted with ``int()`` and checked in turn, which
+    names the first bad word.
+    """
 
     words: tuple[Word, ...]
 
     def __post_init__(self):
-        words = tuple(tuple(map(int, w)) for w in self.words)
+        words, flat = tuple(self.words), None
+        try:  # lengths first: a generator word has none, and stays unconsumed
+            n = len(words[0]) if words else 0
+            if n and set(map(len, words)) == {n}:
+                if all(isinstance(w, str) for w in words):
+                    text = "".join(words).encode("ascii")
+                    flat = None if text.translate(None, b"01") else text.translate(_BITS)
+                else:
+                    flat = bytes(chain.from_iterable(words))
+        except (TypeError, ValueError):  # UnicodeEncodeError is a ValueError
+            pass
+        if flat is not None and len(flat) == n * len(words) and not flat.translate(None, b"\0\1"):
+            rows = [flat[i : i + n] for i in range(0, len(flat), n)]
+            if len(set(rows)) != len(rows):
+                raise DuplicateWord("repeated codeword")
+            object.__setattr__(self, "words", tuple(map(tuple, rows)))
+            return
+        words = tuple(tuple(map(int, w)) for w in words)
         object.__setattr__(self, "words", words)
         if not words:
             raise MalformedTable("a block code needs at least one word")

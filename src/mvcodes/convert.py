@@ -39,11 +39,19 @@ def bck_to_mv(b: BckAlgebra) -> MvAlgebra:
     return _mv_translation(b)
 
 
+def _mv_to_bck(m: MvAlgebra) -> BckAlgebra:
+    c = m.complement
+    return BckAlgebra(_relabel(m.oplus, c, cells=c), m.zero, m.one)
+
+
+def _mv_to_wajsberg(m: MvAlgebra) -> WajsbergAlgebra:
+    return WajsbergAlgebra(_relabel(m.oplus, m.complement), m.complement, m.one)
+
+
 def mv_to_bck(m: MvAlgebra) -> BckAlgebra:
     """Rebuild the BCK presentation; the operation is the MV difference."""
     ensure_verified(m)
-    c = m.complement
-    return BckAlgebra(_relabel(m.oplus, c, cells=c), m.zero, m.one)
+    return _mv_to_bck(m)
 
 
 def wajsberg_to_mv(w: WajsbergAlgebra) -> MvAlgebra:
@@ -55,21 +63,21 @@ def wajsberg_to_mv(w: WajsbergAlgebra) -> MvAlgebra:
 def mv_to_wajsberg(m: MvAlgebra) -> WajsbergAlgebra:
     """Rebuild the Wajsberg presentation: x->y = x'+y, negation = complement."""
     ensure_verified(m)
-    return WajsbergAlgebra(_relabel(m.oplus, m.complement), m.complement, m.one)
+    return _mv_to_wajsberg(m)
 
 
 def convert(algebra: Algebra, kind: str) -> Algebra:
-    """Convert to the named presentation along the shortest translation path."""
+    """Convert to the named presentation along the shortest translation path.
+
+    The input is verified once, by the first public converter of the path;
+    the step out of MV that may follow is valid by construction."""
     src = kind_of(algebra)
     if kind not in ("bck", "mv", "wajsberg"):
         raise ValueError(f"unknown kind: {kind}")
     if src == kind:
         ensure_verified(algebra)
         return algebra
-    if src == "bck":
-        mv = bck_to_mv(algebra)
-        return mv if kind == "mv" else mv_to_wajsberg(mv)
-    if src == "wajsberg":
-        mv = wajsberg_to_mv(algebra)
-        return mv if kind == "mv" else mv_to_bck(mv)
-    return mv_to_bck(algebra) if kind == "bck" else mv_to_wajsberg(algebra)
+    if src == "mv":
+        return mv_to_bck(algebra) if kind == "bck" else mv_to_wajsberg(algebra)
+    mv = bck_to_mv(algebra) if src == "bck" else wajsberg_to_mv(algebra)
+    return mv if kind == "mv" else _mv_to_bck(mv) if kind == "bck" else _mv_to_wajsberg(mv)

@@ -20,6 +20,7 @@ from mvcodes import (
     WajsbergAlgebra,
     enumerate_wajsberg,
 )
+from mvcodes.catalog import _product_iso
 
 SIX_STAR = (
     (0, 0, 0, 0, 0, 0),
@@ -195,6 +196,12 @@ def catalog_upto(max_n):
         for entry in enumerate_wajsberg(n):
             out.append((n, entry.factors, entry.algebra))
     return tuple(out)
+
+
+def chain_factors(poset):
+    """The chain factors ``_product_iso`` reads off ``poset``, or None."""
+    found = _product_iso(poset.up, poset.down)
+    return None if found is None else found[0]
 
 
 def code_of(strings):

@@ -149,6 +149,28 @@ class TestCayleyTable:
                 assert {type(v) for row in outcomes["table"][1] for v in row} == {int}
         assert table_outcome(table_rows, cases[0]) == ("MalformedTable", "entry (3,255) = -1 out of range [0,256)")
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((0, 1), (1,)),
+            ((0, 1), (1, 2)),
+            ((0, 1, 2), (1, 1, 2), (2, 2, 3)),
+            ((0, 1), (1, 1, 0)),
+            ((0, 1), (1, 0)),
+        ],
+    )
+    def test_bytes_rows_match_tuple_rows(self, rows):
+        for wrap in (bytes, bytearray):
+            assert table_outcome(table_rows, [wrap(r) for r in rows]) == table_outcome(table_rows, rows)
+
+    def test_signed_buffers_read_cell_by_cell(self):
+        import numpy as np
+
+        rows = [array("b", [0] * 255 + [-1])] * 256
+        assert table_outcome(table_rows, rows) == ("MalformedTable", "entry (0,255) = -1 out of range [0,256)")
+        rows = [np.array([0, 1], dtype=np.int8), np.array([1, -1], dtype=np.int8)]
+        assert table_outcome(table_rows, rows) == ("MalformedTable", "entry (1,1) = -1 out of range [0,2)")
+
     @given(st.data())
     def test_fast_test_matches_cell_walk(self, data):
         k = data.draw(st.integers(0, 8))

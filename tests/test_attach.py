@@ -35,7 +35,7 @@ from mvcodes import (
     validate_code_matrix,
 )
 from mvcodes.attach import _canonical_embedding, _covering_columns
-from mvcodes.catalog import _chain_factors, _fold_product, transport_structure
+from mvcodes.catalog import _fold_product, _product_iso, transport_structure
 from mvcodes.errors import NotAPoset
 from mvcodes.order import OrderIso, Poset, poset_isomorphisms
 
@@ -59,6 +59,7 @@ from conftest import (
     SIX_IMPL,
     SIX_PLUS,
     SIX_STAR,
+    chain_factors,
     code_of,
 )
 
@@ -332,11 +333,99 @@ class TestAttachAgainstCatalogScan:
     def test_ordinal_sums(self, case):
         lower, upper, code = case
         assert attach_outcome(code) == catalog_scan(code)
-        factors = _chain_factors(code_poset(code))
+        factors = chain_factors(code_poset(code))
         if len(lower.factors) == len(upper.factors) == 1:
             assert factors == (code.size,)
         else:
             assert factors is None
+
+
+def relabelled_code(factors, seed):
+    """The code of the chain product, inner elements shuffled by ``seed``."""
+    entry = _fold_product(factors)
+    inner = list(range(1, entry.k - 1))
+    random.Random(seed).shuffle(inner)
+    return entry, code_from_algebra(transport_structure(entry, OrderIso([0, *inner, entry.k - 1])))
+
+
+# Orders whose join-irreducibles form disjoint chains with a plausible factor
+# multiset, but which are no product of chains: on the first two the
+# Birkhoff coordinates are not a bijection, on the last two they are, but the
+# transported algebra does not regenerate the code.
+NOT_PRODUCTS = [
+    ("11111111", "01011111", "00100111", "00011101", "00001101", "00000101", "00000011", "00000001"),
+    ("11111111", "01001101", "00100111", "00011111", "00001101", "00000101", "00000011", "00000001"),
+    ("11111111", "01110111", "00110101", "00010001", "00001111", "00000101", "00000011", "00000001"),
+    ("111111111", "010011111", "001101111", "000100011", "000010101", "000001001", "000000101",
+     "000000011", "000000001"),
+]
+
+
+class TestClosedForm:
+    """The Birkhoff-coordinate isomorphism against the backtracking search."""
+
+    @pytest.mark.parametrize(
+        "factors,seed",
+        [(f, s) for f in [(2,) * 5, (2, 2, 3, 3), (2, 2, 2, 6), (3, 3, 4), (12,)] for s in (1, 2)]
+        + [((2,) * 6, 1)],
+    )
+    def test_first_map_and_full_list(self, factors, seed):
+        entry, code = relabelled_code(factors, seed)
+        isos = list(poset_isomorphisms(natural_order(entry), Poset(code.words)))
+        assert _product_iso(code_poset(code).up, code_poset(code).down) == (factors, isos[0].forward)
+        assert attach_wajsberg(code).iso == isos[0]
+        assert [r.iso for r in attach_wajsberg(code, all_matches=True)] == isos
+
+    @pytest.mark.parametrize("words", NOT_PRODUCTS)
+    def test_plausible_factors_without_a_product(self, words):
+        code = code_of(words)
+        word_order = code_poset(code)
+        assert chain_factors(word_order) is not None
+        assert attach_outcome(code) == catalog_scan(code)
+        assert attach_outcome(code)[0] == "no-catalog-match"
+
+    @pytest.mark.parametrize("factors", [(2, 2, 3), (3, 4)])
+    def test_every_inner_bit_flip(self, factors):
+        _, code = relabelled_code(factors, 4)
+        k, kinds = code.size, Counter()
+        for i in range(1, k - 1):
+            for j in range(1, k - 1):
+                words = [list(w) for w in code.words]
+                words[i][j] ^= 1
+                if len(set(map(tuple, words))) == k:
+                    flipped = BlockCode(tuple(map(tuple, words)))
+                    assert attach_outcome(flipped) == catalog_scan(flipped)
+                    kinds[attach_outcome(flipped)[0]] += 1
+        assert {"not-a-poset", "transitivity-failure", "no-catalog-match"} <= set(kinds)
+
+    def test_not_products_cover_both_failures(self):
+        found = [_product_iso(p.up, p.down) for p in map(code_poset, map(code_of, NOT_PRODUCTS))]
+        assert [f[1] is None for f in found] == [True, True, False, False]
+
+    @pytest.mark.parametrize("factors", [(2, 2, 3), (2,) * 4, (30,)])
+    def test_accept_path_runs_no_order_search(self, factors, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called on the accept path")
+
+        for name in ("poset_isomorphisms", "natural_order", "Poset", "order_violation"):
+            monkeypatch.setattr(mvcodes.attach, name, refuse)
+        entry, code = relabelled_code(factors, 3)
+        assert attach_wajsberg(code).algebra == transport_structure(entry, attach_wajsberg(code).iso)
+        assert len(attach_wajsberg(code, all_matches=True)) >= 1
+
+    def test_two_to_the_seventh_lists_every_map(self):
+        entry, code = relabelled_code((2,) * 7, 1)
+        results = attach_wajsberg(code, all_matches=True)
+        forwards = [r.iso.forward for r in results]
+        assert len(forwards) == 5040 == len(set(forwards))
+        assert forwards == sorted(forwards)
+        assert all(r.algebra == results[0].algebra for r in results)
+        source, target = natural_order(entry).up, code_poset(code).up
+        for forward in forwards[::97]:
+            def image(mask):
+                return sum(1 << forward[y] for y in range(128) if mask >> y & 1)
+
+            assert all(image(source[x]) == target[forward[x]] for x in range(128))
 
 
 class TestEmbedding:

@@ -34,7 +34,7 @@ from mvcodes import (
     wajsberg_to_mv,
 )
 from mvcodes import catalog
-from mvcodes.catalog import _chain_factors, _fold_product
+from mvcodes.catalog import _fold_product
 from mvcodes.order import OrderIso
 
 from conftest import (
@@ -50,6 +50,7 @@ from conftest import (
     SIX_CYCLED,
     SIX_IMPL,
     catalog_upto,
+    chain_factors,
     wajsberg_from_table,
 )
 
@@ -218,17 +219,17 @@ class TestChainFactors:
     def test_read_off_every_entry_up_to_64(self):
         for n in range(1, 65):
             for entry in enumerate_wajsberg(n):
-                assert _chain_factors(natural_order(entry.algebra)) == entry.factors
+                assert chain_factors(natural_order(entry.algebra)) == entry.factors
 
     def test_irreducibles_not_disjoint_chains(self):
         # 0 < 1 < {2, 3} < 4: 1 is comparable to 2 and 3, which are not
         words = ("11111", "01111", "00101", "00011", "00001")
-        assert _chain_factors(code_poset(BlockCode.from_strings(words))) is None
+        assert chain_factors(code_poset(BlockCode.from_strings(words))) is None
 
     def test_factor_product_not_the_order(self):
         # 0 < {1, 2, 3} < 4: three one-element chains, but 2 * 2 * 2 != 5
         words = ("11111", "01001", "00101", "00011", "00001")
-        assert _chain_factors(code_poset(BlockCode.from_strings(words))) is None
+        assert chain_factors(code_poset(BlockCode.from_strings(words))) is None
 
 
 def bruteforce_factor_multisets(n):

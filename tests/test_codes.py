@@ -191,6 +191,73 @@ class TestBlockCode:
             code_of(("0a", "11"))
 
 
+def old_block_code_words(words):
+    """The ``BlockCode`` constructor body before its ``bytes`` test: the
+    words it stores, or the exception it raises."""
+    words = tuple(tuple(map(int, w)) for w in words)
+    if not words:
+        raise MalformedTable("a block code needs at least one word")
+    n = len(words[0])
+    for w in words:
+        if len(w) != n:
+            raise LengthMismatch(f"word lengths differ: {len(w)} vs {n}")
+        if not set(w) <= {0, 1}:
+            raise MalformedTable(f"non-binary word: {w}")
+    if len(set(words)) != len(words):
+        raise DuplicateWord("repeated codeword")
+    return words
+
+
+def outcome(build, words):
+    try:
+        return build(words)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+ODD_CHARS = ("0", "1", "\x00", "\x01", "\uff10", "\uff11", " ", "2", "a")
+ODD_ENTRIES = (0, 1, True, False, 0.0, 1.0, 2, -1, 256, 1.5)
+entries = st.one_of(
+    st.lists(st.sampled_from(ODD_CHARS), max_size=4).map("".join),
+    st.lists(st.sampled_from(ODD_ENTRIES), max_size=4).map(tuple),
+    st.lists(st.integers(0, 1), min_size=3, max_size=3).map(tuple),
+    st.lists(st.sampled_from("01"), min_size=3, max_size=3).map("".join),
+)
+
+
+class TestBlockCodeFastPath:
+    @given(st.lists(entries, max_size=5))
+    def test_matches_the_int_walk(self, words):
+        assert outcome(lambda w: BlockCode(w).words, words) == outcome(old_block_code_words, words)
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            ("\x01\x00", "\x00\x01"),
+            ("\uff11\uff10", "01"),
+            (" 1", "01"),
+            ((1.0, 0.0), (0, 1)),
+            ((True, False), (0, 1)),
+            ((2, 0), (0, 1)),
+            ((-1, 0), (0, 1)),
+            ((256, 0), (0, 1)),
+            ("01", "0"),
+            ("10", (1, 0)),
+            ("", ""),
+            ("",),
+            (),
+            (b"\x01\x00", b"\x00\x01"),
+            (b"10", b"01"),
+            ([1, 0], "01"),
+        ],
+    )
+    def test_awkward_words(self, words):
+        assert outcome(lambda w: BlockCode(w).words, words) == outcome(old_block_code_words, words)
+
+    def test_generator_words_are_read_once(self):
+        assert BlockCode((iter((1, 0)), iter((0, 1)))).words == ((1, 0), (0, 1))
+
+
 class TestDistance:
     def test_self_distance_zero(self, six_wajsberg):
         assert all(distance_D(six_wajsberg, r, r) == 0 for r in range(6))

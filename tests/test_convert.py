@@ -1,5 +1,9 @@
 """Presentation conversions: exactness, round trips, order preservation."""
 
+import importlib
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +21,7 @@ from mvcodes import (
     verify,
     wajsberg_to_mv,
 )
+from mvcodes import algebras
 from mvcodes.order import OrderIso
 
 from conftest import (
@@ -26,6 +31,8 @@ from conftest import (
     SIX_STAR,
     catalog_upto,
 )
+
+convert_module = importlib.import_module("mvcodes.convert")  # mvcodes.convert is the function
 
 
 class TestSixElementExample:
@@ -143,3 +150,74 @@ def test_convert_shortest_paths(six_bck, six_wajsberg):
     assert convert(six_bck, "wajsberg").circ.rows == SIX_IMPL
     assert convert(six_wajsberg, "bck").table.rows == SIX_STAR
     assert convert(six_bck, "bck").table.rows == SIX_STAR
+
+
+# The composition of the public converters along each path.
+PUBLIC_PATHS = {
+    ("bck", "mv"): bck_to_mv,
+    ("bck", "wajsberg"): lambda b: mv_to_wajsberg(bck_to_mv(b)),
+    ("mv", "bck"): mv_to_bck,
+    ("mv", "wajsberg"): mv_to_wajsberg,
+    ("wajsberg", "mv"): wajsberg_to_mv,
+    ("wajsberg", "bck"): lambda w: mv_to_bck(wajsberg_to_mv(w)),
+}
+
+
+def presentations(w):
+    mv = wajsberg_to_mv(w)
+    return {"wajsberg": w, "mv": mv, "bck": mv_to_bck(mv)}
+
+
+def broken_presentations(w):
+    """Each presentation of w with one table cell or one unary entry changed."""
+    k, out = w.k, []
+    for kind, algebra in presentations(w).items():
+        table = {"wajsberg": "circ", "mv": "oplus", "bck": "table"}[kind]
+        rows = [list(r) for r in getattr(algebra, table).rows]
+        rows[k // 2][k - 1] = (rows[k // 2][k - 1] + 1) % k
+        out.append((kind, replace(algebra, **{table: CayleyTable(rows)})))
+        if kind != "bck":
+            unary = "negation" if kind == "wajsberg" else "complement"
+            values = list(getattr(algebra, unary))
+            values[0] = values[1]
+            out.append((kind, replace(algebra, **{unary: values})))
+    return out
+
+
+def outcome(call):
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestConvertVerifiesOnce:
+    @pytest.mark.parametrize("target", ["bck", "mv", "wajsberg"])
+    @pytest.mark.parametrize("source", ["bck", "mv", "wajsberg"])
+    def test_one_verify_per_convert(self, source, target, monkeypatch):
+        calls = Counter()
+        original = algebras.verify
+
+        def counted(algebra):
+            calls["verify"] += 1
+            return original(algebra)
+
+        cases = [presentations(w)[source] for _, _, w in catalog_upto(12)]
+        expected = [PUBLIC_PATHS.get((source, target), lambda a: a)(a) for a in cases]
+        monkeypatch.setattr(algebras, "verify", counted)
+        monkeypatch.setattr(convert_module, "verify", counted)
+        for algebra, want in zip(cases, expected):
+            calls.clear()
+            assert convert(algebra, target) == want
+            assert calls["verify"] == 1
+
+    @pytest.mark.parametrize("target", ["bck", "mv", "wajsberg"])
+    def test_invalid_inputs_raise_as_the_public_path(self, target):
+        for _, _, w in catalog_upto(8):
+            if w.k < 3:
+                continue
+            for source, algebra in broken_presentations(w):
+                assert not verify(algebra).valid
+                public = PUBLIC_PATHS.get((source, target), convert_module.ensure_verified)
+                got = outcome(lambda: convert(algebra, target))
+                assert isinstance(got, tuple) and got == outcome(lambda: public(algebra))
