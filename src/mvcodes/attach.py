@@ -13,10 +13,11 @@ product is built, and its structure is transported onto the code's rows
 once. When that algebra regenerates the code, the relation is the product's
 order and no order law needs checking. Otherwise the order laws are checked
 and give the witness (for instance of a broken transitivity), and an order
-that passes them is no product of chains. Every other isomorphism differs
-from the first by an order automorphism of the product, which only permutes
-the digits of equal factors and so is an algebra automorphism: all of them
-transport to the same algebra.
+that passes them is no product of chains: on a product the coordinates
+would be an order isomorphism, and no search over maps is needed. Every
+other isomorphism differs from the first by an order automorphism of the
+product, which only permutes the digits of equal factors and so is an
+algebra automorphism: all of them transport to the same algebra.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .algebras import BckAlgebra, MvAlgebra, WajsbergAlgebra, natural_order
+from .algebras import BckAlgebra, MvAlgebra, WajsbergAlgebra
 from .catalog import (
     ChainProduct,
     _all_isos,
     _fold_product,
+    _is_product_iso,
     _product_iso,
     enumerate_wajsberg,
     transport_structure,
@@ -36,7 +38,7 @@ from .catalog import (
 from .codes import BlockCode, code_from_algebra
 from .convert import mv_to_bck, wajsberg_to_mv
 from .errors import AlgebraError, NoEmbeddingFound, NonSquare
-from .order import OrderIso, Poset, _masks, order_violation, poset_isomorphisms
+from .order import OrderIso, _masks, order_violation
 
 
 @dataclass(frozen=True)
@@ -132,8 +134,9 @@ def attach_wajsberg(
     the same join-irreducibles (``catalog._product_iso``), once per code; the
     code is accepted when that algebra regenerates it. Only a code that is
     not accepted has its order laws checked; an order that passes them is
-    rejected, once ``poset_isomorphisms`` finds no isomorphism from the
-    entry when there is one. With ``all_matches`` every order isomorphism from that entry is
+    no product of chains, since on one the Birkhoff coordinates are an order
+    isomorphism (``catalog._is_product_iso``), whose transport regenerates
+    the code. With ``all_matches`` every order isomorphism from that entry is
     listed, in lexicographic order, each with that one algebra: the
     isomorphisms differ by automorphisms of the entry, so their transported
     tables coincide.
@@ -164,14 +167,12 @@ def attach_wajsberg(
         law, witness = bad
         kind = "transitivity-failure" if law == "transitivity" else "not-a-poset"
         raise CodeRejected(RejectionReason(kind, witness, f"matrix relation breaks {law} at {witness}"))
-    if found is not None:
-        # the closed form accepts every product of chains, so an isomorphism here is a defect
-        entry_order = natural_order(_fold_product(found[0]))
-        if next(poset_isomorphisms(entry_order, Poset(code.words)), None) is not None:
-            raise RuntimeError(
-                f"the code's order is isomorphic to catalog entry {found[0]}, but the algebra "
-                "transported along its Birkhoff coordinates does not regenerate the code"
-            )
+    # coordinates that are an order isomorphism transport to an algebra with this code
+    if found is not None and found[1] is not None and _is_product_iso(*found, up):
+        raise RuntimeError(
+            f"the code's order is isomorphic to catalog entry {found[0]}, but the algebra "
+            "transported along its Birkhoff coordinates does not regenerate the code"
+        )
     raise CodeRejected(
         RejectionReason(
             "no-catalog-match",

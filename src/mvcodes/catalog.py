@@ -178,6 +178,28 @@ def _product_iso(up, down) -> Optional[tuple[tuple[int, ...], Optional[tuple[int
     return tuple(factors) or (1,), tuple(sorted(range(len(inverse)), key=inverse.__getitem__)) if bijective else None
 
 
+def _is_product_iso(factors: tuple[int, ...], forward: tuple[int, ...], up) -> bool:
+    """Whether ``forward`` is an order isomorphism from the chain product of
+    ``factors`` onto the order with up-set masks ``up``.
+
+    In the product the up-set of x is the meet, over the digits, of the
+    elements whose digit is at least x's; these sets are built once per digit
+    value, in the labels of ``up``.
+    """
+    k = stride = len(forward)
+    expected = [(1 << k) - 1] * k
+    for f in factors:
+        stride //= f
+        at_least = [0] * f
+        for x, y in enumerate(forward):
+            at_least[x // stride % f] |= 1 << y
+        for v in range(f - 2, -1, -1):
+            at_least[v] |= at_least[v + 1]
+        for x, y in enumerate(forward):
+            expected[y] &= at_least[x // stride % f]
+    return expected == list(up)
+
+
 def _all_isos(factors: tuple[int, ...], forward: tuple[int, ...]) -> list[tuple[int, ...]]:
     """``forward`` composed with every order automorphism of the chain product
     of ``factors``, in lexicographic order: all the order isomorphisms when

@@ -35,7 +35,7 @@ from mvcodes import (
     validate_code_matrix,
 )
 from mvcodes.attach import _canonical_embedding, _covering_columns
-from mvcodes.catalog import _fold_product, _product_iso, transport_structure
+from mvcodes.catalog import _fold_product, _is_product_iso, _product_iso, transport_structure
 from mvcodes.errors import NotAPoset
 from mvcodes.order import OrderIso, Poset, poset_isomorphisms
 
@@ -402,16 +402,42 @@ class TestClosedForm:
         found = [_product_iso(p.up, p.down) for p in map(code_poset, map(code_of, NOT_PRODUCTS))]
         assert [f[1] is None for f in found] == [True, True, False, False]
 
+    @staticmethod
+    def refuse_order_search(monkeypatch, *names):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called by attach")
+
+        for module in (mvcodes.attach, mvcodes.catalog, mvcodes.codes, mvcodes.order, mvcodes.algebras):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+
     @pytest.mark.parametrize("factors", [(2, 2, 3), (2,) * 4, (30,)])
     def test_accept_path_runs_no_order_search(self, factors, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("called on the accept path")
-
-        for name in ("poset_isomorphisms", "natural_order", "Poset", "order_violation"):
-            monkeypatch.setattr(mvcodes.attach, name, refuse)
         entry, code = relabelled_code(factors, 3)
+        self.refuse_order_search(monkeypatch, "poset_isomorphisms", "natural_order", "Poset", "order_violation")
         assert attach_wajsberg(code).algebra == transport_structure(entry, attach_wajsberg(code).iso)
         assert len(attach_wajsberg(code, all_matches=True)) >= 1
+
+    def test_reject_path_runs_no_isomorphism_search(self, monkeypatch):
+        expected = [catalog_scan(code_of(words)) for words in NOT_PRODUCTS]
+        self.refuse_order_search(monkeypatch, "poset_isomorphisms", "natural_order", "Poset")
+        assert [attach_outcome(code_of(words)) for words in NOT_PRODUCTS] == expected
+
+    @pytest.mark.parametrize("factors", [(2, 2, 3), (2,) * 4, (3, 4), (7,)])
+    def test_product_iso_check_against_the_search(self, factors):
+        entry, code = relabelled_code(factors, 5)
+        up = code_poset(code).up
+        isos = {iso.forward for iso in poset_isomorphisms(natural_order(entry), Poset(code.words))}
+        rng = random.Random(6)
+        maps = list(isos)
+        for _ in range(40):
+            forward = list(maps[0])
+            i, j = rng.sample(range(entry.k), 2)
+            forward[i], forward[j] = forward[j], forward[i]
+            maps.append(tuple(forward))
+        for forward in maps:
+            assert _is_product_iso(factors, forward, up) == (forward in isos)
 
     def test_two_to_the_seventh_lists_every_map(self):
         entry, code = relabelled_code((2,) * 7, 1)
