@@ -7,6 +7,11 @@ with an involutive complement), and Wajsberg algebras (implication ``->`` with
 an involutive negation). Carriers are always ``{0, .., k-1}``; any element
 names live in calling code.
 
+A table of at most 256 elements keeps its checked rows as ``bytes`` from
+build to print: the axiom suites, the byte filters, ``_relabel`` and
+``_order_row`` read them, and the public tuple-of-int ``rows`` are built
+only when a caller reads them. Larger tables hold tuples of ints.
+
 Verification checks every axiom over the whole carrier and reports the
 lexicographically least witness per violated axiom. Up to 256 elements a
 Wajsberg or BCK table is first checked through its MV translation: when that
@@ -39,7 +44,7 @@ Rows = tuple[tuple[int, ...], ...]
 _BYTES = bytes(range(256))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CayleyTable:
     """A k-by-k operation table closed over ``{0, .., k-1}``.
 
@@ -49,6 +54,10 @@ class CayleyTable:
     cell below k.
     Only when it fails is the table walked cell by cell with ``int()``, which
     converts what it can and names the first bad row or cell.
+
+    ``_rows`` holds the checked rows: ``bytes`` up to 256 elements, tuples of
+    ints beyond. Up to 256 elements the public tuple ``rows`` are built from
+    the byte rows on first read, and cached.
     """
 
     rows: Rows
@@ -56,18 +65,19 @@ class CayleyTable:
     def __post_init__(self):
         rows = tuple(self.rows)
         k = len(rows)
-        flat = None
+        flat = byte_rows = None
         try:  # lengths first: a generator row has none, and stays unconsumed
             if k <= 256 and set(map(len, rows)) == {k}:
-                if all(isinstance(row, (bytes, bytearray)) for row in rows):  # rows of ``_fold_product``
-                    flat = b"".join(rows)
+                if set(map(type, rows)) == {bytes}:  # rows of ``_fold_product``, ``_relabel``, the parser
+                    flat, byte_rows = b"".join(rows), rows
                 else:  # not the buffer of an array('b'), where -1 would read as 255
                     flat = bytes(chain.from_iterable(rows))
         except (TypeError, ValueError):
             pass
         # a total other than k * k: some row yields other than len() cells
         if flat is not None and len(flat) == k * k and not flat.translate(None, _BYTES[:k]):
-            object.__setattr__(self, "rows", tuple(tuple(flat[i : i + k]) for i in range(0, k * k, k)))
+            object.__setattr__(self, "_rows", byte_rows or tuple(flat[i : i + k] for i in range(0, k * k, k)))
+            del self.__dict__["rows"]
             return
         rows = tuple(tuple(map(int, row)) for row in rows)
         object.__setattr__(self, "rows", rows)
@@ -79,27 +89,54 @@ class CayleyTable:
             if min(row) < 0 or max(row) >= k:
                 j = next(j for j, v in enumerate(row) if not 0 <= v < k)
                 raise MalformedTable(f"entry ({i},{j}) = {row[j]} out of range [0,{k})")
+        object.__setattr__(self, "_rows", tuple(map(bytes, rows)) if k <= 256 else rows)
+
+    def __getattr__(self, name):
+        # only a byte-row table lacks ``rows``, until its first read
+        if name != "rows":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows = tuple(map(tuple, self._rows))
+        object.__setattr__(self, "rows", rows)
+        return rows
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._rows == other._rows
+
+    def __hash__(self):
+        return hash(self._rows)
+
+    def __repr__(self):
+        return f"CayleyTable(rows={self.rows!r})"
 
     @property
     def k(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def at(self, x: int, y: int) -> int:
-        return self.rows[x][y]
+        return self._rows[x][y]
 
 
 def _relabel(table: CayleyTable, rows, cols=None, cells=None) -> CayleyTable:
     """The table whose cell (x, y) is ``cells[t[rows[x]][cols[y]]]``; a map
-    left out is the identity. Each row is gathered by one ``itemgetter`` call."""
-    t = table.rows
-    if len(t) == 1:  # itemgetter of one index returns a scalar, not a tuple
-        return table
+    left out is the identity. Up to 256 elements each gathered row is mapped
+    through ``cells`` by one ``translate``, and its columns gathered by a
+    second one, of ``bytes(cols)`` through the row; beyond, each row is
+    gathered by one ``itemgetter`` call."""
+    t = table._rows
     out = map(t.__getitem__, rows)
-    if cols is not None:
-        out = map(itemgetter(*cols), out)
+    if table.k > 256:
+        if cols is not None:
+            out = map(itemgetter(*cols), out)
+        if cells is not None:
+            out = [itemgetter(*row)(cells) for row in out]
+        return CayleyTable(tuple(out))
     if cells is not None:
-        out = [itemgetter(*row)(cells) for row in out]
-    return CayleyTable(tuple(out))
+        out = map(bytes.translate, out, repeat(_lookup(bytes(cells))))
+    if cols is not None:
+        out = map(bytes(cols).translate, map(_lookup, out))
+    return CayleyTable(list(out))
 
 
 def _check_unary(values, k: int) -> tuple[int, ...]:
@@ -136,7 +173,7 @@ class BckAlgebra:
         return self.table.k
 
     def star(self, x: int, y: int) -> int:
-        return self.table.rows[x][y]
+        return self.table._rows[x][y]
 
 
 @dataclass(frozen=True)
@@ -160,7 +197,7 @@ class MvAlgebra:
         return self.complement[self.zero]
 
     def plus(self, x: int, y: int) -> int:
-        return self.oplus.rows[x][y]
+        return self.oplus._rows[x][y]
 
     def neg(self, x: int) -> int:
         return self.complement[x]
@@ -187,7 +224,7 @@ class WajsbergAlgebra:
         return self.negation[self.one]
 
     def imp(self, x: int, y: int) -> int:
-        return self.circ.rows[x][y]
+        return self.circ._rows[x][y]
 
     def neg(self, x: int) -> int:
         return self.negation[x]
@@ -227,7 +264,7 @@ AxiomSuite = list[tuple[str, int, Callable[..., bool]]]
 
 def bck_axiom_suite(b: BckAlgebra) -> AxiomSuite:
     """Axioms of a bounded commutative BCK algebra as (name, arity, predicate)."""
-    s = b.table.rows
+    s = b.table._rows
     z, o = b.zero, b.one
     return [
         ("bck1", 3, lambda x, y, w: s[s[s[x][y]][s[x][w]]][s[w][y]] == z),
@@ -242,7 +279,7 @@ def bck_axiom_suite(b: BckAlgebra) -> AxiomSuite:
 
 def mv_axiom_suite(m: MvAlgebra) -> AxiomSuite:
     """Monoid laws, the MV axioms, and the derived law x + x' = 1."""
-    p = m.oplus.rows
+    p = m.oplus._rows
     c = m.complement
     z, o = m.zero, m.one
     return [
@@ -258,7 +295,7 @@ def mv_axiom_suite(m: MvAlgebra) -> AxiomSuite:
 
 def wajsberg_axiom_suite(w: WajsbergAlgebra) -> AxiomSuite:
     """The four Wajsberg axioms plus the derived involution of negation."""
-    t = w.circ.rows
+    t = w.circ._rows
     n = w.negation
     o = w.one
     return [
@@ -291,7 +328,7 @@ class _ByteView:
     every filter."""
 
     def __init__(self, table: CayleyTable):
-        self.rows = [bytes(row) for row in table.rows]
+        self.rows = table._rows
         k = len(self.rows)
         self.flat = b"".join(self.rows)
         self.cols = [self.flat[y::k] for y in range(k)]
@@ -341,6 +378,8 @@ def _bck1_first_slice(b: BckAlgebra, view: _ByteView) -> Optional[int]:
 
     Scanned by y: with y and w fixed, d = s[w][y] is the same for every x, so
     a whole column over x is checked against column d of s in one translate.
+    Once a slice ``first`` is flagged, later columns are built only over the
+    rows x < first.
     """
     k = len(view.rows)
     # fails[d] maps u to 1 where s[u][d] != 0, else to 0.
@@ -349,12 +388,13 @@ def _bck1_first_slice(b: BckAlgebra, view: _ByteView) -> Optional[int]:
     col_of = [slice(w, None, k) for w in range(k)]
     first = k
     for coly in view.cols:
-        # Row x, over w, of u = s[s[x][y]][s[x][w]].
-        u = b"".join(map(bytes.translate, view.rows, map(view.lookups.__getitem__, coly)))
-        # Byte w*k + x is 1 where (x, y, w) fails.
+        # Row x < first, over w, of u = s[s[x][y]][s[x][w]].
+        u = b"".join(map(bytes.translate, view.rows[:first], map(view.lookups.__getitem__, coly[:first])))
+        # Byte w*n + x is 1 where (x, y, w) fails, n = first.
         marks = b"".join(map(bytes.translate, map(u.__getitem__, col_of), map(fails.__getitem__, coly)))
         if 1 in marks:
-            first = next((x for x in range(first) if 1 in marks[x::k]), first)
+            n = first
+            first = next(x for x in range(n) if 1 in marks[x::n])
             if first == 0:
                 break
     return first if first < k else None
@@ -474,7 +514,7 @@ def _mv_translation(algebra: Algebra) -> Optional[MvAlgebra]:
     if isinstance(algebra, WajsbergAlgebra):
         return MvAlgebra(_relabel(algebra.circ, algebra.negation), algebra.negation, algebra.zero)
     if isinstance(algebra, BckAlgebra):
-        c = algebra.table.rows[algebra.one]
+        c = algebra.table._rows[algebra.one]
         if c[algebra.zero] == algebra.one:
             return MvAlgebra(_relabel(algebra.table, c, cells=c), c, algebra.zero)
     return None
@@ -537,18 +577,22 @@ def ensure_verified(algebra: Algebra) -> None:
         raise NotAnAlgebra(f"{kind_of(algebra)} verification failed: {axioms}", report)
 
 
-def _order_row(algebra: Algebra, x: int) -> tuple[bool, ...]:
-    """Row x of the natural order: which y satisfy x*y = 0 / x'+y = 1 / x->y = 1.
+def _order_row(algebra: Algebra, x: int):
+    """Row x of the natural order: which y satisfy x*y = 0 / x'+y = 1 / x->y = 1,
+    as ``bytes`` of 0 and 1 up to 256 elements (one ``translate`` of a table
+    row), as a tuple of bools beyond.
 
     The one place the order is read off a presentation; row x is the up-set
     of x, i.e. its cut subset.
     """
     if isinstance(algebra, BckAlgebra):
-        row, target = algebra.table.rows[x], algebra.zero
+        row, target = algebra.table._rows[x], algebra.zero
     elif isinstance(algebra, MvAlgebra):
-        row, target = algebra.oplus.rows[algebra.complement[x]], algebra.one
+        row, target = algebra.oplus._rows[algebra.complement[x]], algebra.one
     else:
-        row, target = algebra.circ.rows[x], algebra.one
+        row, target = algebra.circ._rows[x], algebra.one
+    if algebra.k <= 256:
+        return row.translate(bytes(target) + b"\1" + bytes(255 - target))
     return tuple([v == target for v in row])
 
 
@@ -577,7 +621,7 @@ def mv_leq_equivalences(m: MvAlgebra, x: int, y: int) -> bool:
     """
     if not (0 <= x < m.k and 0 <= y < m.k):
         raise ValueError(f"({x},{y}) leaves the carrier [0,{m.k})")
-    p, c = m.oplus.rows, m.complement
+    p, c = m.oplus._rows, m.complement
     z, o = m.zero, m.one
     cond1 = p[c[x]][y] == o
     cond2 = c[p[c[x]][c[c[y]]]] == z

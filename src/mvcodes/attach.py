@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .algebras import BckAlgebra, MvAlgebra, WajsbergAlgebra
+from .algebras import BckAlgebra, MvAlgebra, WajsbergAlgebra, _mv_translation
 from .catalog import (
     ChainProduct,
     _all_isos,
@@ -36,7 +36,7 @@ from .catalog import (
     transport_structure,
 )
 from .codes import BlockCode, code_from_algebra
-from .convert import mv_to_bck, wajsberg_to_mv
+from .convert import _mv_to_bck
 from .errors import AlgebraError, NoEmbeddingFound, NonSquare
 from .order import OrderIso, _masks, order_violation
 
@@ -183,13 +183,14 @@ def attach_wajsberg(
 
 
 def attach_mv(code: BlockCode) -> MvAlgebra:
-    """The MV presentation of the attached algebra; same rejection behaviour."""
-    return wajsberg_to_mv(attach_wajsberg(code).algebra)
+    """The MV presentation of the attached algebra; same rejection behaviour.
+    The attached algebra is valid by construction and is not verified again."""
+    return _mv_translation(attach_wajsberg(code).algebra)
 
 
 def attach_bck(code: BlockCode) -> BckAlgebra:
     """The BCK presentation of the attached algebra; same rejection behaviour."""
-    return mv_to_bck(attach_mv(code))
+    return _mv_to_bck(attach_mv(code))
 
 
 @dataclass(frozen=True)

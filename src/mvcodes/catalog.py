@@ -51,7 +51,7 @@ def chain_wajsberg(k: int) -> WajsbergAlgebra:
 def product_wajsberg(w1: WajsbergAlgebra, w2: WajsbergAlgebra) -> WajsbergAlgebra:
     """Componentwise product on the mixed-radix carrier (a, b) -> a*|w2| + b."""
     k1, k2 = w1.k, w2.k
-    t1, t2 = w1.circ.rows, w2.circ.rows
+    t1, t2 = w1.circ._rows, w2.circ._rows
     rows = tuple(
         tuple(
             t1[a][c] * k2 + t2[b][d] for c in range(k1) for d in range(k2)

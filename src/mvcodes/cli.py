@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .algebras import Algebra, kind_of, verify
+from .algebras import Algebra, _mv_translation, kind_of, verify
 from .attach import (
     CodeRejected,
     attach_wajsberg,
@@ -26,7 +26,7 @@ from .codes import (
     min_hamming_distance,
     skeleton,
 )
-from .convert import convert
+from .convert import _mv_to_bck, convert
 from .errors import AlgebraError, NoEmbeddingFound, NotAnAlgebra, ParseError
 from .fileio import format_algebra, format_code, parse_algebra, parse_code
 
@@ -224,7 +224,13 @@ def _cmd_attach(args, out, err) -> int:
     # every match carries the same algebra; only the relabeling line differs
     source = results[0].source
     head = f"# catalog: n={source.order} factors={source.factor_label()}\n"
-    body = format_algebra(convert(results[0].algebra, args.kind))
+    # a transport of a catalog entry, valid by construction: translated unverified
+    algebra = results[0].algebra
+    if args.kind != "wajsberg":
+        algebra = _mv_translation(algebra)
+        if args.kind == "bck":
+            algebra = _mv_to_bck(algebra)
+    body = format_algebra(algebra)
     texts = [
         (f"attached_{i}_{args.kind}.alg", f"{head}# relabeling: {','.join(map(str, r.iso.forward))}\n{body}")
         for i, r in enumerate(results, start=1)

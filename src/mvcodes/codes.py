@@ -43,19 +43,22 @@ class BlockCode:
     words: tuple[Word, ...]
 
     def __post_init__(self):
-        words, flat = tuple(self.words), None
+        words, flat, rows = tuple(self.words), None, None
         try:  # lengths first: a generator word has none, and stays unconsumed
             n = len(words[0]) if words else 0
             if n and set(map(len, words)) == {n}:
-                if all(isinstance(w, str) for w in words):
+                types = set(map(type, words))
+                if types == {str}:
                     text = "".join(words).encode("ascii")
                     flat = None if text.translate(None, b"01") else text.translate(_BITS)
+                elif types == {bytes}:  # rows of ``_order_row``, kept as they are
+                    flat, rows = b"".join(words), words
                 else:
                     flat = bytes(chain.from_iterable(words))
         except (TypeError, ValueError):  # UnicodeEncodeError is a ValueError
             pass
         if flat is not None and len(flat) == n * len(words) and not flat.translate(None, b"\0\1"):
-            rows = [flat[i : i + n] for i in range(0, len(flat), n)]
+            rows = rows or [flat[i : i + n] for i in range(0, len(flat), n)]
             if len(set(rows)) != len(rows):
                 raise DuplicateWord("repeated codeword")
             object.__setattr__(self, "words", tuple(map(tuple, rows)))
@@ -182,7 +185,7 @@ def mv_sum_indicator(m: MvAlgebra) -> Skeleton:
 
     Equals the skeleton with rows permuted by the complement map.
     """
-    p, o = m.oplus.rows, m.one
+    p, o = m.oplus._rows, m.one
     k = m.k
     return Skeleton(
         tuple(tuple(p[r][x] == o for x in range(k)) for r in range(k))

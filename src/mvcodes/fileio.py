@@ -15,6 +15,10 @@ with ``#`` and blank lines are ignored in both formats; anything else that
 does not fit the schema is an error. Lines end in ``\n`` or ``\r\n``; fields
 are separated, and lines padded, by ASCII spaces and tabs only, so no other
 control or Unicode separator character is read as a break.
+
+Up to 256 elements the rows of a table are read into ``bytes`` and written
+from them, one ``translate`` per decimal digit plane, without building the
+table's tuple rows; larger tables are read and written as tuples of ints.
 """
 
 from __future__ import annotations
@@ -57,7 +61,9 @@ def _match(line: str, pattern: str, what: str) -> tuple[str, ...]:
     return m.groups()
 
 
-def _int_row(line: str, k: int, values: dict[str, int], what: str) -> tuple[int, ...]:
+def _int_row(line: str, k: int, values: dict[str, int], what: str):
+    """The k indices of a row: ``bytes`` up to 256 elements; a tuple of ints
+    beyond, or when a token is no canonical element name, such as '007'."""
     parts = line.split()
     # split() also breaks at control characters such as \x1c, and isdigit also
     # accepts non-ASCII digits such as '²', which int() refuses: only ASCII
@@ -65,7 +71,7 @@ def _int_row(line: str, k: int, values: dict[str, int], what: str) -> tuple[int,
     if len(parts) != k or not line.isascii() or not line.replace("\t", " ").isprintable():
         raise ParseError(f"expected {what} of {k} indices, got: {line!r}")
     try:
-        return tuple(map(values.__getitem__, parts))
+        return (bytes if k <= 256 else tuple)(map(values.__getitem__, parts))
     except KeyError:  # a token such as '007', a value >= k, or no number at all
         if not all(map(str.isdigit, parts)):
             raise ParseError(f"expected {what} of {k} indices, got: {line!r}") from None
@@ -113,34 +119,64 @@ def parse_algebra(text: str) -> Algebra:
     return WajsbergAlgebra(table, unary, int(one))
 
 
-def format_algebra(algebra: Algebra) -> str:
-    """Serialise an algebra in the exact file format (no comments)."""
-    kind = kind_of(algebra)
-    k = algebra.k
-    lines = [f"kind: {kind}", f"order: {k}"]
-    names = [str(v) for v in range(k)]
-    if isinstance(algebra, BckAlgebra):
-        lines.append(f"zero: {algebra.zero} one: {algebra.one}")
-        rows = algebra.table.rows
-    elif isinstance(algebra, MvAlgebra):
-        lines.append(f"zero: {algebra.zero}")
-        lines.append("unary: " + " ".join(map(names.__getitem__, algebra.complement)))
-        rows = algebra.oplus.rows
-    else:
-        lines.append(f"one: {algebra.one}")
-        lines.append("unary: " + " ".join(map(names.__getitem__, algebra.negation)))
-        rows = algebra.circ.rows
-    # The table is one join over the names of all cells, each with the
-    # separator after it; no string is built per row. One itemgetter call per
-    # row gathers the names faster than map(spaced.__getitem__, row) does:
-    # 1.8 against 2.4 ms for a 240x240 table.
+# Digit planes of a byte value: its hundreds, tens and ones digits in ASCII,
+# with NUL for a leading zero, which ``_format_bytes`` deletes.
+_HUNDREDS = bytes(48 + v // 100 if v >= 100 else 0 for v in range(256))
+_TENS = bytes(48 + v // 10 % 10 if v >= 10 else 0 for v in range(256))
+_ONES = bytes(48 + v % 10 for v in range(256))
+
+
+def _format_bytes(flat: bytes, k: int) -> str:
+    """Byte cells as decimal names, k to a line, each followed by a space or,
+    at the end of its line, a newline: one ``translate`` per digit plane,
+    interleaved with the separators in one ``bytearray``."""
+    out = bytearray(4 * len(flat))
+    out[0::4] = flat.translate(_HUNDREDS)
+    out[1::4] = flat.translate(_TENS)
+    out[2::4] = flat.translate(_ONES)
+    out[3::4] = (b" " * (k - 1) + b"\n") * (len(flat) // k)
+    return out.translate(None, b"\0").decode("ascii")
+
+
+def _format_rows(rows, names: list[str]) -> str:
+    """Rows of ints as the lines ``_format_bytes`` gives, for any k."""
+    # One join over the names of all cells, each with the separator after
+    # it; one itemgetter call per row gathers the names.
+    k = len(names)
     spaced = [name + " " for name in names]
     cells = []
     for row in rows:
         # one index makes itemgetter return the item itself; at k = 1 the one row is (0,)
         cells += itemgetter(*row)(spaced) if k > 1 else spaced
     cells[k - 1 :: k] = [names[row[-1]] + "\n" for row in rows]
-    return "\n".join(lines) + "\n" + "".join(cells)
+    return "".join(cells)
+
+
+def format_algebra(algebra: Algebra) -> str:
+    """Serialise an algebra in the exact file format (no comments).
+
+    Up to 256 elements the unary map and the table are formatted from bytes
+    by ``_format_bytes``; beyond, from tuples of ints by ``_format_rows``."""
+    kind = kind_of(algebra)
+    k = algebra.k
+    head = f"kind: {kind}\norder: {k}\n"
+    if isinstance(algebra, BckAlgebra):
+        head += f"zero: {algebra.zero} one: {algebra.one}\n"
+        table, unary = algebra.table, None
+    elif isinstance(algebra, MvAlgebra):
+        head += f"zero: {algebra.zero}\n"
+        table, unary = algebra.oplus, algebra.complement
+    else:
+        head += f"one: {algebra.one}\n"
+        table, unary = algebra.circ, algebra.negation
+    if k <= 256:
+        if unary is not None:
+            head += "unary: " + _format_bytes(bytes(unary), k)
+        return head + _format_bytes(b"".join(table._rows), k)
+    names = [str(v) for v in range(k)]
+    if unary is not None:
+        head += "unary: " + _format_rows((unary,), names)
+    return head + _format_rows(table._rows, names)
 
 
 def parse_code(text: str) -> BlockCode:
@@ -148,9 +184,9 @@ def parse_code(text: str) -> BlockCode:
     lines = _content_lines(text)
     if not lines:
         raise ParseError("code file holds no words")
-    for line in lines:
-        if not re.fullmatch(r"[01]+", line):
-            raise ParseError(f"expected a bit string, got: {line!r}")
+    if "".join(lines).strip("01"):
+        bad = next(line for line in lines if not re.fullmatch(r"[01]+", line))
+        raise ParseError(f"expected a bit string, got: {bad!r}")
     return BlockCode.from_strings(lines)
 
 

@@ -1,13 +1,17 @@
 """Axiom verification, natural orders, and the MV derived operations."""
 
+import dataclasses
 import functools
 import math
 import os
+import pickle
+import random
 import subprocess
 import sys
 import textwrap
 from array import array
 from itertools import product
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -23,19 +27,26 @@ from mvcodes import (
     MvAlgebra,
     NotAPoset,
     WajsbergAlgebra,
+    attach_wajsberg,
     chain_wajsberg,
+    code_from_algebra,
     convert,
+    cut_subset,
     enumerate_wajsberg,
     evaluate_axiom,
+    format_algebra,
     mv_derived_ops,
     mv_leq_equivalences,
     natural_order,
+    parse_algebra,
+    transport_structure,
     verify,
     verify_bck,
     verify_mv,
     verify_wajsberg,
 )
-from mvcodes.algebras import _first_slices, _mv_translation, _scan, axiom_suite
+from mvcodes.algebras import _first_slices, _mv_translation, _relabel, _scan, axiom_suite, bck_axiom_suite
+from mvcodes.order import OrderIso
 
 from conftest import (
     PROD23,
@@ -192,6 +203,127 @@ class TestCayleyTable:
     def test_unary_map_checked(self):
         with pytest.raises(MalformedTable):
             MvAlgebra(CayleyTable(((0, 1), (1, 1))), (1, 2), 0)
+
+
+def itemgetter_relabel(table, rows, cols=None, cells=None):
+    """Cell (x, y) is ``cells[t[rows[x]][cols[y]]]``, one ``itemgetter`` per
+    row: the oracle of ``_relabel``'s byte path."""
+    t = table.rows
+    if len(t) == 1:  # itemgetter of one index returns a scalar, not a tuple
+        return t
+    out = map(t.__getitem__, rows)
+    if cols is not None:
+        out = map(itemgetter(*cols), out)
+    if cells is not None:
+        out = [itemgetter(*row)(cells) for row in out]
+    return tuple(out)
+
+
+class TestByteRows:
+    """Up to 256 elements a table keeps its checked rows as ``bytes`` and
+    builds the public tuple ``rows`` on first read; beyond, it holds tuples."""
+
+    def test_every_input_form_gives_tuple_rows(self):
+        expected = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        forms = [
+            expected,
+            [list(row) for row in expected],
+            [bytes(row) for row in expected],
+            [bytearray(row) for row in expected],
+            ["012", "120", "201"],
+            [[str(v) for v in row] for row in expected],
+            [[bool(v) if v < 2 else v for v in row] for row in expected],
+        ]
+        for rows in forms:
+            got = CayleyTable(rows).rows
+            assert got == expected, rows
+            assert {type(row) for row in got} == {tuple} and {type(v) for row in got for v in row} == {int}
+        assert CayleyTable(((True, False), (False, True))).rows == CayleyTable([b"\1\0", b"\0\1"]).rows == ((1, 0), (0, 1))
+
+    @pytest.mark.parametrize("k", [1, 2, 255, 256, 257])
+    def test_value_semantics(self, k):
+        expected = tuple(tuple((x + y) % k for y in range(k)) for x in range(k))
+        table = CayleyTable(expected)
+        same = CayleyTable(rows=[list(row) for row in expected])
+        assert same.rows == expected  # read: one of the two has its tuple rows built
+        assert table == same and hash(table) == hash(same) and len({table, same}) == 1
+        assert table != expected and table.k == k and table.at(k - 1, k - 1) == expected[-1][-1]
+        if k > 1:
+            other = CayleyTable(expected[1:] + expected[:1])
+            assert table != other and len({table, other}) == 2
+        for copy in (pickle.loads(pickle.dumps(CayleyTable(expected))), pickle.loads(pickle.dumps(same))):
+            assert copy == table and hash(copy) == hash(table) and copy.rows == expected
+        assert repr(table) == f"CayleyTable(rows={expected!r})"
+        for name in ("rows", "_rows", "k", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(table, name, expected)
+        with pytest.raises(AttributeError):
+            table.other
+        assert table.rows == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 64, 256, 257])
+    def test_relabel_matches_itemgetter_oracle(self, k):
+        rng = random.Random(k)
+        table = CayleyTable([[rng.randrange(k) for _ in range(k)] for _ in range(k)])
+        for _ in range(3):
+            rows, cols, cells = ([rng.randrange(k) for _ in range(k)] for _ in range(3))
+            for c, e in ((None, None), (cols, None), (None, cells), (cols, cells)):
+                assert _relabel(table, rows, c, e).rows == itemgetter_relabel(table, rows, c, e)
+                if k <= 256:  # maps given as byte rows, as ``_mv_translation`` passes them
+                    as_bytes = [None if m is None else bytes(m) for m in (c, e)]
+                    assert _relabel(table, bytes(rows), *as_bytes) == _relabel(table, rows, c, e)
+
+
+@pytest.fixture
+def row_builds(monkeypatch):
+    """The sizes of the tables whose tuple ``rows`` get built from byte rows."""
+    builds = []
+    lazy = CayleyTable.__getattr__
+
+    def counted(self, name):
+        if name == "rows":
+            builds.append(self.k)
+        return lazy(self, name)
+
+    monkeypatch.setattr(CayleyTable, "__getattr__", counted)
+    return builds
+
+
+class TestNoTupleRows:
+    """The package's own paths read byte rows and never build tuple rows."""
+
+    def test_the_counter_sees_a_read(self, row_builds):
+        table = CayleyTable([b"\0\1", b"\1\1"])
+        assert table.rows == table.rows == ((0, 1), (1, 1))
+        assert row_builds == [2]
+
+    @pytest.mark.parametrize("n", [24, 48, 240])
+    def test_enumerate_and_format(self, n, row_builds):
+        for entry in enumerate_wajsberg(n):
+            text = format_algebra(entry.algebra)
+            assert parse_algebra(text) == entry.algebra
+        assert row_builds == []
+
+    @pytest.mark.parametrize("factors", [(2, 3, 4), (2, 2, 3), (240,)])
+    def test_attach_accepted_code(self, factors, row_builds):
+        (entry,) = [e for e in enumerate_wajsberg(math.prod(factors)) if e.factors == factors]
+        inner = list(range(1, entry.order - 1))
+        random.Random(entry.order).shuffle(inner)
+        moved = transport_structure(entry.algebra, OrderIso([0, *inner, entry.order - 1]))
+        code = code_from_algebra(moved)
+        assert attach_wajsberg(code).algebra == moved
+        assert all(r.algebra == moved for r in attach_wajsberg(code, all_matches=True))
+        assert row_builds == []
+
+    def test_convert_between_all_presentations(self, row_builds):
+        (entry,) = [e for e in enumerate_wajsberg(24) if e.factors == (2, 3, 4)]
+        presented = {kind: convert(entry.algebra, kind) for kind in ("wajsberg", "mv", "bck")}
+        for source, target in product(presented, repeat=2):
+            assert convert(presented[source], target) == presented[target]
+        for algebra in presented.values():
+            assert natural_order(algebra).leq == natural_order(entry.algebra).leq
+            assert cut_subset(algebra, 1) == cut_subset(entry.algebra, 1)
+        assert row_builds == []
 
 
 class TestVerifyBck:
@@ -396,6 +528,24 @@ class TestSliceFilters:
         assert [t for t in product(range(algebra.k), repeat=2) if not pred(*t)] == failing
         assert verify(algebra).witness(axiom) == failing[0]
         assert_matches_plain_scan(algebra)
+
+    def test_bck1_filter_matches_unfiltered_scan(self):
+        # once a slice is flagged the filter builds later columns only over
+        # the rows above it; the first failing x must not change
+        rng = random.Random(1)
+        checked = set()
+        for algebra in presentations_upto_24():
+            if not isinstance(algebra, BckAlgebra):
+                continue
+            k = algebra.k
+            edits = product(range(k), repeat=3) if k <= 4 else [[rng.randrange(k) for _ in range(3)] for _ in range(12)]
+            for i, j, v in edits:
+                mutated = with_rows(algebra, mutate(rows_of(algebra), i, j, v))
+                bck1 = [axiom for axiom in bck_axiom_suite(mutated) if axiom[0] == "bck1"]
+                witness = _scan(k, bck1).witness("bck1")
+                assert _first_slices(mutated)["bck1"] == (witness and witness[0])
+                checked.add(witness is not None and witness[0] > 0)
+        assert checked == {False, True}
 
     def test_every_axiom_in_two_or_three_variables_is_filtered(self):
         for algebra in (chain_wajsberg(3), convert(chain_wajsberg(3), "mv"), convert(chain_wajsberg(3), "bck")):

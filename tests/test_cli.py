@@ -1,18 +1,27 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
 import io
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvcodes import (
+    attach_bck,
+    attach_mv,
+    attach_wajsberg,
     chain_wajsberg,
+    code_from_algebra,
+    convert,
     enumerate_wajsberg,
     format_algebra,
     format_code,
     parse_algebra,
+    transport_structure,
+    verify,
 )
 from mvcodes.cli import run
+from mvcodes.order import OrderIso
 
 from conftest import (
     CODE_CYCLED,
@@ -31,6 +40,7 @@ from conftest import (
     PROD222,
     SIX_CYCLED,
     SIX_IMPL,
+    catalog_upto,
     code_of,
 )
 
@@ -469,3 +479,29 @@ FUZZ_ARGV = st.one_of(
 def test_run_never_raises_on_arbitrary_argv(argv_paths, argv):
     status, _, _ = invoke([argv_paths.get(token, token) for token in argv])
     assert status in (0, 1, 2, 64)
+
+
+def test_every_attach_output_verifies(tmp_path):
+    # attach, attach_mv and attach_bck translate their result without
+    # verifying it: it is a transport of a catalog entry, valid by
+    # construction; every printed algebra of this sweep is verified here, and
+    # must equal the verified conversion of the library's result
+    path = tmp_path / "code.txt"
+    for n, _, algebra in catalog_upto(24):
+        inner = list(range(1, n - 1))
+        random.Random(n).shuffle(inner)
+        code = code_from_algebra(transport_structure(algebra, OrderIso([0, *inner, n - 1][:n])))
+        path.write_text(format_code(code))
+        results = attach_wajsberg(code, all_matches=True)
+        assert attach_mv(code) == convert(results[0].algebra, "mv")
+        assert attach_bck(code) == convert(results[0].algebra, "bck")
+        for kind in ("wajsberg", "mv", "bck"):
+            body = format_algebra(convert(results[0].algebra, kind))
+            for argv in (["attach", str(path), "--to", kind], ["attach", str(path), "--to", kind, "--all"]):
+                status, out, _ = invoke(argv)
+                assert status == 0
+                printed = out.split("---\n")[1:]
+                assert len(printed) == (len(results) if "--all" in argv else 1)
+                for text in printed:
+                    assert verify(parse_algebra(text)).valid
+                    assert text.endswith(body)

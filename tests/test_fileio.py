@@ -1,5 +1,6 @@
 """Text format round trips and strict parsing."""
 
+import random
 import re
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from mvcodes import (
     MalformedTable,
     MvAlgebra,
     ParseError,
+    WajsbergAlgebra,
     chain_wajsberg,
     convert,
     format_algebra,
@@ -20,6 +22,7 @@ from mvcodes import (
     verify,
 )
 from mvcodes.algebras import kind_of
+from mvcodes.fileio import _format_bytes, _format_rows
 
 from conftest import CODE_SIX, SIX_COMPLEMENT, SIX_PLUS, SIX_STAR, catalog_upto, code_of
 
@@ -64,6 +67,21 @@ def test_format_matches_row_by_row_oracle():
     presented = [convert(a, kind) for _, _, a in catalog_upto(12) for kind in ("bck", "mv", "wajsberg")]
     for algebra in presented + [chain_wajsberg(240), chain_wajsberg(257)]:
         assert format_algebra(algebra) == percent_format(algebra)
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 10, 11, 99, 100, 101, 256])
+def test_byte_formatter_matches_scalar_formatter(k):
+    # every value below k sits in the table, so k = 256 holds each byte value
+    rng = random.Random(k)
+    cells = list(range(k)) * k
+    rng.shuffle(cells)
+    table = CayleyTable([cells[i : i + k] for i in range(0, k * k, k)])
+    assert _format_bytes(b"".join(table._rows), k) == _format_rows(table.rows, [str(v) for v in range(k)])
+    unary = rng.sample(range(k), k)
+    for algebra in (BckAlgebra(table, 0, k - 1), MvAlgebra(table, unary, 0), WajsbergAlgebra(table, unary, k - 1)):
+        text = format_algebra(algebra)
+        assert text == percent_format(algebra)
+        assert parse_algebra(text) == algebra
 
 
 def test_comments_and_blanks_ignored():
@@ -168,6 +186,16 @@ def test_code_comments_allowed():
 def test_malformed_code_files(text):
     with pytest.raises(ParseError):
         parse_code(text)
+
+
+@pytest.mark.parametrize(
+    "text, bad",
+    [("11\n0a\n2\n", "0a"), ("# c\n11\n01\n1 0\n", "1 0"), ("1\u00b9\n01\n", "1\u00b9"), ("x\n", "x")],
+)
+def test_first_bad_code_line_named(text, bad):
+    with pytest.raises(ParseError) as exc:
+        parse_code(text)
+    assert str(exc.value) == f"expected a bit string, got: {bad!r}"
 
 
 def test_bck_equality_via_parse(six_bck):
