@@ -18,11 +18,19 @@ would be an order isomorphism, and no search over maps is needed. Every
 other isomorphism differs from the first by an order automorphism of the
 product, which only permutes the digits of equal factors and so is an
 algebra automorphism: all of them transport to the same algebra.
+
+Embedding searches the same products without building them. The code of a
+chain product is closed form in the digits: column c is the down-set of c,
+the elements whose every digit is at most c's (``catalog._product_masks``).
+The column search reads those masks, and a host's table is folded only for
+an entry that has a hit, once, and checked against its closed-form columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import not_
 from typing import Iterator, Optional, Union
 
 from .algebras import BckAlgebra, MvAlgebra, WajsbergAlgebra, _mv_translation
@@ -31,8 +39,9 @@ from .catalog import (
     _all_isos,
     _fold_product,
     _is_product_iso,
+    _order_types,
     _product_iso,
-    enumerate_wajsberg,
+    _product_masks,
     transport_structure,
 )
 from .codes import BlockCode, code_from_algebra
@@ -208,66 +217,72 @@ class EmbeddingResult:
 
 
 def _canonical_embedding(
-    entry: ChainProduct, cols: tuple[int, ...], want: set
+    entry: ChainProduct, cols: tuple[int, ...], want: set, down: Optional[tuple[int, ...]] = None
 ) -> EmbeddingResult:
-    # Relabel the host so the selected columns sit in ascending positions;
-    # the restriction set is unchanged and the host stays a catalog transport.
+    """The hit ``cols`` in ``entry``, its host relabelled so that the selected
+    columns sit in ascending positions; the restriction set is unchanged and
+    the host stays a catalog transport. The restriction is read off ``down``,
+    the down-set masks of ``entry``'s order (its code's columns), by default
+    those of the code of ``entry.algebra``."""
     q = entry.order
-    forward = list(range(q))
+    if down is None:
+        down = _masks(zip(*code_from_algebra(entry.algebra).words))
+    forward, inverse = list(range(q)), list(range(q))
     ordered = sorted(cols)
     for a, b in zip(cols, ordered):
-        forward[a] = b
+        forward[a], inverse[b] = b, a
     host = transport_structure(entry.algebra, OrderIso(tuple(forward)))
-    host_words = code_from_algebra(host).words
-    seen = []
-    for w in host_words:
-        restricted = tuple(w[c] for c in ordered)
-        if restricted not in seen:
-            seen.append(restricted)
-    restriction = BlockCode(tuple(seen))
-    if not want <= set(restriction.words):
+    # Host word p is the word of entry element inverse[p], and host column
+    # ordered[i] is entry column cols[i]: character r of digits[i] is bit r
+    # of that column's mask, and word r the r-th characters (m = 0: no digits).
+    digits = [f"{down[c]:0{q}b}"[::-1] for c in cols]
+    words = [*map("".join, zip(*digits))] or [""] * q
+    restriction = BlockCode(tuple(dict.fromkeys(map(words.__getitem__, inverse))))
+    if not want.issubset(restriction.words):
         raise RuntimeError(f"columns {cols} of host {entry.factors} do not cover the code")
     return EmbeddingResult(q, host, entry.factors, tuple(ordered), restriction)
 
 
-def _covering_columns(
-    words: tuple[tuple[int, ...], ...], want: set, m: int
-) -> Iterator[tuple[int, ...]]:
-    """Injective column tuples of length ``m`` on which ``words`` cover ``want``.
+def _covering_columns(ones: tuple[int, ...], want: set, m: int) -> Iterator[tuple[int, ...]]:
+    """Injective column tuples of length ``m`` on which a square code of q
+    words covers ``want``; ``ones[c]`` is the mask of the words with a 1 in
+    column c.
 
-    Yields them in the order of ``itertools.permutations(range(q), m)``. For
-    each wanted word, a bitmask over ``words`` marks those that agree with it
-    on the columns chosen so far; a prefix with an empty mask is dropped.
+    Yields them in the order of ``itertools.permutations(range(q), m)``,
+    depth first, trying unused columns (a bitmask) in ascending order. For
+    each wanted word a q-bit mask marks the code words that agree with it on
+    the columns chosen so far, and a prefix with an empty mask is dropped.
+    The masks sit in lanes of q + 1 bits of one ``int``, the top bit of each
+    lane a guard, and for each depth and column one packed mask holds, per
+    lane, the words with the wanted word's bit in that column. A candidate
+    column costs one AND, and one addition of q ones per lane, which carries
+    into a lane's guard exactly when that lane is not empty.
     """
-    q = len(words[0])
-    full = (1 << len(words)) - 1
-    # per column: (words with bit 0, words with bit 1) as bitmasks
-    split = [(full ^ ones, ones) for ones in _masks(zip(*words))]
-    targets = tuple(want)
+    q, full = len(ones), (1 << len(ones)) - 1
+    lanes = [1 << t * (q + 1) for t in range(len(want))]  # bit 0 of each lane
+    spread = sum(lanes)
+    low, guard = spread * full, spread << q
+    spread_ones = [o * spread for o in ones]
+    # at depth d, a lane whose wanted word has a 0 there takes the complement
+    zeros = [sum(compress(lanes, map(not_, bits))) * full for bits in zip(*want)]
+    packed = [[s ^ z for s in spread_ones] for z in zeros]
     chosen = []
 
-    def extend(live):
-        depth = len(chosen)
+    def extend(live, used, depth):
         if depth == m:
             yield tuple(chosen)
             return
-        bits = [w[depth] for w in targets]
+        by_column = packed[depth]
         for c in range(q):
-            if c in chosen:
+            if used >> c & 1:
                 continue
-            by_bit = split[c]
-            narrowed = []
-            for mask, bit in zip(live, bits):
-                mask &= by_bit[bit]
-                if not mask:
-                    break
-                narrowed.append(mask)
-            else:
+            narrowed = live & by_column[c]
+            if (narrowed + low) & guard == guard:
                 chosen.append(c)
-                yield from extend(narrowed)
+                yield from extend(narrowed, used | 1 << c, depth + 1)
                 chosen.pop()
 
-    return extend([full] * len(targets))
+    return extend(low, 0, 0)
 
 
 def embed_code(
@@ -283,14 +298,14 @@ def embed_code(
     are exactly the column permutations of catalog codes, and each hit is
     canonicalised by sorting its columns through a host relabelling.
 
-    The tuples are searched depth first, one column position at a time,
-    trying unused columns in ascending order. For every input word the
-    search keeps the set of host words that agree with it on the columns
-    chosen so far, and abandons a prefix as soon as one of these sets is
-    empty. Pruning drops only prefixes that no covering tuple extends, so
-    the hits, and the ``all_matches`` list, come in the same lexicographic
-    order as a scan of every tuple. Raises NoEmbeddingFound when the search
-    space up to ``max_order`` is exhausted.
+    An entry's code columns are read off its factors in closed form, and
+    the tuples are searched depth first by ``_covering_columns``. Pruning
+    drops only prefixes that no covering tuple extends, so the hits, and
+    the ``all_matches`` list, come in the same lexicographic order as a scan
+    of every tuple. An entry's table is built only when it has a hit. Raises
+    NoEmbeddingFound when the search space up to ``max_order`` is exhausted,
+    and InvalidSize, as ``enumerate_wajsberg`` does, on reaching an order
+    whose catalog would exceed ``MAX_CATALOG_CELLS`` table cells.
     """
     m = code.length
     n = code.size
@@ -302,10 +317,14 @@ def embed_code(
     want = set(code.words)
     results = []
     for q in range(lo, max_order + 1):
-        for entry in enumerate_wajsberg(q):
-            words = code_from_algebra(entry.algebra).words
-            for cols in _covering_columns(words, want, m):
-                result = _canonical_embedding(entry, cols, want)
+        for factors in _order_types(q):
+            down, entry = _product_masks(factors)[1], None
+            for cols in _covering_columns(down, want, m):
+                if entry is None:
+                    entry = ChainProduct(factors, _fold_product(factors))
+                    if _masks(zip(*code_from_algebra(entry.algebra).words)) != down:
+                        raise RuntimeError(f"closed-form columns of {factors} differ from the code of its table")
+                result = _canonical_embedding(entry, cols, want, down)
                 if not all_matches:
                     return result
                 results.append(result)

@@ -27,6 +27,7 @@ Word = tuple[int, ...]
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 _BITS = bytes.maketrans(b"01", b"\0\1")
+_MARKS = bytes.maketrans(b"\0\1", b".#")
 
 
 @dataclass(frozen=True)
@@ -159,17 +160,14 @@ class Skeleton:
     black: tuple[tuple[bool, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(bool(v) for v in row) for row in self.black)
-        object.__setattr__(self, "black", rows)
+        object.__setattr__(self, "black", tuple(tuple(map(bool, row)) for row in self.black))
 
     @property
     def k(self) -> int:
         return len(self.black)
 
     def render(self) -> str:
-        return "\n".join(
-            "".join("#" if v else "." for v in row) for row in self.black
-        )
+        return b"\n".join(map(bytes, self.black)).translate(_MARKS).decode()
 
     def permute_rows(self, perm: Sequence[int]) -> "Skeleton":
         return Skeleton(tuple(self.black[perm[i]] for i in range(self.k)))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mvcodes
+import mvcodes.catalog as catalog
 import mvcodes.cli
 from mvcodes import (
     BlockCode,
@@ -35,9 +36,16 @@ from mvcodes import (
     validate_code_matrix,
 )
 from mvcodes.attach import _canonical_embedding, _covering_columns
-from mvcodes.catalog import _fold_product, _is_product_iso, _product_iso, transport_structure
-from mvcodes.errors import NotAPoset
-from mvcodes.order import OrderIso, Poset, poset_isomorphisms
+from mvcodes.catalog import (
+    _fold_product,
+    _is_product_iso,
+    _product_iso,
+    _product_masks,
+    factorizations,
+    transport_structure,
+)
+from mvcodes.errors import InvalidSize, NotAPoset
+from mvcodes.order import OrderIso, Poset, _masks, poset_isomorphisms
 
 from conftest import (
     CODE_CYCLED,
@@ -558,7 +566,7 @@ def host_and_wanted_words(draw):
 def test_pruned_search_matches_full_scan(case):
     entry, m, want = case
     words = code_from_algebra(entry.algebra).words
-    assert list(_covering_columns(words, want, m)) == scan_columns(words, want, m)
+    assert list(_covering_columns(_masks(zip(*words)), want, m)) == scan_columns(words, want, m)
 
     code = BlockCode(tuple(sorted(want, reverse=True)))
     max_order = max(entry.order, code.size)
@@ -581,6 +589,83 @@ def test_invariant_checks_survive_optimised_mode():
         attach.code_from_algebra = lambda algebra: BlockCode(((1, 0), (1, 1)))
         try:
             attach.attach_wajsberg(BlockCode.from_strings(("11", "01")))
+        except RuntimeError as exc:
+            print(f"debug={__debug__} raised: {exc}")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(mvcodes.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("debug=False raised: ")
+
+
+class TestClosedFormEmbedding:
+    def test_product_masks_are_the_natural_order(self):
+        every = [(1,)] + [f for q in range(2, 65) for f in [(q,)] + factorizations(q)]
+        for factors in every + [(2, 3, 43)]:  # 258 elements: tuple rows
+            order = natural_order(_fold_product(factors))
+            assert _product_masks(factors) == (order.up, order.down), factors
+
+    @pytest.mark.parametrize(
+        "factors, want",
+        [
+            ((2, 3), {(1, 0, 1)}),  # one wanted word
+            ((1,), {(1,)}),  # q = 1
+            ((2, 2, 2), {(1, 1, 1), (0, 1, 1), (1, 0, 1), (0, 0, 1), (1, 1, 0), (0, 0, 0)}),
+            ((2, 4), {(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 0), (1, 1, 0)}),
+            ((3, 3), {(0, 1, 0), (1, 1, 1), (0, 0, 1)}),
+            ((6,), {(1, 0), (0, 1)}),  # a chain's columns are nested: no tuple has both
+        ],
+    )
+    def test_packed_search_matches_full_scan(self, factors, want):
+        words = code_from_algebra(_fold_product(factors)).words
+        m = len(next(iter(want)))
+        found = list(_covering_columns(_product_masks(factors)[1], want, m))
+        assert found == scan_columns(words, want, m)
+
+    def test_embed_refuses_oversized_orders_like_enumerate(self, monkeypatch):
+        # orders 2 and 3 fit 9 cells and hold no host; order 4 does not fit
+        monkeypatch.setattr(catalog, "MAX_CATALOG_CELLS", 9)
+        with pytest.raises(InvalidSize) as expected:
+            enumerate_wajsberg(4)
+
+        def never(*args):
+            raise AssertionError("built a table")
+
+        monkeypatch.setattr(mvcodes.attach, "_fold_product", never)
+        monkeypatch.setattr(catalog, "_fold_product", never)
+        with pytest.raises(InvalidSize) as exc:
+            embed_code(code_of(("01", "10")))
+        assert str(exc.value) == str(expected.value)
+
+    def test_hosts_are_built_only_on_a_hit(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(mvcodes.attach, "_fold_product", lambda f: built.append(f) or _fold_product(f))
+        embed_code(code_of(CODE_PAIR), max_order=8, all_matches=True)
+        hosts = {r.factors for r in scan_embed(code_of(CODE_PAIR), 8)}
+        assert sorted(built) == sorted(hosts)
+        with pytest.raises(NoEmbeddingFound):
+            embed_code(code_of(("01", "10")), max_order=3)
+        assert len(built) == len(hosts)
+
+
+def test_embed_invariant_survives_optimised_mode():
+    # embed compares its closed-form columns with the code of each host it
+    # builds; a mismatch must be reported even when python -O strips asserts
+    script = textwrap.dedent(
+        """
+        import mvcodes.attach as attach
+        from mvcodes import BlockCode
+
+        attach.code_from_algebra = lambda algebra: BlockCode(((1, 0), (1, 1)))
+        try:
+            attach.embed_code(BlockCode.from_strings(("1",)), max_order=2)
         except RuntimeError as exc:
             print(f"debug={__debug__} raised: {exc}")
         """

@@ -1,5 +1,6 @@
 """Code generation, the codeword order, distances, and skeletons."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -27,6 +28,7 @@ from mvcodes import (
     mv_derived_ops,
     mv_sum_indicator,
     natural_order,
+    Skeleton,
     skeleton,
     bck_to_mv,
     mv_to_bck,
@@ -343,6 +345,16 @@ class TestSkeleton:
 
     def test_one_element(self):
         assert skeleton(chain_wajsberg(1)).render() == "#"
+
+    @pytest.mark.parametrize("k", [1, 2, 64, 257])
+    def test_marks_and_render_match_cell_by_cell(self, k):
+        rng = random.Random(k)
+        cells = [[rng.choice((0, 1, 2, True, False, None)) for _ in range(k)] for _ in range(k)]
+        marks = Skeleton(cells)
+        assert marks.black == tuple(tuple(bool(v) for v in row) for row in cells)
+        assert all(type(v) is bool for row in marks.black for v in row)
+        assert marks.render() == "\n".join("".join("#" if v else "." for v in row) for row in cells)
+        assert skeleton(chain_wajsberg(k)).render() == "\n".join("." * x + "#" * (k - x) for x in range(k))
 
     def test_mv_indicator_is_reversed_skeleton(self, six_bck):
         mv = bck_to_mv(six_bck)
