@@ -14,9 +14,10 @@ only when a caller reads them. Larger tables hold tuples of ints.
 
 Verification checks every axiom over the whole carrier and reports the
 lexicographically least witness per violated axiom. Up to 256 elements a
-Wajsberg or BCK table is first checked through its MV translation: when that
-verifies and translates back to the input, every axiom of the input holds,
-and only otherwise are the input's own axioms scanned for witnesses.
+Wajsberg or BCK table is first checked through its MV translation, made by
+``_translate`` like every change of presentation: when that verifies and
+keeps the input's ``one``, every axiom of the input holds, and only
+otherwise are the input's own axioms scanned for witnesses.
 
 The predicates of the ``*_axiom_suite`` functions are the one definition of
 each axiom. For carriers of at most 256 elements, whose table rows fit byte
@@ -68,7 +69,7 @@ class CayleyTable:
         flat = byte_rows = None
         try:  # lengths first: a generator row has none, and stays unconsumed
             if k <= 256 and set(map(len, rows)) == {k}:
-                if set(map(type, rows)) == {bytes}:  # rows of ``_fold_product``, ``_relabel``, the parser
+                if set(map(type, rows)) == {bytes}:  # rows of ``_product_rows``, ``_relabel``, the parser
                     flat, byte_rows = b"".join(rows), rows
                 else:  # not the buffer of an array('b'), where -1 would read as 255
                     flat = bytes(chain.from_iterable(rows))
@@ -505,19 +506,26 @@ def _scan(
     return AxiomReport(tuple(violations))
 
 
-def _mv_translation(algebra: Algebra) -> Optional[MvAlgebra]:
-    """The MV algebra of a Wajsberg or BCK input: x+y = n(x)->y, or x+y =
-    c(c(x)*y) with c = row ``one``. None for an MV input, or a BCK input with
-    1*0 != 1. When it verifies, ``mv_to_wajsberg`` / ``mv_to_bck`` map it back
-    to the input exactly: double-complement makes n and c involutive, and
-    1*0 = 1 keeps BCK's ``one``."""
-    if isinstance(algebra, WajsbergAlgebra):
-        return MvAlgebra(_relabel(algebra.circ, algebra.negation), algebra.negation, algebra.zero)
-    if isinstance(algebra, BckAlgebra):
-        c = algebra.table._rows[algebra.one]
-        if c[algebra.zero] == algebra.one:
-            return MvAlgebra(_relabel(algebra.table, c, cells=c), c, algebra.zero)
-    return None
+def _translate(algebra: Algebra, kind: str) -> Algebra:
+    """The algebra in presentation ``kind`` (the input itself if it is one),
+    unverified. Through the unary map u (negation, complement, or row ``one``
+    of BCK), x+y = u(x)->y, x*y = u(x'+y) and x*y = u(x->y): one ``_relabel``,
+    rows through u when one side is MV, cells when one side is BCK."""
+    src = kind_of(algebra)
+    if src == kind:
+        return algebra
+    if src == "bck":
+        table, u = algebra.table, algebra.table._rows[algebra.one]
+    elif src == "mv":
+        table, u = algebra.oplus, algebra.complement
+    else:
+        table, u = algebra.circ, algebra.negation
+    out = _relabel(table, u if "mv" in (src, kind) else range(algebra.k), cells=u if "bck" in (src, kind) else None)
+    if kind == "bck":
+        return BckAlgebra(out, algebra.zero, algebra.one)
+    if kind == "mv":
+        return MvAlgebra(out, u, algebra.zero)
+    return WajsbergAlgebra(out, u, algebra.one)
 
 
 def verify(algebra: Algebra) -> AxiomReport:
@@ -525,12 +533,15 @@ def verify(algebra: Algebra) -> AxiomReport:
 
     Up to 256 elements a Wajsberg or BCK input is first proved valid through
     its MV translation, which is term-equivalent (Font-Rodriguez-Torrens 1984,
-    Mundici 1986); only when that fails are its own axioms scanned, which
-    finds the witnesses.
+    Mundici 1986): when that verifies, ``_translate`` maps it back to the
+    input exactly, since its ``one`` is then the input's (1*0 = 1 in BCK).
+    A BCK table with 1*0 != 1 therefore skips the MV scan. Only when the
+    proof fails are the input's own axioms scanned, which finds the witnesses.
     """
-    mv = _mv_translation(algebra) if algebra.k <= 256 else None
-    if mv is not None and _scan(mv.k, mv_axiom_suite(mv), _first_slices(mv)).valid:
-        return AxiomReport(())
+    if algebra.k <= 256 and kind_of(algebra) != "mv":
+        mv = _translate(algebra, "mv")
+        if mv.one == algebra.one and _scan(mv.k, mv_axiom_suite(mv), _first_slices(mv)).valid:
+            return AxiomReport(())
     return _scan(algebra.k, axiom_suite(algebra), _first_slices(algebra))
 
 
@@ -609,7 +620,7 @@ def natural_order(algebra: Algebra) -> Poset:
 def mv_derived_ops(m: MvAlgebra) -> tuple[CayleyTable, CayleyTable]:
     """The product x.y = (x'+y')' and difference x-y = (x'+y)', tabulated."""
     c = m.complement
-    return _relabel(m.oplus, c, c, c), _relabel(m.oplus, c, cells=c)
+    return _relabel(m.oplus, c, c, c), _translate(m, "bck").table
 
 
 def mv_leq_equivalences(m: MvAlgebra, x: int, y: int) -> bool:

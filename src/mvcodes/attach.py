@@ -33,7 +33,7 @@ from itertools import compress
 from operator import not_
 from typing import Iterator, Optional, Union
 
-from .algebras import BckAlgebra, MvAlgebra, WajsbergAlgebra, _mv_translation
+from .algebras import BckAlgebra, MvAlgebra, WajsbergAlgebra, _translate
 from .catalog import (
     ChainProduct,
     _all_isos,
@@ -45,7 +45,6 @@ from .catalog import (
     transport_structure,
 )
 from .codes import BlockCode, code_from_algebra
-from .convert import _mv_to_bck
 from .errors import AlgebraError, NoEmbeddingFound, NonSquare
 from .order import OrderIso, _masks, order_violation
 
@@ -194,12 +193,13 @@ def attach_wajsberg(
 def attach_mv(code: BlockCode) -> MvAlgebra:
     """The MV presentation of the attached algebra; same rejection behaviour.
     The attached algebra is valid by construction and is not verified again."""
-    return _mv_translation(attach_wajsberg(code).algebra)
+    return _translate(attach_wajsberg(code).algebra, "mv")
 
 
 def attach_bck(code: BlockCode) -> BckAlgebra:
-    """The BCK presentation of the attached algebra; same rejection behaviour."""
-    return _mv_to_bck(attach_mv(code))
+    """The BCK presentation of the attached algebra; same rejection behaviour.
+    The attached algebra is valid by construction and is not verified again."""
+    return _translate(attach_wajsberg(code).algebra, "bck")
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,9 @@ carrier.
 A representative is built in one pass on the mixed-radix carrier, the last
 factor the least significant digit: the componentwise Łukasiewicz
 implication is tabulated factor by factor from the last digit up, with no
-intermediate algebra per factor. Up to 256 elements the rows are ``bytes``:
-a block of a row shifted by a constant is one ``translate`` through a rotated
-identity table, and a new row is one ``join`` of blocks; a larger product is
-folded the same way in tuples of ints.
+intermediate algebra per factor. Each step is ``_product_rows``, the one
+product step, which ``product_wajsberg`` also takes: up to 256 elements in
+``bytes``, a shifted block one ``translate`` and a row one ``join``.
 
 A representative's factors can be read back off its order (Birkhoff): the
 join-irreducibles, the elements with exactly one lower cover, form one chain
@@ -51,20 +50,11 @@ def chain_wajsberg(k: int) -> WajsbergAlgebra:
 
 
 def product_wajsberg(w1: WajsbergAlgebra, w2: WajsbergAlgebra) -> WajsbergAlgebra:
-    """Componentwise product on the mixed-radix carrier (a, b) -> a*|w2| + b."""
-    k1, k2 = w1.k, w2.k
-    t1, t2 = w1.circ._rows, w2.circ._rows
-    rows = tuple(
-        tuple(
-            t1[a][c] * k2 + t2[b][d] for c in range(k1) for d in range(k2)
-        )
-        for a in range(k1)
-        for b in range(k2)
-    )
-    negation = tuple(
-        w1.negation[a] * k2 + w2.negation[b] for a in range(k1) for b in range(k2)
-    )
-    return WajsbergAlgebra(CayleyTable(rows), negation, w1.one * k2 + w2.one)
+    """Componentwise product on the mixed-radix carrier (a, b) -> a*|w2| + b;
+    its implication is ``_product_rows`` of the factors' tables."""
+    k2 = w2.k
+    negation = tuple(a * k2 + b for a in w1.negation for b in w2.negation)
+    return WajsbergAlgebra(CayleyTable(_product_rows(w1.circ._rows, w2.circ._rows)), negation, w1.one * k2 + w2.one)
 
 
 def factorizations(n: int) -> list[tuple[int, ...]]:
@@ -108,23 +98,30 @@ class ChainProduct:
         return "x".join(str(f) for f in self.factors)
 
 
+def _product_rows(t1, t2) -> list:
+    """Rows of the componentwise product of the tables with rows t1 and t2.
+
+    Cell (a*k + r, c*k + s) is t1[a][c]*k + t2[r][s], k = |t2|: row r of t2
+    shifted by m*k is block m, and row a of t1 picks its blocks by c. Up to
+    256 elements a shift is a ``translate`` through a rotated identity table
+    and a row is ``bytes``; beyond, a tuple of ints."""
+    k = len(t2)
+    if len(t1) * k <= 256:
+        shifts = [_BYTES[s:] + _BYTES[:s] for s in range(0, len(t1) * k, k)]
+        blocks = [list(map(row.translate, shifts)) for row in t2]
+        return [b"".join(map(b.__getitem__, p)) for p in t1 for b in blocks]
+    blocks = [[tuple(map((k * m).__add__, row)) for m in range(len(t1))] for row in t2]
+    return [tuple(chain.from_iterable(map(b.__getitem__, p))) for p in t1 for b in blocks]
+
+
 def _fold_product(factors: tuple[int, ...]) -> WajsbergAlgebra:
-    """The chain product, equal to folding ``product_wajsberg`` left to right."""
-    small = prod(factors) <= 256  # rows fit bytes, and a shift is a translate
-    rows, k = [b"\0" if small else (0,)], 1
+    """The chain product, equal to folding ``product_wajsberg`` left to right;
+    a chain's table is x->y = min(top, top - x + y)."""
+    rows = [b"\0"]
     for f in reversed(factors):
-        # Cell (a*k + r, c*k + s) is min(top, top - a + c)*k + rows[r][s]:
-        # row r shifted by m*k is block m, and row a picks its blocks by c.
         top = f - 1
-        picks = [[*range(top - a, top), *[top] * (f - a)] for a in range(f)]
-        if small:
-            shifts = [_BYTES[s:] + _BYTES[:s] for s in range(0, k * f, k)]
-            blocks = [list(map(row.translate, shifts)) for row in rows]
-            rows = [b"".join(map(b.__getitem__, p)) for p in picks for b in blocks]
-        else:
-            blocks = [[tuple(map((k * m).__add__, row)) for m in range(f)] for row in rows]
-            rows = [tuple(chain.from_iterable(map(b.__getitem__, p))) for p in picks for b in blocks]
-        k *= f
+        rows = _product_rows([[*range(top - a, top), *[top] * (f - a)] for a in range(f)], rows)
+    k = len(rows)
     return WajsbergAlgebra(CayleyTable(rows), tuple(range(k - 1, -1, -1)), k - 1)
 
 

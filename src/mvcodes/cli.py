@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .algebras import Algebra, _mv_translation, kind_of, verify
+from .algebras import Algebra, _translate, kind_of, verify
 from .attach import (
     CodeRejected,
     attach_wajsberg,
@@ -26,7 +26,7 @@ from .codes import (
     min_hamming_distance,
     skeleton,
 )
-from .convert import _mv_to_bck, convert
+from .convert import convert
 from .errors import AlgebraError, NoEmbeddingFound, NotAnAlgebra, ParseError
 from .fileio import format_algebra, format_code, parse_algebra, parse_code
 
@@ -225,12 +225,7 @@ def _cmd_attach(args, out, err) -> int:
     source = results[0].source
     head = f"# catalog: n={source.order} factors={source.factor_label()}\n"
     # a transport of a catalog entry, valid by construction: translated unverified
-    algebra = results[0].algebra
-    if args.kind != "wajsberg":
-        algebra = _mv_translation(algebra)
-        if args.kind == "bck":
-            algebra = _mv_to_bck(algebra)
-    body = format_algebra(algebra)
+    body = format_algebra(_translate(results[0].algebra, args.kind))
     texts = [
         (f"attached_{i}_{args.kind}.alg", f"{head}# relabeling: {','.join(map(str, r.iso.forward))}\n{body}")
         for i, r in enumerate(results, start=1)

@@ -45,7 +45,7 @@ from mvcodes import (
     verify_mv,
     verify_wajsberg,
 )
-from mvcodes.algebras import _first_slices, _mv_translation, _relabel, _scan, axiom_suite, bck_axiom_suite
+from mvcodes.algebras import _first_slices, _relabel, _scan, _translate, axiom_suite, bck_axiom_suite
 from mvcodes.order import OrderIso
 
 from conftest import (
@@ -269,7 +269,7 @@ class TestByteRows:
             rows, cols, cells = ([rng.randrange(k) for _ in range(k)] for _ in range(3))
             for c, e in ((None, None), (cols, None), (None, cells), (cols, cells)):
                 assert _relabel(table, rows, c, e).rows == itemgetter_relabel(table, rows, c, e)
-                if k <= 256:  # maps given as byte rows, as ``_mv_translation`` passes them
+                if k <= 256:  # maps given as byte rows, as ``_translate`` passes a BCK row ``one``
                     as_bytes = [None if m is None else bytes(m) for m in (c, e)]
                     assert _relabel(table, bytes(rows), *as_bytes) == _relabel(table, rows, c, e)
 
@@ -565,7 +565,7 @@ class TestSliceFilters:
     def test_wrong_filter_raises_in_optimised_mode(self, axiom, algebra):
         # a filter that flags a clean slice must not yield an empty report,
         # even when python -O strips asserts
-        mv = _mv_translation(algebra)
+        mv = _translate(algebra, "mv")
         assert verify(mv).valid == (axiom == "assoc")
         (pred,) = [pred for name, _, pred in axiom_suite(algebra if axiom == "w2" else mv) if name == axiom]
         assert all(pred(0, y, v) for y in range(4) for v in range(4))
@@ -652,8 +652,8 @@ class TestMvProof:
             for a, b in product(range(k), range(k) if second is not None else (None,)):
                 mutated = with_unary_and_constants(algebra, unary, a, b)
                 assert_matches_plain_scan(mutated)
-                guarded += isinstance(algebra, BckAlgebra) and _mv_translation(mutated) is None
-        # BCK inputs with s[one][zero] != one, which get no MV translation
+                guarded += isinstance(algebra, BckAlgebra) and _translate(mutated, "mv").one != mutated.one
+        # BCK inputs with s[one][zero] != one, whose MV translation has another one
         assert guarded
 
     def test_every_edit_of_bck_row_one_up_to_order_8(self):
@@ -663,7 +663,7 @@ class TestMvProof:
                 for j, v in product(range(algebra.k), repeat=2):
                     mutated = with_rows(algebra, mutate(rows_of(algebra), algebra.one, j, v))
                     assert_matches_plain_scan(mutated)
-                    guarded += _mv_translation(mutated) is None
+                    guarded += _translate(mutated, "mv").one != mutated.one
         assert guarded
 
     def test_cubic_filters_find_nothing_on_valid_tables(self):

@@ -174,14 +174,50 @@ class TestProducts:
             assert wajsberg_isomorphic(w1, w2) is not None
 
 
+def cellwise_product(w1, w2):
+    """Componentwise product on the mixed-radix carrier, cell by cell: the
+    oracle of ``_product_rows``, which ``product_wajsberg`` and
+    ``_fold_product`` share."""
+    k1, k2 = w1.k, w2.k
+    t1, t2 = w1.circ.rows, w2.circ.rows
+    rows = tuple(
+        tuple(t1[a][c] * k2 + t2[b][d] for c in range(k1) for d in range(k2)) for a in range(k1) for b in range(k2)
+    )
+    negation = tuple(w1.negation[a] * k2 + w2.negation[b] for a in range(k1) for b in range(k2))
+    return WajsbergAlgebra(CayleyTable(rows), negation, w1.one * k2 + w2.one)
+
+
+def assert_same_algebra(got, want, label):
+    assert got.circ.rows == want.circ.rows, label
+    assert got.negation == want.negation, label
+    assert got.one == want.one, label
+
+
 def assert_fold_matches_products(factors):
-    folded = chain_wajsberg(factors[0])
+    folded = oracle = chain_wajsberg(factors[0])
     for f in factors[1:]:
         folded = product_wajsberg(folded, chain_wajsberg(f))
+        oracle = cellwise_product(oracle, chain_wajsberg(f))
     built = _fold_product(factors)
-    assert built.circ.rows == folded.circ.rows, factors
-    assert built.negation == folded.negation, factors
-    assert built.one == folded.one, factors
+    assert_same_algebra(built, folded, factors)
+    assert_same_algebra(built, oracle, factors)
+
+
+class TestProductStep:
+    def test_every_pair_up_to_order_12_matches_cellwise_oracle(self):
+        entries = catalog_upto(12)
+        for (_, f1, w1), (_, f2, w2) in iproduct(entries, entries):
+            assert_same_algebra(product_wajsberg(w1, w2), cellwise_product(w1, w2), (f1, f2))
+
+    def test_tuple_rows_match_cellwise_oracle(self):
+        # 3 * 86 = 258 elements: the product is built in tuples of ints
+        w1, w2 = chain_wajsberg(3), chain_wajsberg(86)
+        assert_same_algebra(product_wajsberg(w1, w2), cellwise_product(w1, w2), (3, 86))
+
+    @pytest.mark.parametrize("factors", [(43, 3, 2), (86, 3)])
+    def test_fold_above_256_in_descending_order(self, factors):
+        # test_large_products_fold[258] covers the ascending factor tuples, (2, 3, 43) among them
+        assert_fold_matches_products(factors)
 
 
 class TestOnePassProducts:

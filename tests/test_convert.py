@@ -1,6 +1,7 @@
 """Presentation conversions: exactness, round trips, order preservation."""
 
 import importlib
+import io
 from collections import Counter
 from dataclasses import replace
 
@@ -10,10 +11,19 @@ from hypothesis import given, strategies as st
 from mvcodes import (
     BckAlgebra,
     CayleyTable,
+    MvAlgebra,
     NotBounded,
     NotCommutative,
+    WajsbergAlgebra,
+    attach_bck,
+    attach_wajsberg,
     bck_to_mv,
+    chain_wajsberg,
+    code_from_algebra,
     convert,
+    enumerate_wajsberg,
+    format_code,
+    kind_of,
     mv_to_bck,
     mv_to_wajsberg,
     natural_order,
@@ -21,7 +31,8 @@ from mvcodes import (
     verify,
     wajsberg_to_mv,
 )
-from mvcodes import algebras
+from mvcodes import algebras, cli
+from mvcodes.algebras import _relabel, _translate
 from mvcodes.order import OrderIso
 
 from conftest import (
@@ -221,3 +232,84 @@ class TestConvertVerifiesOnce:
                 public = PUBLIC_PATHS.get((source, target), convert_module.ensure_verified)
                 got = outcome(lambda: convert(algebra, target))
                 assert isinstance(got, tuple) and got == outcome(lambda: public(algebra))
+
+
+def two_step_translation(algebra, kind):
+    """The translation through MV, one ``_relabel`` into MV and one out of it:
+    the oracle of ``_translate``, which makes one in all."""
+    if isinstance(algebra, WajsbergAlgebra):
+        n = algebra.negation
+        algebra = MvAlgebra(_relabel(algebra.circ, n), n, algebra.zero)
+    elif isinstance(algebra, BckAlgebra) and kind != "bck":
+        c = algebra.table.rows[algebra.one]
+        algebra = MvAlgebra(_relabel(algebra.table, c, cells=c), c, algebra.zero)
+    if not isinstance(algebra, MvAlgebra) or kind == "mv":
+        return algebra
+    c = algebra.complement
+    if kind == "bck":
+        return BckAlgebra(_relabel(algebra.oplus, c, cells=c), algebra.zero, algebra.one)
+    return WajsbergAlgebra(_relabel(algebra.oplus, c), c, algebra.one)
+
+
+def unverified_presentations(w):
+    return {kind: two_step_translation(w, kind) for kind in ("wajsberg", "mv", "bck")}
+
+
+KINDS = ("bck", "mv", "wajsberg")
+
+
+class TestTranslate:
+    @pytest.mark.parametrize("target", KINDS)
+    @pytest.mark.parametrize("source", KINDS)
+    def test_matches_two_step_oracle(self, source, target):
+        for _, _, w in catalog_upto(12):
+            algebra = presentations(w)[source]
+            assert _translate(algebra, target) == two_step_translation(algebra, target)
+
+    @pytest.mark.parametrize("target", KINDS)
+    @pytest.mark.parametrize("source", KINDS)
+    @pytest.mark.parametrize("n", [257, 258])
+    def test_tuple_rows_match_two_step_oracle(self, n, source, target):
+        # beyond 256 elements the rows are tuples and _relabel gathers with itemgetter
+        for entry in enumerate_wajsberg(n)[:3]:
+            algebra = unverified_presentations(entry.algebra)[source]
+            assert _translate(algebra, target) == two_step_translation(algebra, target)
+
+    def test_own_presentation_is_returned_as_is(self):
+        for algebra in presentations(chain_wajsberg(5)).values():
+            assert _translate(algebra, kind_of(algebra)) is algebra
+
+    @pytest.fixture
+    def relabels(self, monkeypatch):
+        calls = Counter()
+        original = algebras._relabel
+
+        def counted(*args, **kwargs):
+            calls["relabel"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(algebras, "_relabel", counted)
+        return calls
+
+    @pytest.mark.parametrize("source, target", [("wajsberg", "bck"), ("bck", "wajsberg")])
+    def test_convert_makes_one_relabel_beyond_verify(self, source, target, relabels):
+        for _, _, w in catalog_upto(12):
+            algebra = presentations(w)[source]
+            relabels.clear()
+            assert verify(algebra).valid
+            proof = relabels["relabel"]  # the MV proof of the input
+            relabels.clear()
+            assert convert(algebra, target) == two_step_translation(algebra, target)
+            assert relabels["relabel"] == proof + 1
+
+    def test_attach_to_bck_makes_one_relabel(self, relabels, tmp_path):
+        w = catalog_upto(12)[-1][2]
+        code = code_from_algebra(w)
+        path = tmp_path / "code.txt"
+        path.write_text(format_code(code))
+        out = io.StringIO()
+        assert cli.run(["attach", str(path), "--to", "bck"], out=out) == 0
+        assert relabels["relabel"] == 1
+        relabels.clear()
+        assert attach_bck(code) == two_step_translation(attach_wajsberg(code).algebra, "bck")
+        assert relabels["relabel"] == 1

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import mvcodes
@@ -14,3 +15,26 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # a module-level private function or class that only tests call is dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in Path(mvcodes.__file__).parent.glob("*.py")}
+
+    def names(node):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                yield n.id
+            elif isinstance(n, ast.Attribute):
+                yield n.attr
+
+    everywhere = Counter(name for tree in trees.values() for name in names(tree))
+    dead = [
+        f"{module}:{node.name}"
+        for module, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and everywhere[node.name] == Counter(names(node))[node.name]
+    ]
+    assert dead == []
