@@ -5,7 +5,11 @@ commutative BCK algebras (difference-like operation ``*`` with least element
 ``zero`` and greatest element ``one``), MV algebras (truncated addition ``+``
 with an involutive complement), and Wajsberg algebras (implication ``->`` with
 an involutive negation). Carriers are always ``{0, .., k-1}``; any element
-names live in calling code.
+names live in calling code. The three differ only in the field that holds
+the table, the unary map u that goes with it (the negation, the complement,
+or BCK row ``one``, as x' = 1*x) and the constants they name: ``_parts``
+reads the kind, table and u off a presentation and ``_make`` builds one, the
+package's only dispatch on the three classes.
 
 A table of at most 256 elements keeps its checked rows as ``bytes`` from
 build to print: the axiom suites, the byte filters, ``_relabel`` and
@@ -234,6 +238,28 @@ class WajsbergAlgebra:
 Algebra = Union[BckAlgebra, MvAlgebra, WajsbergAlgebra]
 
 
+def _parts(algebra: Algebra) -> tuple[str, CayleyTable, Sequence[int]]:
+    """The kind, the table and the unary map u of a presentation: u is the
+    negation, the complement, or row ``one`` of BCK (x' = 1*x)."""
+    if isinstance(algebra, BckAlgebra):
+        return "bck", algebra.table, algebra.table._rows[algebra.one]
+    if isinstance(algebra, MvAlgebra):
+        return "mv", algebra.oplus, algebra.complement
+    if isinstance(algebra, WajsbergAlgebra):
+        return "wajsberg", algebra.circ, algebra.negation
+    raise TypeError(f"not an algebra: {algebra!r}")
+
+
+def _make(kind: str, table: CayleyTable, unary, zero, one) -> Algebra:
+    """Presentation ``kind`` of ``table``; the unary map or constant that
+    ``kind`` does not hold is ignored."""
+    if kind == "bck":
+        return BckAlgebra(table, zero, one)
+    if kind == "mv":
+        return MvAlgebra(table, unary, zero)
+    return WajsbergAlgebra(table, unary, one)
+
+
 @dataclass(frozen=True)
 class Violation:
     axiom: str
@@ -309,13 +335,8 @@ def wajsberg_axiom_suite(w: WajsbergAlgebra) -> AxiomSuite:
 
 
 def axiom_suite(algebra: Algebra) -> AxiomSuite:
-    if isinstance(algebra, BckAlgebra):
-        return bck_axiom_suite(algebra)
-    if isinstance(algebra, MvAlgebra):
-        return mv_axiom_suite(algebra)
-    if isinstance(algebra, WajsbergAlgebra):
-        return wajsberg_axiom_suite(algebra)
-    raise TypeError(f"not an algebra: {algebra!r}")
+    suites = {"bck": bck_axiom_suite, "mv": mv_axiom_suite, "wajsberg": wajsberg_axiom_suite}
+    return suites[kind_of(algebra)](algebra)
 
 
 def _lookup(values: bytes) -> bytes:
@@ -459,23 +480,16 @@ def _first_slices(algebra: Algebra) -> dict[str, Optional[int]]:
     """
     if algebra.k > 256:
         return {}
-    if isinstance(algebra, BckAlgebra):
-        table, filters = algebra.table, (
-            ("bck1", _bck1_first_slice),
-            ("bck2", _bck2_first_slice),
-            ("bck4", _bck4_first_slice),
-            ("commutative", _commutative_first_slice),
-        )
-    elif isinstance(algebra, MvAlgebra):
-        table, filters = algebra.oplus, (
-            ("assoc", _assoc_first_slice),
-            ("comm", _comm_first_slice),
-            ("lukasiewicz", _lukasiewicz_first_slice),
-        )
-    else:
-        table, filters = algebra.circ, (("w2", _w2_first_slice), ("w3", _w3_first_slice), ("w4", _w4_first_slice))
+    kind, table, _ = _parts(algebra)
+    # read at each call, so that a filter patched on the module is the one run
+    filters = {
+        "bck": {"bck1": _bck1_first_slice, "bck2": _bck2_first_slice, "bck4": _bck4_first_slice,
+                "commutative": _commutative_first_slice},
+        "mv": {"assoc": _assoc_first_slice, "comm": _comm_first_slice, "lukasiewicz": _lukasiewicz_first_slice},
+        "wajsberg": {"w2": _w2_first_slice, "w3": _w3_first_slice, "w4": _w4_first_slice},
+    }[kind]
     view = _ByteView(table)
-    return {name: first_slice(algebra, view) for name, first_slice in filters}
+    return {name: first_slice(algebra, view) for name, first_slice in filters.items()}
 
 
 def _scan(
@@ -511,21 +525,11 @@ def _translate(algebra: Algebra, kind: str) -> Algebra:
     unverified. Through the unary map u (negation, complement, or row ``one``
     of BCK), x+y = u(x)->y, x*y = u(x'+y) and x*y = u(x->y): one ``_relabel``,
     rows through u when one side is MV, cells when one side is BCK."""
-    src = kind_of(algebra)
+    src, table, u = _parts(algebra)
     if src == kind:
         return algebra
-    if src == "bck":
-        table, u = algebra.table, algebra.table._rows[algebra.one]
-    elif src == "mv":
-        table, u = algebra.oplus, algebra.complement
-    else:
-        table, u = algebra.circ, algebra.negation
     out = _relabel(table, u if "mv" in (src, kind) else range(algebra.k), cells=u if "bck" in (src, kind) else None)
-    if kind == "bck":
-        return BckAlgebra(out, algebra.zero, algebra.one)
-    if kind == "mv":
-        return MvAlgebra(out, u, algebra.zero)
-    return WajsbergAlgebra(out, u, algebra.one)
+    return _make(kind, out, u, algebra.zero, algebra.one)
 
 
 def verify(algebra: Algebra) -> AxiomReport:
@@ -573,11 +577,9 @@ def evaluate_axiom(algebra: Algebra, axiom: str, witness: Sequence[int]) -> bool
 
 
 def kind_of(algebra: Algebra) -> str:
-    if isinstance(algebra, BckAlgebra):
-        return "bck"
-    if isinstance(algebra, MvAlgebra):
-        return "mv"
-    return "wajsberg"
+    """The presentation's name: "bck", "mv" or "wajsberg"; raises TypeError
+    for anything else."""
+    return _parts(algebra)[0]
 
 
 def ensure_verified(algebra: Algebra) -> None:
@@ -596,12 +598,9 @@ def _order_row(algebra: Algebra, x: int):
     The one place the order is read off a presentation; row x is the up-set
     of x, i.e. its cut subset.
     """
-    if isinstance(algebra, BckAlgebra):
-        row, target = algebra.table._rows[x], algebra.zero
-    elif isinstance(algebra, MvAlgebra):
-        row, target = algebra.oplus._rows[algebra.complement[x]], algebra.one
-    else:
-        row, target = algebra.circ._rows[x], algebra.one
+    kind, table, u = _parts(algebra)
+    row = table._rows[u[x] if kind == "mv" else x]
+    target = algebra.zero if kind == "bck" else algebra.one
     if algebra.k <= 256:
         return row.translate(bytes(target) + b"\1" + bytes(255 - target))
     return tuple([v == target for v in row])

@@ -217,16 +217,13 @@ class EmbeddingResult:
 
 
 def _canonical_embedding(
-    entry: ChainProduct, cols: tuple[int, ...], want: set, down: Optional[tuple[int, ...]] = None
+    entry: ChainProduct, cols: tuple[int, ...], want: set, down: tuple[int, ...]
 ) -> EmbeddingResult:
     """The hit ``cols`` in ``entry``, its host relabelled so that the selected
     columns sit in ascending positions; the restriction set is unchanged and
     the host stays a catalog transport. The restriction is read off ``down``,
-    the down-set masks of ``entry``'s order (its code's columns), by default
-    those of the code of ``entry.algebra``."""
+    the down-set masks of ``entry``'s order (its code's columns)."""
     q = entry.order
-    if down is None:
-        down = _masks(zip(*code_from_algebra(entry.algebra).words))
     forward, inverse = list(range(q)), list(range(q))
     ordered = sorted(cols)
     for a, b in zip(cols, ordered):

@@ -37,28 +37,36 @@ def _ensure_bck_verified(b: BckAlgebra) -> None:
         raise NotAnAlgebra("input is not a BCK algebra", report)
 
 
+def _convert_kind(algebra: Algebra, src: str, kind: str) -> Algebra:
+    """``convert(algebra, kind)`` for an input of kind ``src``; raises
+    TypeError, before any verification, for another kind."""
+    if kind_of(algebra) != src:
+        raise TypeError(f"expected a {src} algebra, got a {kind_of(algebra)} algebra")
+    return convert(algebra, kind)
+
+
 def bck_to_mv(b: BckAlgebra) -> MvAlgebra:
     """Rebuild the MV presentation: x' = 1*x and x+y = (x'*y)'."""
-    return convert(b, "mv")
+    return _convert_kind(b, "bck", "mv")
 
 
 def mv_to_bck(m: MvAlgebra) -> BckAlgebra:
     """Rebuild the BCK presentation; the operation is the MV difference."""
-    return convert(m, "bck")
+    return _convert_kind(m, "mv", "bck")
 
 
 def wajsberg_to_mv(w: WajsbergAlgebra) -> MvAlgebra:
     """Rebuild the MV presentation: x+y = neg(x)->y, complement = negation."""
-    return convert(w, "mv")
+    return _convert_kind(w, "wajsberg", "mv")
 
 
 def mv_to_wajsberg(m: MvAlgebra) -> WajsbergAlgebra:
     """Rebuild the Wajsberg presentation: x->y = x'+y, negation = complement."""
-    return convert(m, "wajsberg")
+    return _convert_kind(m, "mv", "wajsberg")
 
 
 def convert(algebra: Algebra, kind: str) -> Algebra:
-    """Convert to the named presentation in one table relabelling.
+    """Convert any presentation to the named one in one table relabelling.
 
     The input is verified once: a BCK input leaving BCK raises as
     ``bck_to_mv`` does, any other input as ``ensure_verified``."""

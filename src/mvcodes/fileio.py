@@ -26,14 +26,7 @@ from __future__ import annotations
 import re
 from operator import itemgetter
 
-from .algebras import (
-    Algebra,
-    BckAlgebra,
-    CayleyTable,
-    MvAlgebra,
-    WajsbergAlgebra,
-    kind_of,
-)
+from .algebras import Algebra, CayleyTable, _make, _parts
 from .codes import BlockCode
 from .errors import ParseError
 
@@ -89,34 +82,25 @@ def parse_algebra(text: str) -> Algebra:
     # the canonical token of each element; a file of k rows has at least k
     # lines left, so a huge order on a short file builds no huge lookup
     values = {str(v): v for v in range(min(k, len(lines)))}
+    zero = one = unary = None  # constants as strings of digits, or None where ``kind`` holds none
     if kind == "bck":
         zero, one = _match(
             _take(lines, "constants line"),
             r"zero:[ \t]*([0-9]+)[ \t]+one:[ \t]*([0-9]+)",
             "zero: <i> one: <j>",
         )
-        unary = None
     elif kind == "mv":
         (zero,) = _match(_take(lines, "constants line"), r"zero:[ \t]*([0-9]+)", "zero: <i>")
-        one = None
-        unary = _int_row(
-            _match(_take(lines, "unary line"), r"unary:[ \t]*(.+)", "unary: row")[0], k, values, "unary row"
-        )
     else:
         (one,) = _match(_take(lines, "constants line"), r"one:[ \t]*([0-9]+)", "one: <j>")
-        zero = None
+    if kind != "bck":
         unary = _int_row(
             _match(_take(lines, "unary line"), r"unary:[ \t]*(.+)", "unary: row")[0], k, values, "unary row"
         )
     rows = tuple(_int_row(_take(lines, f"table row {i}"), k, values, f"table row {i}") for i in range(k))
     if lines:
         raise ParseError(f"trailing content: {lines[0]!r}")
-    table = CayleyTable(rows)
-    if kind == "bck":
-        return BckAlgebra(table, int(zero), int(one))
-    if kind == "mv":
-        return MvAlgebra(table, unary, int(zero))
-    return WajsbergAlgebra(table, unary, int(one))
+    return _make(kind, CayleyTable(rows), unary, zero and int(zero), one and int(one))
 
 
 # Digit planes of a byte value: its hundreds, tens and ones digits in ASCII,
@@ -157,26 +141,18 @@ def format_algebra(algebra: Algebra) -> str:
 
     Up to 256 elements the unary map and the table are formatted from bytes
     by ``_format_bytes``; beyond, from tuples of ints by ``_format_rows``."""
-    kind = kind_of(algebra)
+    kind, table, unary = _parts(algebra)
     k = algebra.k
     head = f"kind: {kind}\norder: {k}\n"
-    if isinstance(algebra, BckAlgebra):
+    if kind == "bck":
         head += f"zero: {algebra.zero} one: {algebra.one}\n"
-        table, unary = algebra.table, None
-    elif isinstance(algebra, MvAlgebra):
-        head += f"zero: {algebra.zero}\n"
-        table, unary = algebra.oplus, algebra.complement
+        rows = table._rows
     else:
-        head += f"one: {algebra.one}\n"
-        table, unary = algebra.circ, algebra.negation
+        head += (f"zero: {algebra.zero}\n" if kind == "mv" else f"one: {algebra.one}\n") + "unary: "
+        rows = (bytes(unary) if k <= 256 else unary, *table._rows)
     if k <= 256:
-        if unary is not None:
-            head += "unary: " + _format_bytes(bytes(unary), k)
-        return head + _format_bytes(b"".join(table._rows), k)
-    names = [str(v) for v in range(k)]
-    if unary is not None:
-        head += "unary: " + _format_rows((unary,), names)
-    return head + _format_rows(table._rows, names)
+        return head + _format_bytes(b"".join(rows), k)
+    return head + _format_rows(rows, [str(v) for v in range(k)])
 
 
 def parse_code(text: str) -> BlockCode:

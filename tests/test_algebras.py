@@ -35,6 +35,7 @@ from mvcodes import (
     enumerate_wajsberg,
     evaluate_axiom,
     format_algebra,
+    kind_of,
     mv_derived_ops,
     mv_leq_equivalences,
     natural_order,
@@ -769,3 +770,51 @@ def test_meet_commutes_on_verified_bck(six_bck):
     for x in range(k):
         for y in range(k):
             assert s[y][s[y][x]] == s[x][s[x][y]]
+
+
+@pytest.mark.parametrize(
+    "call, error, args",
+    [
+        (lambda w: WajsbergAlgebra(w.circ, (2, 1), 2), MalformedTable, ("unary map has 2 entries, expected 3",)),
+        (lambda w: evaluate_axiom(w, "w2", (0, 1)), ValueError, ("w2 takes 3 variables",)),
+        (lambda w: evaluate_axiom(w, "w5", (0,)), KeyError, ("w5",)),
+        (lambda w: kind_of(42), TypeError, ("not an algebra: 42",)),
+        (lambda w: axiom_suite(42), TypeError, ("not an algebra: 42",)),
+    ],
+    ids=["unary-length", "axiom-arity", "axiom-name", "kind-of-non-algebra", "suite-of-non-algebra"],
+)
+def test_error_paths(call, error, args):
+    with pytest.raises(error) as exc:
+        call(chain_wajsberg(3))
+    assert exc.type is error and exc.value.args == args
+
+
+@pytest.mark.parametrize(
+    "build, violations",
+    [
+        # all-zero table, identity negation, one 1
+        (
+            lambda: WajsbergAlgebra(CayleyTable([[0] * 257] * 257), tuple(range(257)), 1),
+            {"w1": (1,), "w2": (0, 0, 0), "w4": (0, 0)},
+        ),
+        # all-one table, zero 0, one 1
+        (
+            lambda: BckAlgebra(CayleyTable([[1] * 257] * 257), 0, 1),
+            {"bck1": (0, 0, 0), "bck2": (0, 0), "bck3": (0,), "bck5": (0,), "bounded": (0,)},
+        ),
+    ],
+    ids=["wajsberg", "bck"],
+)
+def test_verify_over_256_elements_scans_own_axioms(build, violations, monkeypatch):
+    # no byte filter and no MV proof beyond 256 elements: the report is the
+    # plain scan of the input's own axioms
+    algebra = build()
+
+    def no_translation(*args):
+        raise AssertionError("a table over 256 elements was translated")
+
+    monkeypatch.setattr(mvcodes.algebras, "_translate", no_translation)
+    assert _first_slices(algebra) == {}
+    report = verify(algebra)
+    assert report == _scan(257, axiom_suite(algebra))
+    assert {v.axiom: v.witness for v in report.violations} == violations

@@ -541,7 +541,7 @@ def scan_embed(code, max_order):
         for entry in enumerate_wajsberg(q):
             words = code_from_algebra(entry.algebra).words
             for cols in scan_columns(words, want, code.length):
-                results.append(_canonical_embedding(entry, cols, want))
+                results.append(_canonical_embedding(entry, cols, want, _masks(zip(*words))))
     return results
 
 
@@ -680,3 +680,10 @@ def test_embed_invariant_survives_optimised_mode():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("debug=False raised: ")
+
+
+@pytest.mark.parametrize("max_order", [0, 2])
+def test_max_order_below_the_code_size_finds_nothing(max_order):
+    with pytest.raises(NoEmbeddingFound) as exc:
+        embed_code(code_of(["00", "01", "11"]), max_order=max_order)
+    assert exc.value.max_order == max_order

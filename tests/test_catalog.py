@@ -12,6 +12,7 @@ from mvcodes import (
     BlockCode,
     CayleyTable,
     InvalidSize,
+    NotAnOrderIso,
     SizeMismatch,
     WajsbergAlgebra,
     bck_to_mv,
@@ -497,3 +498,17 @@ def _is_wajsberg_morphism(w1, w2, f):
     if any(f[n1[x]] != n2[f[x]] for x in range(k)):
         return False
     return all(f[t1[x][y]] == t2[f[x]][f[y]] for x in range(k) for y in range(k))
+
+
+@pytest.mark.parametrize(
+    "call, error, args",
+    [
+        (lambda: enumerate_wajsberg(0), InvalidSize, ("enumeration needs n >= 1, got 0",)),
+        (lambda: transport_structure(chain_wajsberg(3), OrderIso((1, 0))), NotAnOrderIso, ("map size 2 does not match carrier 3",)),
+    ],
+    ids=["enumerate-0", "transport-size"],
+)
+def test_error_paths(call, error, args):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error and exc.value.args == args

@@ -86,6 +86,12 @@ class TestVerify:
         assert out.startswith("invalid: bounded commutative BCK\n")
         assert "violated" in out
 
+    @pytest.mark.parametrize("kind", ["bck", "mv", "wajsberg"])
+    def test_order_zero_exits_1(self, tmp_path, kind):
+        path = tmp_path / "empty.alg"
+        path.write_text(f"kind: {kind}\norder: 0\n")
+        assert invoke(["verify", str(path)]) == (1, "", "error: order must be at least 1\n")
+
     def test_missing_file_exits_1(self):
         status, _, err = invoke(["verify", "/nonexistent.alg"])
         assert status == 1

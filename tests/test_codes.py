@@ -406,3 +406,9 @@ class TestOrderProperties:
                 for s in range(mv.k):
                     union = cut_subset(mv, r) | cut_subset(mv, s)
                     assert union <= cut_subset(mv, odot.rows[r][s])
+
+
+@pytest.mark.parametrize("wx, wy", [((0, 1), (0,)), ((1,), (1, 0))])
+def test_hamming_of_different_lengths_rejected(wx, wy):
+    with pytest.raises(LengthMismatch, match=rf"^word lengths differ: {len(wx)} vs {len(wy)}$"):
+        hamming(wx, wy)

@@ -12,6 +12,7 @@ from mvcodes import (
     BckAlgebra,
     CayleyTable,
     MvAlgebra,
+    NotAnAlgebra,
     NotBounded,
     NotCommutative,
     WajsbergAlgebra,
@@ -313,3 +314,43 @@ class TestTranslate:
         relabels.clear()
         assert attach_bck(code) == two_step_translation(attach_wajsberg(code).algebra, "bck")
         assert relabels["relabel"] == 1
+
+
+WRONG_KINDS = [
+    (converter, expected, given)
+    for converter, expected in ((bck_to_mv, "bck"), (mv_to_bck, "mv"), (wajsberg_to_mv, "wajsberg"), (mv_to_wajsberg, "mv"))
+    for given in ("bck", "mv", "wajsberg")
+    if given != expected
+]
+
+
+@pytest.mark.parametrize(
+    "converter, expected, given", WRONG_KINDS, ids=[f"{c.__name__}-{given}" for c, _, given in WRONG_KINDS]
+)
+def test_converter_refuses_other_kinds_before_verifying(converter, expected, given, monkeypatch):
+    algebra = presentations(chain_wajsberg(3))[given]
+
+    def no_verify(algebra):
+        raise AssertionError("verified an input of the wrong kind")
+
+    monkeypatch.setattr(convert_module, "verify", no_verify)
+    monkeypatch.setattr(convert_module, "ensure_verified", no_verify)
+    with pytest.raises(TypeError) as exc:
+        converter(algebra)
+    assert exc.value.args == (f"expected a {expected} algebra, got a {given} algebra",)
+
+
+@pytest.mark.parametrize(
+    "call, error, args",
+    [
+        (lambda: convert(chain_wajsberg(3), "bogus"), ValueError, ("unknown kind: bogus",)),
+        # fails bck4 only, so neither NotBounded nor NotCommutative
+        (lambda: bck_to_mv(BckAlgebra(CayleyTable(((0, 0), (0, 0))), 0, 1)), NotAnAlgebra, ("input is not a BCK algebra",)),
+        (lambda: bck_to_mv(42), TypeError, ("not an algebra: 42",)),
+    ],
+    ids=["unknown-kind", "bck4-only", "non-algebra"],
+)
+def test_error_paths(call, error, args):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error and exc.value.args == args

@@ -210,3 +210,9 @@ def test_readme_algebra_example_parses_as_written():
     algebra = parse_algebra(example)
     assert algebra.k == 6
     assert verify(algebra).valid
+
+
+@pytest.mark.parametrize("kind", ["bck", "mv", "wajsberg"])
+def test_order_zero_rejected(kind):
+    with pytest.raises(ParseError, match=r"^order must be at least 1$"):
+        parse_algebra(f"kind: {kind}\norder: 0\n")

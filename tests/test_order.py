@@ -213,3 +213,10 @@ class TestBitmaskCore:
         w = code.words
         expected = tuple(tuple(codeword_leq(a, b) for b in w) for a in w)
         assert code_poset(code).leq == expected
+
+
+@pytest.mark.parametrize("leq", [((True, False),), ((True,), (True,)), ((True, False), (True,))])
+def test_non_square_relation_rejected(leq):
+    with pytest.raises(NotAPoset) as exc:
+        Poset(leq)
+    assert (exc.value.law, exc.value.witness) == ("shape", ())

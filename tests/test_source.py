@@ -38,3 +38,17 @@ def test_every_private_helper_is_used_in_the_package():
         and everywhere[node.name] == Counter(names(node))[node.name]
     ]
     assert dead == []
+
+
+def test_presentations_are_told_apart_only_in_parts():
+    # one isinstance chain, algebras._parts, knows the three presentation classes
+    classes = {"BckAlgebra", "MvAlgebra", "WajsbergAlgebra"}
+    found = []
+    for path in sorted(Path(mvcodes.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+                    tested = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+                    if tested & classes:
+                        found.append(f"{path.name}:{getattr(top, 'name', node.lineno)}")
+    assert found == ["algebras.py:_parts"] * 3
