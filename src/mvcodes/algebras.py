@@ -19,19 +19,19 @@ only when a caller reads them. Larger tables hold tuples of ints.
 Verification checks every axiom over the whole carrier and reports the
 lexicographically least witness per violated axiom. Up to 256 elements a
 Wajsberg or BCK table is first checked through its MV translation, made by
-``_translate`` like every change of presentation: when that verifies and
-keeps the input's ``one``, every axiom of the input holds, and only
-otherwise are the input's own axioms scanned for witnesses.
+``_translate`` like every change of presentation: when that verifies, every
+axiom of the input holds, and only otherwise are the input's own axioms
+scanned for witnesses.
 
-The predicates of the ``*_axiom_suite`` functions are the one definition of
-each axiom. For carriers of at most 256 elements, whose table rows fit byte
-strings, every axiom in two or three variables first goes through a byte
-filter that finds the first x whose slice (x, ...) holds a failing pair or
-triple, with C-level ``bytes`` work over one ``_ByteView`` per call
-(``translate`` as table lookup, strided slices as transposes); the predicate
-is run only over that slice, so it still picks the witness. The axioms in one
-variable, and every axiom of a larger carrier, are scanned element by
-element, pair by pair or triple by triple.
+Each row of a ``*_axiom_suite`` is the one definition of an axiom: its name,
+arity, predicate and byte filter. For carriers of at most 256 elements, whose
+table rows fit byte strings, every axiom in two or three variables first goes
+through its filter, which finds the first x whose slice (x, ...) holds a
+failing pair or triple, with C-level ``bytes`` work over one ``_ByteView``
+per call (``translate`` as table lookup, strided slices as transposes); the
+predicate is run only over that slice, so it still picks the witness. The
+axioms in one variable, and every axiom of a larger carrier, are scanned
+element by element, pair by pair or triple by triple.
 """
 
 from __future__ import annotations
@@ -286,21 +286,22 @@ class AxiomReport:
         return None
 
 
-AxiomSuite = list[tuple[str, int, Callable[..., bool]]]
+AxiomSuite = list[tuple[str, int, Callable[..., bool], Optional[Callable[..., Optional[int]]]]]
 
 
 def bck_axiom_suite(b: BckAlgebra) -> AxiomSuite:
-    """Axioms of a bounded commutative BCK algebra as (name, arity, predicate)."""
+    """Axioms of a bounded commutative BCK algebra as (name, arity, predicate,
+    byte filter); the filter is None for an axiom in one variable."""
     s = b.table._rows
     z, o = b.zero, b.one
     return [
-        ("bck1", 3, lambda x, y, w: s[s[s[x][y]][s[x][w]]][s[w][y]] == z),
-        ("bck2", 2, lambda x, y: s[s[x][s[x][y]]][y] == z),
-        ("bck3", 1, lambda x: s[x][x] == z),
-        ("bck4", 2, lambda x, y: not (s[x][y] == z and s[y][x] == z) or x == y),
-        ("bck5", 1, lambda x: s[z][x] == z),
-        ("bounded", 1, lambda x: s[x][o] == z),
-        ("commutative", 2, lambda x, y: s[y][s[y][x]] == s[x][s[x][y]]),
+        ("bck1", 3, lambda x, y, w: s[s[s[x][y]][s[x][w]]][s[w][y]] == z, _bck1_first_slice),
+        ("bck2", 2, lambda x, y: s[s[x][s[x][y]]][y] == z, _bck2_first_slice),
+        ("bck3", 1, lambda x: s[x][x] == z, None),
+        ("bck4", 2, lambda x, y: not (s[x][y] == z and s[y][x] == z) or x == y, _bck4_first_slice),
+        ("bck5", 1, lambda x: s[z][x] == z, None),
+        ("bounded", 1, lambda x: s[x][o] == z, None),
+        ("commutative", 2, lambda x, y: s[y][s[y][x]] == s[x][s[x][y]], _commutative_first_slice),
     ]
 
 
@@ -310,13 +311,13 @@ def mv_axiom_suite(m: MvAlgebra) -> AxiomSuite:
     c = m.complement
     z, o = m.zero, m.one
     return [
-        ("assoc", 3, lambda x, y, w: p[p[x][y]][w] == p[x][p[y][w]]),
-        ("comm", 2, lambda x, y: p[x][y] == p[y][x]),
-        ("identity", 1, lambda x: p[z][x] == x and p[x][z] == x),
-        ("double-complement", 1, lambda x: c[c[x]] == x),
-        ("top-absorbing", 1, lambda x: p[x][o] == o),
-        ("lukasiewicz", 2, lambda x, y: p[c[p[c[x]][y]]][y] == p[c[p[c[y]][x]]][x]),
-        ("excluded-middle", 1, lambda x: p[x][c[x]] == o),
+        ("assoc", 3, lambda x, y, w: p[p[x][y]][w] == p[x][p[y][w]], _assoc_first_slice),
+        ("comm", 2, lambda x, y: p[x][y] == p[y][x], _comm_first_slice),
+        ("identity", 1, lambda x: p[z][x] == x and p[x][z] == x, None),
+        ("double-complement", 1, lambda x: c[c[x]] == x, None),
+        ("top-absorbing", 1, lambda x: p[x][o] == o, None),
+        ("lukasiewicz", 2, lambda x, y: p[c[p[c[x]][y]]][y] == p[c[p[c[y]][x]]][x], _lukasiewicz_first_slice),
+        ("excluded-middle", 1, lambda x: p[x][c[x]] == o, None),
     ]
 
 
@@ -326,11 +327,11 @@ def wajsberg_axiom_suite(w: WajsbergAlgebra) -> AxiomSuite:
     n = w.negation
     o = w.one
     return [
-        ("w1", 1, lambda x: t[o][x] == x),
-        ("w2", 3, lambda x, y, v: t[t[x][y]][t[t[y][v]][t[x][v]]] == o),
-        ("w3", 2, lambda x, y: t[t[x][y]][y] == t[t[y][x]][x]),
-        ("w4", 2, lambda x, y: t[t[n[x]][n[y]]][t[y][x]] == o),
-        ("involution", 1, lambda x: n[n[x]] == x),
+        ("w1", 1, lambda x: t[o][x] == x, None),
+        ("w2", 3, lambda x, y, v: t[t[x][y]][t[t[y][v]][t[x][v]]] == o, _w2_first_slice),
+        ("w3", 2, lambda x, y: t[t[x][y]][y] == t[t[y][x]][x], _w3_first_slice),
+        ("w4", 2, lambda x, y: t[t[n[x]][n[y]]][t[y][x]] == o, _w4_first_slice),
+        ("involution", 1, lambda x: n[n[x]] == x, None),
     ]
 
 
@@ -480,16 +481,8 @@ def _first_slices(algebra: Algebra) -> dict[str, Optional[int]]:
     """
     if algebra.k > 256:
         return {}
-    kind, table, _ = _parts(algebra)
-    # read at each call, so that a filter patched on the module is the one run
-    filters = {
-        "bck": {"bck1": _bck1_first_slice, "bck2": _bck2_first_slice, "bck4": _bck4_first_slice,
-                "commutative": _commutative_first_slice},
-        "mv": {"assoc": _assoc_first_slice, "comm": _comm_first_slice, "lukasiewicz": _lukasiewicz_first_slice},
-        "wajsberg": {"w2": _w2_first_slice, "w3": _w3_first_slice, "w4": _w4_first_slice},
-    }[kind]
-    view = _ByteView(table)
-    return {name: first_slice(algebra, view) for name, first_slice in filters.items()}
+    view = _ByteView(_parts(algebra)[1])
+    return {name: first_slice(algebra, view) for name, _, _, first_slice in axiom_suite(algebra) if first_slice}
 
 
 def _scan(
@@ -502,7 +495,7 @@ def _scan(
     """
     first_slices = first_slices or {}
     violations = []
-    for name, arity, pred in suite:
+    for name, arity, pred, _ in suite:
         if name in first_slices:
             x = first_slices[name]
             if x is None:
@@ -538,13 +531,13 @@ def verify(algebra: Algebra) -> AxiomReport:
     Up to 256 elements a Wajsberg or BCK input is first proved valid through
     its MV translation, which is term-equivalent (Font-Rodriguez-Torrens 1984,
     Mundici 1986): when that verifies, ``_translate`` maps it back to the
-    input exactly, since its ``one`` is then the input's (1*0 = 1 in BCK).
-    A BCK table with 1*0 != 1 therefore skips the MV scan. Only when the
-    proof fails are the input's own axioms scanned, which finds the witnesses.
+    input exactly (a valid translation of a BCK table has 1*0 = 1, so its
+    ``one`` is the input's), and the input is valid. Only when the proof
+    fails are the input's own axioms scanned, which finds the witnesses.
     """
     if algebra.k <= 256 and kind_of(algebra) != "mv":
         mv = _translate(algebra, "mv")
-        if mv.one == algebra.one and _scan(mv.k, mv_axiom_suite(mv), _first_slices(mv)).valid:
+        if _scan(mv.k, mv_axiom_suite(mv), _first_slices(mv)).valid:
             return AxiomReport(())
     return _scan(algebra.k, axiom_suite(algebra), _first_slices(algebra))
 
@@ -566,7 +559,7 @@ def verify_wajsberg(circ, negation, one: int) -> AxiomReport:
 
 def evaluate_axiom(algebra: Algebra, axiom: str, witness: Sequence[int]) -> bool:
     """Re-evaluate one named axiom at a specific witness tuple."""
-    for name, arity, pred in axiom_suite(algebra):
+    for name, arity, pred, _ in axiom_suite(algebra):
         if name == axiom:
             if len(witness) != arity:
                 raise ValueError(f"{axiom} takes {arity} variables")
@@ -592,8 +585,7 @@ def ensure_verified(algebra: Algebra) -> None:
 
 def _order_row(algebra: Algebra, x: int):
     """Row x of the natural order: which y satisfy x*y = 0 / x'+y = 1 / x->y = 1,
-    as ``bytes`` of 0 and 1 up to 256 elements (one ``translate`` of a table
-    row), as a tuple of bools beyond.
+    as ``bytes`` of 0 and 1 (up to 256 elements, one ``translate`` of a row).
 
     The one place the order is read off a presentation; row x is the up-set
     of x, i.e. its cut subset.
@@ -603,7 +595,7 @@ def _order_row(algebra: Algebra, x: int):
     target = algebra.zero if kind == "bck" else algebra.one
     if algebra.k <= 256:
         return row.translate(bytes(target) + b"\1" + bytes(255 - target))
-    return tuple([v == target for v in row])
+    return bytes([v == target for v in row])
 
 
 def natural_order(algebra: Algebra) -> Poset:

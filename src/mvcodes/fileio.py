@@ -54,6 +54,13 @@ def _match(line: str, pattern: str, what: str) -> tuple[str, ...]:
     return m.groups()
 
 
+def _int(token: str, what: str) -> int:
+    try:  # int() refuses a token of more than 4,300 digits by default
+        return int(token)
+    except ValueError:
+        raise ParseError(f"{what} holds an integer of {len(token)} digits, too long to read") from None
+
+
 def _int_row(line: str, k: int, values: dict[str, int], what: str):
     """The k indices of a row: ``bytes`` up to 256 elements; a tuple of ints
     beyond, or when a token is no canonical element name, such as '007'."""
@@ -68,7 +75,7 @@ def _int_row(line: str, k: int, values: dict[str, int], what: str):
     except KeyError:  # a token such as '007', a value >= k, or no number at all
         if not all(map(str.isdigit, parts)):
             raise ParseError(f"expected {what} of {k} indices, got: {line!r}") from None
-        return tuple(map(int, parts))
+        return tuple(_int(part, what) for part in parts)
 
 
 def parse_algebra(text: str) -> Algebra:
@@ -76,7 +83,7 @@ def parse_algebra(text: str) -> Algebra:
     lines = _content_lines(text)
     (kind,) = _match(_take(lines, "kind line"), r"kind:[ \t]*(bck|mv|wajsberg)", "kind: bck|mv|wajsberg")
     (order,) = _match(_take(lines, "order line"), r"order:[ \t]*([0-9]+)", "order: <k>")
-    k = int(order)
+    k = _int(order, "order line")
     if k < 1:
         raise ParseError("order must be at least 1")
     # the canonical token of each element; a file of k rows has at least k
@@ -100,7 +107,8 @@ def parse_algebra(text: str) -> Algebra:
     rows = tuple(_int_row(_take(lines, f"table row {i}"), k, values, f"table row {i}") for i in range(k))
     if lines:
         raise ParseError(f"trailing content: {lines[0]!r}")
-    return _make(kind, CayleyTable(rows), unary, zero and int(zero), one and int(one))
+    zero, one = (c and _int(c, "constants line") for c in (zero, one))
+    return _make(kind, CayleyTable(rows), unary, zero, one)
 
 
 # Digit planes of a byte value: its hundreds, tens and ones digits in ASCII,
@@ -130,8 +138,7 @@ def _format_rows(rows, names: list[str]) -> str:
     spaced = [name + " " for name in names]
     cells = []
     for row in rows:
-        # one index makes itemgetter return the item itself; at k = 1 the one row is (0,)
-        cells += itemgetter(*row)(spaced) if k > 1 else spaced
+        cells += itemgetter(*row)(spaced)
     cells[k - 1 :: k] = [names[row[-1]] + "\n" for row in rows]
     return "".join(cells)
 

@@ -390,6 +390,10 @@ class TestVerifyWajsberg:
     def test_two_element_implication(self):
         assert verify_wajsberg(((1, 1), (0, 1)), (1, 0), 1).valid
 
+    def test_neg_is_implication_into_zero(self):
+        w = wajsberg_from_table(PROD23)
+        assert [w.neg(x) for x in range(6)] == [w.imp(x, w.zero) for x in range(6)] == list(w.negation)
+
     def test_perturbed_product_invalid(self):
         broken = mutate(PROD23, 1, 3, 5)
         report = verify_wajsberg(broken, tuple(r[0] for r in PROD23), 5)
@@ -525,7 +529,7 @@ class TestSliceFilters:
         ],
     )
     def test_two_variable_failures_only_in_the_last_row_or_column(self, algebra, axiom, failing):
-        (pred,) = [pred for name, _, pred in axiom_suite(algebra) if name == axiom]
+        (pred,) = [pred for name, _, pred, _ in axiom_suite(algebra) if name == axiom]
         assert [t for t in product(range(algebra.k), repeat=2) if not pred(*t)] == failing
         assert verify(algebra).witness(axiom) == failing[0]
         assert_matches_plain_scan(algebra)
@@ -550,7 +554,7 @@ class TestSliceFilters:
 
     def test_every_axiom_in_two_or_three_variables_is_filtered(self):
         for algebra in (chain_wajsberg(3), convert(chain_wajsberg(3), "mv"), convert(chain_wajsberg(3), "bck")):
-            assert set(_first_slices(algebra)) == {name for name, arity, _ in axiom_suite(algebra) if arity > 1}
+            assert set(_first_slices(algebra)) == {name for name, arity, _, _ in axiom_suite(algebra) if arity > 1}
 
     @pytest.mark.parametrize(
         "axiom, algebra",
@@ -568,7 +572,7 @@ class TestSliceFilters:
         # even when python -O strips asserts
         mv = _translate(algebra, "mv")
         assert verify(mv).valid == (axiom == "assoc")
-        (pred,) = [pred for name, _, pred in axiom_suite(algebra if axiom == "w2" else mv) if name == axiom]
+        (pred,) = [pred for name, _, pred, _ in axiom_suite(algebra if axiom == "w2" else mv) if name == axiom]
         assert all(pred(0, y, v) for y in range(4) for v in range(4))
         script = textwrap.dedent(
             f"""

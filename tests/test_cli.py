@@ -92,6 +92,28 @@ class TestVerify:
         path.write_text(f"kind: {kind}\norder: 0\n")
         assert invoke(["verify", str(path)]) == (1, "", "error: order must be at least 1\n")
 
+    @pytest.mark.parametrize("command", [["verify"], ["convert", "--to", "mv"]], ids=["verify", "convert"])
+    @pytest.mark.parametrize(
+        "text, what",
+        [
+            (f"kind: mv\norder: {'1' * 5000}\n", "order line"),
+            (f"kind: mv\norder: 1\nzero: {'1' * 5000}\nunary: 0\n0\n", "constants line"),
+            (f"kind: bck\norder: 1\nzero: 0 one: {'1' * 5000}\n0\n", "constants line"),
+            (f"kind: wajsberg\norder: 1\none: 0\nunary: {'1' * 5000}\n0\n", "unary row"),
+            (f"kind: bck\norder: 1\nzero: 0 one: 0\n{'1' * 5000}\n", "table row 0"),
+        ],
+        ids=["order", "mv-zero", "bck-one", "unary", "cell"],
+    )
+    def test_integer_past_the_digit_limit_exits_1(self, tmp_path, command, text, what):
+        # int() refuses more than 4,300 digits by default, with a ValueError
+        path = tmp_path / "long.alg"
+        path.write_text(text)
+        assert invoke([command[0], str(path), *command[1:]]) == (
+            1,
+            "",
+            f"error: {what} holds an integer of 5000 digits, too long to read\n",
+        )
+
     def test_missing_file_exits_1(self):
         status, _, err = invoke(["verify", "/nonexistent.alg"])
         assert status == 1
@@ -141,6 +163,10 @@ class TestCodeAndSkeleton:
         status, out, _ = invoke(["distance", str(six_bck_file), "1", "2"])
         assert status == 0
         assert out == "3\n"
+
+    @pytest.mark.parametrize("r, s", [(6, 0), (0, 6)])
+    def test_distance_outside_the_carrier_exits_1(self, six_bck_file, r, s):
+        assert invoke(["distance", str(six_bck_file), str(r), str(s)]) == (1, "", "error: elements must lie in [0,6)\n")
 
     def test_mindist(self, six_code_file):
         status, out, _ = invoke(["mindist", str(six_code_file)])
@@ -360,7 +386,9 @@ def algebra_like_text(draw):
     """Headers and rows shaped like an algebra file, entries possibly out of range."""
     k = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["bck", "mv", "wajsberg"]))
-    index = st.integers(0, k).map(str)
+    # an index is sometimes spelled with leading zeros, which the parser
+    # reads as a number, or as a run of digits too long for int()
+    index = st.integers(0, k).flatmap(lambda v: st.sampled_from([str(v), f"00{v}", "1" * 4301]))
     row = st.lists(index, min_size=k, max_size=k).map(" ".join)
     lines = [f"kind: {kind}", f"order: {k}"]
     if kind == "bck":
@@ -395,6 +423,8 @@ FUZZ_COMMANDS = (
     ["mindist"],
     ["attach"],
     ["embed", "--max-order", "6"],
+    ["convert", "--to", "mv"],
+    ["distance", "0", "0"],
 )
 
 

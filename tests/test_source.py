@@ -5,6 +5,8 @@ from collections import Counter
 from pathlib import Path
 
 import mvcodes
+from mvcodes import chain_wajsberg, convert
+from mvcodes.algebras import axiom_suite
 
 
 def test_no_assert_statements_in_the_package():
@@ -52,3 +54,13 @@ def test_presentations_are_told_apart_only_in_parts():
                     if tested & classes:
                         found.append(f"{path.name}:{getattr(top, 'name', node.lineno)}")
     assert found == ["algebras.py:_parts"] * 3
+
+
+def test_each_axiom_is_named_once_in_its_suite():
+    # a suite row carries its name, arity, predicate and byte filter, so no
+    # second table of axiom names needs keeping in step with the suites
+    names = [row[0] for kind in ("bck", "mv", "wajsberg") for row in axiom_suite(convert(chain_wajsberg(2), kind))]
+    tree = ast.parse((Path(mvcodes.__file__).parent / "algebras.py").read_text(encoding="utf-8"))
+    literals = Counter(node.value for node in ast.walk(tree) if isinstance(node, ast.Constant))
+    assert len(names) == 19
+    assert {name: literals[name] for name in names} == dict.fromkeys(names, 1)
