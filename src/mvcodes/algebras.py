@@ -21,17 +21,18 @@ lexicographically least witness per violated axiom. Up to 256 elements a
 Wajsberg or BCK table is first checked through its MV translation, made by
 ``_translate`` like every change of presentation: when that verifies, every
 axiom of the input holds, and only otherwise are the input's own axioms
-scanned for witnesses.
+scanned for witnesses. Both are one call of ``_scan``, the package's one
+axiom search.
 
 Each row of a ``*_axiom_suite`` is the one definition of an axiom: its name,
 arity, predicate and byte filter. For carriers of at most 256 elements, whose
-table rows fit byte strings, every axiom in two or three variables first goes
-through its filter, which finds the first x whose slice (x, ...) holds a
-failing pair or triple, with C-level ``bytes`` work over one ``_ByteView``
-per call (``translate`` as table lookup, strided slices as transposes); the
-predicate is run only over that slice, so it still picks the witness. The
-axioms in one variable, and every axiom of a larger carrier, are scanned
-element by element, pair by pair or triple by triple.
+table rows fit byte strings, ``_scan`` first runs every axiom in two or three
+variables through its filter, which finds the first x whose slice (x, ...)
+holds a failing pair or triple, with C-level ``bytes`` work over the one
+``_ByteView`` of the call (``translate`` as table lookup, strided slices as
+transposes); the predicate is run only over that slice, so it still picks
+the witness. The axioms in one variable, and every axiom of a larger
+carrier, are scanned element by element, pair by pair or triple by triple.
 """
 
 from __future__ import annotations
@@ -123,11 +124,11 @@ class CayleyTable:
         return self._rows[x][y]
 
 
-def _relabel(table: CayleyTable, rows, cols=None, cells=None) -> CayleyTable:
+def _relabel(table: CayleyTable, rows, cols, cells) -> CayleyTable:
     """The table whose cell (x, y) is ``cells[t[rows[x]][cols[y]]]``; a map
-    left out is the identity. Up to 256 elements each gathered row is mapped
-    through ``cells`` by one ``translate``, and its columns gathered by a
-    second one, of ``bytes(cols)`` through the row; beyond, each row is
+    given as None is the identity. Up to 256 elements each gathered row is
+    mapped through ``cells`` by one ``translate``, and its columns gathered by
+    a second one, of ``bytes(cols)`` through the row; beyond, each row is
     gathered by one ``itemgetter`` call."""
     t = table._rows
     out = map(t.__getitem__, rows)
@@ -347,7 +348,7 @@ def _lookup(values: bytes) -> bytes:
 
 class _ByteView:
     """A table's rows, columns and the rows joined, as bytes, with a ``translate``
-    lookup per row and per column; built once per ``verify`` call and read by
+    lookup per row and per column; built once per ``_scan`` call and read by
     every filter."""
 
     def __init__(self, table: CayleyTable):
@@ -471,44 +472,28 @@ def _lukasiewicz_first_slice(m: MvAlgebra, view: _ByteView) -> Optional[int]:
     return _first_asymmetric(b"".join(map(bytes.translate, inner, view.col_lookups)), m.k)
 
 
-def _first_slices(algebra: Algebra) -> dict[str, Optional[int]]:
-    """Map each axiom in two or three variables to the first x whose slice
-    (x, ...) holds a failing pair or triple, or to None when no slice does.
-
-    Byte filters decide this exactly, in C-level ``bytes`` operations over
-    one shared ``_ByteView``, while the table's values fit a byte; larger
-    carriers get no entry and are scanned pair by pair and triple by triple.
-    """
-    if algebra.k > 256:
-        return {}
-    view = _ByteView(_parts(algebra)[1])
-    return {name: first_slice(algebra, view) for name, _, _, first_slice in axiom_suite(algebra) if first_slice}
-
-
-def _scan(
-    k: int, suite: AxiomSuite, first_slices: Optional[dict[str, Optional[int]]] = None
-) -> AxiomReport:
+def _scan(algebra: Algebra) -> AxiomReport:
     """The lexicographically least witness of every violated axiom.
 
-    An axiom named in ``first_slices`` is searched only in the x-slice given
-    there (skipped for None); the predicate finds the witness in it.
+    Up to 256 elements each axiom with a byte filter is skipped when its
+    filter flags no slice, and searched only in the flagged slice (x, ...)
+    otherwise, over one ``_ByteView``; the predicate finds the witness in it.
     """
-    first_slices = first_slices or {}
+    k = algebra.k
+    view = _ByteView(_parts(algebra)[1]) if k <= 256 else None
     violations = []
-    for name, arity, pred, _ in suite:
-        if name in first_slices:
-            x = first_slices[name]
+    for name, arity, pred, first_slice in axiom_suite(algebra):
+        first_slice = first_slice if view else None
+        if first_slice:
+            x = first_slice(algebra, view)
             if x is None:
                 continue
-            candidates = product((x,), *repeat(range(k), arity - 1))
-        else:
-            candidates = product(range(k), repeat=arity)
-        for witness in candidates:
+        for witness in product((x,) if first_slice else range(k), *repeat(range(k), arity - 1)):
             if not pred(*witness):
                 violations.append(Violation(name, witness))
                 break
         else:
-            if name in first_slices:
+            if first_slice:
                 raise RuntimeError(f"{name} filter flagged slice x = {x}, but every pair or triple there holds")
     return AxiomReport(tuple(violations))
 
@@ -521,7 +506,7 @@ def _translate(algebra: Algebra, kind: str) -> Algebra:
     src, table, u = _parts(algebra)
     if src == kind:
         return algebra
-    out = _relabel(table, u if "mv" in (src, kind) else range(algebra.k), cells=u if "bck" in (src, kind) else None)
+    out = _relabel(table, u if "mv" in (src, kind) else range(algebra.k), None, u if "bck" in (src, kind) else None)
     return _make(kind, out, u, algebra.zero, algebra.one)
 
 
@@ -533,13 +518,12 @@ def verify(algebra: Algebra) -> AxiomReport:
     Mundici 1986): when that verifies, ``_translate`` maps it back to the
     input exactly (a valid translation of a BCK table has 1*0 = 1, so its
     ``one`` is the input's), and the input is valid. Only when the proof
-    fails are the input's own axioms scanned, which finds the witnesses.
+    fails are the input's own axioms scanned, which finds the witnesses: two
+    calls of ``_scan`` at most, one for an MV input or beyond 256 elements.
     """
-    if algebra.k <= 256 and kind_of(algebra) != "mv":
-        mv = _translate(algebra, "mv")
-        if _scan(mv.k, mv_axiom_suite(mv), _first_slices(mv)).valid:
-            return AxiomReport(())
-    return _scan(algebra.k, axiom_suite(algebra), _first_slices(algebra))
+    mv = _translate(algebra, "mv") if algebra.k <= 256 else algebra
+    report = _scan(mv)
+    return report if report.valid or mv is algebra else _scan(algebra)
 
 
 def verify_bck(table, zero: int, one: int) -> AxiomReport:

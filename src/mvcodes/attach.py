@@ -309,8 +309,6 @@ def embed_code(
     lo = max(m, n)
     if max_order is None:
         max_order = lo + 4
-    if max_order < lo:
-        raise NoEmbeddingFound(max_order)
     want = set(code.words)
     results = []
     for q in range(lo, max_order + 1):

@@ -46,7 +46,7 @@ from mvcodes import (
     verify_mv,
     verify_wajsberg,
 )
-from mvcodes.algebras import _first_slices, _relabel, _scan, _translate, axiom_suite, bck_axiom_suite
+from mvcodes.algebras import AxiomReport, Violation, _ByteView, _parts, _relabel, _translate, axiom_suite, bck_axiom_suite
 from mvcodes.order import OrderIso
 
 from conftest import (
@@ -441,10 +441,36 @@ def rows_of(algebra):
     return algebra.circ.rows
 
 
+def plain_scan(k, suite):
+    """The least witness of each violated axiom, trying every element, pair or
+    triple in order: the oracle of verify's byte filters and MV proof."""
+    violations = []
+    for name, arity, pred, _ in suite:
+        witness = next((w for w in product(range(k), repeat=arity) if not pred(*w)), None)
+        if witness:
+            violations.append(Violation(name, witness))
+    return AxiomReport(tuple(violations))
+
+
+def first_slices(algebra):
+    """Each filtered axiom's first flagged slice, or None, over one ``_ByteView``."""
+    view = _ByteView(_parts(algebra)[1])
+    return {name: first_slice(algebra, view) for name, _, _, first_slice in axiom_suite(algebra) if first_slice}
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The algebras passed to ``_scan``, one per call."""
+    calls = []
+    scan = mvcodes.algebras._scan
+    monkeypatch.setattr(mvcodes.algebras, "_scan", lambda algebra: calls.append(algebra) or scan(algebra))
+    return calls
+
+
 def assert_matches_plain_scan(algebra):
     """verify's byte filters give the report of the triple-by-triple scan."""
     report = verify(algebra)
-    assert report == _scan(algebra.k, axiom_suite(algebra))
+    assert report == plain_scan(algebra.k, axiom_suite(algebra))
     return report
 
 
@@ -547,14 +573,14 @@ class TestSliceFilters:
             for i, j, v in edits:
                 mutated = with_rows(algebra, mutate(rows_of(algebra), i, j, v))
                 bck1 = [axiom for axiom in bck_axiom_suite(mutated) if axiom[0] == "bck1"]
-                witness = _scan(k, bck1).witness("bck1")
-                assert _first_slices(mutated)["bck1"] == (witness and witness[0])
+                witness = plain_scan(k, bck1).witness("bck1")
+                assert bck1[0][3](mutated, _ByteView(mutated.table)) == (witness and witness[0])
                 checked.add(witness is not None and witness[0] > 0)
         assert checked == {False, True}
 
     def test_every_axiom_in_two_or_three_variables_is_filtered(self):
         for algebra in (chain_wajsberg(3), convert(chain_wajsberg(3), "mv"), convert(chain_wajsberg(3), "bck")):
-            assert set(_first_slices(algebra)) == {name for name, arity, _, _ in axiom_suite(algebra) if arity > 1}
+            assert set(first_slices(algebra)) == {name for name, arity, _, _ in axiom_suite(algebra) if arity > 1}
 
     @pytest.mark.parametrize(
         "axiom, algebra",
@@ -675,8 +701,19 @@ class TestMvProof:
         # verify no longer runs w2 and bck1 on valid tables; their filters
         # still clear every slice of one
         for algebra in valid_presentations():
-            slices = _first_slices(algebra)
+            slices = first_slices(algebra)
             assert slices and set(slices.values()) == {None}, algebra
+
+    @pytest.mark.parametrize("kind", ["mv", "wajsberg", "bck"])
+    def test_verify_scans_twice_only_when_the_mv_proof_fails(self, kind, scans):
+        # one scan proves a valid input, or reports on an MV one; any other
+        # invalid input fails the proof and has its own axioms scanned
+        valid = convert(chain_wajsberg(4), kind)
+        invalid = with_rows(valid, mutate(rows_of(valid), 1, 2, (rows_of(valid)[1][2] + 1) % 4))
+        for algebra in (valid, invalid):
+            scans.clear()
+            assert verify(algebra).valid == (algebra is valid)
+            assert [kind_of(a) for a in scans] == (["mv"] if algebra is valid or kind == "mv" else ["mv", kind])
 
     @pytest.mark.parametrize("kind", ["wajsberg", "bck"])
     def test_valid_product_skips_the_cubic_filters(self, kind, monkeypatch):
@@ -809,7 +846,7 @@ def test_error_paths(call, error, args):
     ],
     ids=["wajsberg", "bck"],
 )
-def test_verify_over_256_elements_scans_own_axioms(build, violations, monkeypatch):
+def test_verify_over_256_elements_scans_own_axioms(build, violations, monkeypatch, scans):
     # no byte filter and no MV proof beyond 256 elements: the report is the
     # plain scan of the input's own axioms
     algebra = build()
@@ -817,8 +854,14 @@ def test_verify_over_256_elements_scans_own_axioms(build, violations, monkeypatc
     def no_translation(*args):
         raise AssertionError("a table over 256 elements was translated")
 
+    def no_filter(*args):
+        raise AssertionError("a byte filter ran on a table over 256 elements")
+
     monkeypatch.setattr(mvcodes.algebras, "_translate", no_translation)
-    assert _first_slices(algebra) == {}
+    for name in dir(mvcodes.algebras):
+        if name.endswith("_first_slice"):
+            monkeypatch.setattr(mvcodes.algebras, name, no_filter)
     report = verify(algebra)
-    assert report == _scan(257, axiom_suite(algebra))
+    assert scans == [algebra]
+    assert report == plain_scan(257, axiom_suite(algebra))
     assert {v.axiom: v.witness for v in report.violations} == violations

@@ -687,3 +687,12 @@ def test_max_order_below_the_code_size_finds_nothing(max_order):
     with pytest.raises(NoEmbeddingFound) as exc:
         embed_code(code_of(["00", "01", "11"]), max_order=max_order)
     assert exc.value.max_order == max_order
+
+
+def test_columns_that_miss_a_wanted_word_raise():
+    # the 3-chain's code restricted to columns (0, 1) has 3 of the 4 words
+    (entry,) = enumerate_wajsberg(3)
+    words = code_from_algebra(entry.algebra).words
+    want = {(0, 0), (0, 1), (1, 0), (1, 1)}
+    with pytest.raises(RuntimeError, match=r"^columns \(0, 1\) of host \(3,\) do not cover the code$"):
+        _canonical_embedding(entry, (0, 1), want, _masks(zip(*words)))

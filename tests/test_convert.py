@@ -240,16 +240,16 @@ def two_step_translation(algebra, kind):
     the oracle of ``_translate``, which makes one in all."""
     if isinstance(algebra, WajsbergAlgebra):
         n = algebra.negation
-        algebra = MvAlgebra(_relabel(algebra.circ, n), n, algebra.zero)
+        algebra = MvAlgebra(_relabel(algebra.circ, n, None, None), n, algebra.zero)
     elif isinstance(algebra, BckAlgebra) and kind != "bck":
         c = algebra.table.rows[algebra.one]
-        algebra = MvAlgebra(_relabel(algebra.table, c, cells=c), c, algebra.zero)
+        algebra = MvAlgebra(_relabel(algebra.table, c, None, c), c, algebra.zero)
     if not isinstance(algebra, MvAlgebra) or kind == "mv":
         return algebra
     c = algebra.complement
     if kind == "bck":
-        return BckAlgebra(_relabel(algebra.oplus, c, cells=c), algebra.zero, algebra.one)
-    return WajsbergAlgebra(_relabel(algebra.oplus, c), c, algebra.one)
+        return BckAlgebra(_relabel(algebra.oplus, c, None, c), algebra.zero, algebra.one)
+    return WajsbergAlgebra(_relabel(algebra.oplus, c, None, None), c, algebra.one)
 
 
 def unverified_presentations(w):

@@ -42,6 +42,28 @@ def test_every_private_helper_is_used_in_the_package():
     assert dead == []
 
 
+def test_every_default_of_a_private_helper_is_used_in_the_package():
+    # a default that every package call overrides serves only the tests
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in Path(mvcodes.__file__).parent.glob("*.py")]
+    defaulted = {}
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            keyword = [a for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            defaulted[node.name] = (positional, {a.arg for a in positional[len(positional) - len(args.defaults) :] + keyword})
+    left_out = set()
+    for call in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        given = {kw.arg for kw in call.keywords}
+        if name in defaulted and None not in given and not any(isinstance(a, ast.Starred) for a in call.args):
+            positional, names = defaulted[name]
+            given.update(a.arg for a in positional[: len(call.args)])
+            left_out.update((name, arg) for arg in names - given)
+    unused = sorted((name, arg) for name, (_, names) in defaulted.items() for arg in names if (name, arg) not in left_out)
+    assert unused == []
+
+
 def test_presentations_are_told_apart_only_in_parts():
     # one isinstance chain, algebras._parts, knows the three presentation classes
     classes = {"BckAlgebra", "MvAlgebra", "WajsbergAlgebra"}
