@@ -2,7 +2,7 @@
 
 Each element r of a verified algebra yields one codeword: bit i is set when
 element i lies in the cut subset of r (the up-set of r in the natural order).
-Both are row r of the order as read by ``algebras._order_row``, the single
+Both are row r of the order as read by ``algebras._order_rows``, the single
 reader that ``natural_order`` also uses. They skip natural_order's Poset
 validation, so an unverified table still gives sets and words here.
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, compress
 from typing import Iterable, Sequence
 
-from .algebras import Algebra, MvAlgebra, _order_row, natural_order
+from .algebras import Algebra, MvAlgebra, _order_rows, natural_order
 from .errors import DuplicateWord, LengthMismatch, MalformedTable, TooFewWords
 from .order import Poset, _masks
 
@@ -52,7 +52,7 @@ class BlockCode:
                 if types == {str}:
                     text = "".join(words).encode("ascii")
                     flat = None if text.translate(None, b"01") else text.translate(_BITS)
-                elif types == {bytes}:  # rows of ``_order_row``, kept as they are
+                elif types == {bytes}:  # rows of ``_order_rows``, kept as they are
                     flat, rows = b"".join(words), words
                 else:
                     flat = bytes(chain.from_iterable(words))
@@ -101,7 +101,7 @@ def cut_subset(algebra: Algebra, r: int) -> frozenset[int]:
     """Elements x with r*x = 0 / r'+x = 1 / r->x = 1: the up-set of r."""
     if not 0 <= r < algebra.k:
         raise ValueError(f"element {r} outside the carrier [0,{algebra.k})")
-    return frozenset(compress(range(algebra.k), _order_row(algebra, r)))
+    return frozenset(compress(range(algebra.k), _order_rows(algebra, (r,))[0]))
 
 
 def code_from_algebra(algebra: Algebra) -> BlockCode:
@@ -111,7 +111,7 @@ def code_from_algebra(algebra: Algebra) -> BlockCode:
     words are distinct; a DuplicateWord error here means the input never
     passed verification.
     """
-    return BlockCode(tuple(_order_row(algebra, r) for r in range(algebra.k)))
+    return BlockCode(_order_rows(algebra, range(algebra.k)))
 
 
 def code_equivalent(a1: Algebra, a2: Algebra) -> bool:

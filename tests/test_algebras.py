@@ -46,7 +46,18 @@ from mvcodes import (
     verify_mv,
     verify_wajsberg,
 )
-from mvcodes.algebras import AxiomReport, Violation, _ByteView, _parts, _relabel, _translate, axiom_suite, bck_axiom_suite
+from mvcodes.algebras import (
+    AxiomReport,
+    Violation,
+    _assoc_first_slice,
+    _ByteView,
+    _generators,
+    _parts,
+    _relabel,
+    _translate,
+    axiom_suite,
+    bck_axiom_suite,
+)
 from mvcodes.order import OrderIso
 
 from conftest import (
@@ -624,6 +635,130 @@ class TestSliceFilters:
         assert proc.stdout.startswith(f"debug=False raised: {axiom} filter flagged slice x = 0")
 
 
+def first_nonassociative(rows):
+    """The first x of a triple (x, y, w) with (x+y)+w != x+(y+w), trying every
+    triple in order, or None: the oracle of the assoc filter."""
+    k = len(rows)
+    return next((x for x, y, w in product(range(k), repeat=3) if rows[rows[x][y]][w] != rows[x][rows[y][w]]), None)
+
+
+def right_sum_closure(rows, gens):
+    """Every element reached from ``gens`` by sums r -> rows[r][g], g in ``gens``."""
+    reached, todo = set(gens), list(gens)
+    while todo:
+        r = todo.pop()
+        for g in gens:
+            if rows[r][g] not in reached:
+                reached.add(rows[r][g])
+                todo.append(rows[r][g])
+    return reached
+
+
+def assoc_filter(rows, complement, zero):
+    m = MvAlgebra(CayleyTable(rows), complement, zero)
+    return _assoc_first_slice(m, _ByteView(m.oplus))
+
+
+def every_element_a_generator(k):
+    """Associative tables in which every element, or every one but the
+    constant, is a generator: left and right projection, max, a constant."""
+    cells = {"left": lambda x, y: x, "right": lambda x, y: y, "max": max, "constant": lambda x, y: k // 2}
+    return {name: tuple(tuple(cell(x, y) for y in range(k)) for x in range(k)) for name, cell in cells.items()}
+
+
+PRODUCTS_256 = [(4, 4, 4, 4), (2,) * 8, (256,)]
+
+
+class TestAssocGenerators:
+    """The assoc filter tests the slices of a generating set first (Light's
+    test); the plain triple loop is its oracle."""
+
+    def test_every_operation_on_up_to_three_elements(self):
+        # 1 + 16 + 19,683 tables; the complement and zero only steer the order
+        # in which the generators are picked
+        flagged = 0
+        for k in (1, 2, 3):
+            complements = list(product(range(k), repeat=k))
+            for n, cells in enumerate(product(range(k), repeat=k * k)):
+                rows = tuple(cells[i : i + k] for i in range(0, k * k, k))
+                first = first_nonassociative(rows)
+                assert assoc_filter(rows, complements[n % len(complements)], n % k) == first, rows
+                flagged += first is not None
+        assert 0 < flagged < 1 + 16 + 19683
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_tables(self, data):
+        k = data.draw(st.integers(1, 6))
+        element = st.integers(0, k - 1)
+        rows = data.draw(st.lists(st.lists(element, min_size=k, max_size=k), min_size=k, max_size=k))
+        complement, zero = data.draw(st.lists(element, min_size=k, max_size=k)), data.draw(element)
+        assert assoc_filter(rows, complement, zero) == first_nonassociative(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_relabelled_catalog_tables_with_one_edit(self, data):
+        # associative tables and near misses, whose first failing slice need
+        # not be a generator
+        _, _, w = data.draw(st.sampled_from(catalog_upto(12)))
+        rows = rows_of(convert(w, "mv"))
+        k = len(rows)
+        perm = data.draw(st.permutations(range(k)))
+        inverse = sorted(range(k), key=perm.__getitem__)
+        rows = tuple(tuple(perm[rows[inverse[x]][inverse[y]]] for y in range(k)) for x in range(k))
+        if data.draw(st.booleans()):
+            rows = mutate(rows, *data.draw(st.tuples(*[st.integers(0, k - 1)] * 3)))
+        complement = data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+        assert assoc_filter(rows, complement, data.draw(st.integers(0, k - 1))) == first_nonassociative(rows)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12])
+    def test_every_element_a_generator(self, k):
+        complement = tuple(reversed(range(k)))
+        for name, rows in every_element_a_generator(k).items():
+            m = MvAlgebra(CayleyTable(rows), complement, 0)
+            # the constant is reached from the first generator
+            expected = set(range(k)) - ({k // 2} if name == "constant" and k > 1 else set())
+            assert set(_generators(m, _ByteView(m.oplus))) == expected, name
+            assert assoc_filter(rows, complement, 0) is None
+            for i, j, v in product(range(k), repeat=3) if k <= 5 else [(k - 1, k - 2, 0), (3, 7, 11)]:
+                edited = mutate(rows, i, j, v)
+                assert assoc_filter(edited, complement, 0) == first_nonassociative(edited), (name, i, j, v)
+
+    def test_every_element_a_generator_at_256(self):
+        complement = tuple(reversed(range(256)))
+        for rows in every_element_a_generator(256).values():
+            assert assoc_filter(rows, complement, 0) is None
+
+    def test_products_are_generated_by_zero_and_one_atom_per_factor(self):
+        products = [(factors, w) for _, factors, w in catalog_upto(64)]
+        products += [(e.factors, e.algebra) for e in enumerate_wajsberg(256) if e.factors in PRODUCTS_256]
+        assert len(products) > 100 and {factors for factors, _ in products} >= set(PRODUCTS_256)
+        for factors, w in products:
+            m = convert(w, "mv")
+            view = _ByteView(m.oplus)
+            gens = bytes(_generators(m, view))
+            down = natural_order(m).down
+            atoms = {x for x in range(m.k) if x != m.zero and down[x] == 1 << x | 1 << m.zero}
+            # the trivial algebra, factors (1,), has no atom
+            assert gens[0] == m.zero and len(gens) == 1 + len(factors) - factors.count(1), factors
+            assert set(gens[1:]) == atoms, factors
+            assert _assoc_first_slice(m, view) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_generators_reach_the_carrier(self, data):
+        # each generator lies outside the sums of the ones before it, and all
+        # of them together reach every element
+        k = data.draw(st.integers(1, 8))
+        element = st.integers(0, k - 1)
+        rows = data.draw(st.lists(st.lists(element, min_size=k, max_size=k), min_size=k, max_size=k))
+        m = MvAlgebra(CayleyTable(rows), data.draw(st.lists(element, min_size=k, max_size=k)), data.draw(element))
+        gens = list(_generators(m, _ByteView(m.oplus)))
+        assert right_sum_closure(rows, gens) == set(range(k))
+        for i, g in enumerate(gens):
+            assert g not in right_sum_closure(rows, gens[:i])
+
+
 def with_unary_and_constants(algebra, unary, first, second):
     """The same table under another unary map (Wajsberg, MV) and constants:
     ``one`` for Wajsberg, ``zero`` for MV, ``zero`` and ``one`` for BCK."""
@@ -714,6 +849,20 @@ class TestMvProof:
             scans.clear()
             assert verify(algebra).valid == (algebra is valid)
             assert [kind_of(a) for a in scans] == (["mv"] if algebra is valid or kind == "mv" else ["mv", kind])
+
+    @pytest.mark.parametrize("kind", ["wajsberg", "bck"])
+    def test_failed_proof_stops_at_its_first_violation(self, kind, monkeypatch):
+        # the translation fails assoc, its first axiom, so the MV filters of
+        # the later axioms never run; the input's own scan gives the report
+        valid = convert(chain_wajsberg(4), kind)
+        invalid = with_rows(valid, mutate(rows_of(valid), 1, 2, (rows_of(valid)[1][2] + 1) % 4))
+        mv = _translate(invalid, "mv")
+        assert plain_scan(4, axiom_suite(mv)).violations[0].axiom == "assoc"
+        calls = []
+        for name in ("_comm_first_slice", "_lukasiewicz_first_slice"):
+            monkeypatch.setattr(mvcodes.algebras, name, lambda algebra, view, name=name: calls.append(name))
+        assert_matches_plain_scan(invalid)
+        assert calls == []
 
     @pytest.mark.parametrize("kind", ["wajsberg", "bck"])
     def test_valid_product_skips_the_cubic_filters(self, kind, monkeypatch):

@@ -127,6 +127,64 @@ class TestVerify:
         assert "not UTF-8" in err
 
 
+PLAIN_BCK = "kind: bck\norder: 3\nzero: 0 one: 2\n0 0 0\n1 0 0\n2 1 0\n"
+
+
+class TestParserTokenClasses:
+    """Every class of malformed token or line exits 1 with one ``error:`` line
+    that quotes the offending line, and no traceback."""
+
+    @pytest.mark.parametrize(
+        "text, what, line",
+        [
+            ("\ufeff" + PLAIN_BCK, "kind: bck|mv|wajsberg", "\ufeffkind: bck"),
+            (PLAIN_BCK.replace("\n", "\r"), "kind: bck|mv|wajsberg", PLAIN_BCK.replace("\n", "\r")[:-1]),
+            (PLAIN_BCK.replace("\n", "\u2028"), "kind: bck|mv|wajsberg", PLAIN_BCK.replace("\n", "\u2028")),
+            (PLAIN_BCK.replace("1 0 0", "1\x0b0 0"), "table row 1 of 3 indices", "1\x0b0 0"),
+            (PLAIN_BCK.replace("1 0 0", "1\xa00 0"), "table row 1 of 3 indices", "1\xa00 0"),
+            (PLAIN_BCK.replace("2 1 0", "\u0662 1 0"), "table row 2 of 3 indices", "\u0662 1 0"),
+            (PLAIN_BCK.replace("order: 3", "order: \uff13"), "order: <k>", "order: \uff13"),
+            (PLAIN_BCK.replace("2 1 0", "\u00b2 1 0"), "table row 2 of 3 indices", "\u00b2 1 0"),
+            (PLAIN_BCK.replace("2 1 0", "-1 1 0"), "table row 2 of 3 indices", "-1 1 0"),
+            (PLAIN_BCK.replace("2 1 0", "+1 1 0"), "table row 2 of 3 indices", "+1 1 0"),
+            (PLAIN_BCK.replace("2 1 0", "0_3 1 0"), "table row 2 of 3 indices", "0_3 1 0"),
+            ("kind: bck\n" + PLAIN_BCK, "order: <k>", "kind: bck"),
+            (PLAIN_BCK.replace("order: 3\n", "order: 3\norder: 3\n"), "zero: <i> one: <j>", "order: 3"),
+            (PLAIN_BCK.replace("kind: bck\n", ""), "kind: bck|mv|wajsberg", "order: 3"),
+            (PLAIN_BCK.replace("order: 3\n", ""), "order: <k>", "zero: 0 one: 2"),
+            (PLAIN_BCK.replace("zero: 0 one: 2\n", ""), "zero: <i> one: <j>", "0 0 0"),
+            (PLAIN_BCK.replace("2 1 0", "2 1"), "table row 2 of 3 indices", "2 1"),
+            (PLAIN_BCK.replace("2 1 0", "2 1 0 0"), "table row 2 of 3 indices", "2 1 0 0"),
+        ],
+        ids=[
+            "bom", "cr-only", "u2028", "vt", "nbsp", "arabic-2", "fullwidth-3", "superscript-2",
+            "minus", "plus", "underscore", "kind-twice", "order-twice", "no-kind", "no-order",
+            "no-constants", "short-row", "long-row",
+        ],
+    )
+    @pytest.mark.parametrize("command", [["verify"], ["convert", "--to", "mv"]], ids=["verify", "convert"])
+    def test_exits_1_quoting_the_line(self, tmp_path, command, text, what, line):
+        path = tmp_path / "bad.alg"
+        path.write_bytes(text.encode("utf-8"))
+        assert invoke([command[0], str(path), *command[1:]]) == (1, "", f"error: expected {what}, got: {line!r}\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [PLAIN_BCK.replace("\n", "\r\n"), PLAIN_BCK.replace(" ", "\t"), PLAIN_BCK.replace("\n", "\r\n").replace(" ", "\t")],
+        ids=["crlf", "tabs", "crlf-and-tabs"],
+    )
+    @pytest.mark.parametrize(
+        "command", [["verify"], ["convert", "--to", "wajsberg"], ["code"], ["skeleton"]], ids=["verify", "convert", "code", "skeleton"]
+    )
+    def test_crlf_and_tabs_read_as_the_plain_file(self, tmp_path, command, text):
+        plain, variant = tmp_path / "plain.alg", tmp_path / "variant.alg"
+        plain.write_bytes(PLAIN_BCK.encode("ascii"))
+        variant.write_bytes(text.encode("ascii"))
+        expected = invoke([command[0], str(plain), *command[1:]])
+        assert expected[0] == 0 and expected[1]
+        assert invoke([command[0], str(variant), *command[1:]]) == expected
+
+
 class TestConvert:
     def test_bck_to_wajsberg(self, six_bck_file):
         status, out, _ = invoke(["convert", str(six_bck_file), "--to", "wajsberg"])
@@ -387,9 +445,18 @@ def algebra_like_text(draw):
     k = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["bck", "mv", "wajsberg"]))
     # an index is sometimes spelled with leading zeros, which the parser
-    # reads as a number, or as a run of digits too long for int()
-    index = st.integers(0, k).flatmap(lambda v: st.sampled_from([str(v), f"00{v}", "1" * 4301]))
-    row = st.lists(index, min_size=k, max_size=k).map(" ".join)
+    # reads as a number, as a run of digits too long for int(), as a signed
+    # or underscored number, or with a non-ASCII digit
+    index = st.integers(0, k).flatmap(
+        lambda v: st.sampled_from(
+            [str(v), f"00{v}", "1" * 4301, f"-{v}", f"+{v}", f"0_{v}", "\u0662", "\uff13", "\u00b2"]
+        )
+    )
+    # sometimes a separator, line end, row length or header that the format
+    # refuses
+    space = draw(st.one_of(st.just(" "), st.sampled_from(["\t", "\xa0", "\x0b"])))
+    end = draw(st.one_of(st.just("\n"), st.sampled_from(["\r\n", "\r", "\u2028"])))
+    row = st.lists(index, min_size=k, max_size=k).map(space.join)
     lines = [f"kind: {kind}", f"order: {k}"]
     if kind == "bck":
         lines.append(f"zero: {draw(index)} one: {draw(index)}")
@@ -397,7 +464,12 @@ def algebra_like_text(draw):
         lines.append(f"{'zero' if kind == 'mv' else 'one'}: {draw(index)}")
         lines.append("unary: " + draw(row))
     lines += [draw(row) for _ in range(k)]
-    return "\n".join(lines) + "\n"
+    at = draw(st.integers(0, len(lines) - 1))
+    if at > 2:  # a row one cell short or long
+        lines[at] = draw(st.sampled_from([lines[at], lines[at].rpartition(space)[0], lines[at] + space + "0"]))
+    else:  # a header line repeated or left out
+        lines[at : at + 1] = draw(st.sampled_from([[lines[at]], [lines[at]] * 2, []]))
+    return draw(st.sampled_from(["", "\ufeff"])) + "".join(line + end for line in lines)
 
 
 @st.composite
