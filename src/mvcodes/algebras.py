@@ -12,9 +12,12 @@ reads the kind, table and u off a presentation and ``_make`` builds one, the
 package's only dispatch on the three classes.
 
 A table of at most 256 elements keeps its checked rows as ``bytes`` from
-build to print: the axiom suites, the byte filters, ``_relabel`` and
-``_order_rows`` read them, and the public tuple-of-int ``rows`` are built
-only when a caller reads them. Larger tables hold tuples of ints.
+build to print: every function in the package that builds a table hands
+``CayleyTable`` byte rows, which its one fast test accepts, and any other
+rows are checked cell by cell.
+The axiom suites, the byte filters, ``_relabel`` and ``_order_rows`` read the
+byte rows, and the public tuple-of-int ``rows`` are built only when a caller
+reads them. Larger tables hold tuples of ints.
 
 Verification checks every axiom over the whole carrier and reports the
 lexicographically least witness per violated axiom. Up to 256 elements a
@@ -34,16 +37,17 @@ holds a failing pair or triple, with C-level ``bytes`` work over the one
 transposes); the predicate is run only over that slice, so it still picks
 the witness. The assoc filter, the one axiom in three variables of the MV
 proof, first tests only the slices of a set S that generates the carrier
-(Light's test): a valid table costs O(|S| k^2) byte operations instead of
-O(k^3), and on a product of chains |S| is 1 + the number of factors. The
-axioms in one variable, and every axiom of a larger carrier, are scanned
-element by element, pair by pair or triple by triple.
+(Light's test), picked off the table itself with no read of the order: a
+valid table costs O(|S| k^2) byte operations instead of O(k^3), and on a
+product of chains |S| is 1 + the number of factors. The axioms in one
+variable, and every axiom of a larger carrier, are scanned element by
+element, pair by pair or triple by triple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product, repeat
+from itertools import product, repeat
 from operator import getitem, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -59,11 +63,10 @@ _BYTES = bytes(range(256))
 class CayleyTable:
     """A k-by-k operation table closed over ``{0, .., k-1}``.
 
-    Every table is checked. One fast test comes first: for k <= 256, rows of
-    length k that are ``bytes`` or ``bytearray``, or whose cells, read one by
-    one through the row iterators, are ints that ``bytes`` takes, with every
-    cell below k.
-    Only when it fails is the table walked cell by cell with ``int()``, which
+    Every table is checked. One fast test comes first, for the rows the
+    package builds: k <= 256 rows, each ``bytes`` of length k, with every
+    byte below k. Every other input (tuples, lists, ``bytearray``, arrays,
+    generators, strings) is walked cell by cell with ``int()``, which
     converts what it can and names the first bad row or cell.
 
     ``_rows`` holds the checked rows: ``bytes`` up to 256 elements, tuples of
@@ -76,18 +79,10 @@ class CayleyTable:
     def __post_init__(self):
         rows = tuple(self.rows)
         k = len(rows)
-        flat = byte_rows = None
-        try:  # lengths first: a generator row has none, and stays unconsumed
-            if k <= 256 and set(map(len, rows)) == {k}:
-                if set(map(type, rows)) == {bytes}:  # rows of ``_product_rows``, ``_relabel``, the parser
-                    flat, byte_rows = b"".join(rows), rows
-                else:  # not the buffer of an array('b'), where -1 would read as 255
-                    flat = bytes(chain.from_iterable(rows))
-        except (TypeError, ValueError):
-            pass
-        # a total other than k * k: some row yields other than len() cells
-        if flat is not None and len(flat) == k * k and not flat.translate(None, _BYTES[:k]):
-            object.__setattr__(self, "_rows", byte_rows or tuple(flat[i : i + k] for i in range(0, k * k, k)))
+        # k rows of ``bytes`` of length k, as ``_product_rows``, ``_relabel`` and the parser build them
+        square = k <= 256 and set(map(type, rows)) == {bytes} and set(map(len, rows)) == {k}
+        if square and not b"".join(rows).translate(None, _BYTES[:k]):
+            object.__setattr__(self, "_rows", rows)
             del self.__dict__["rows"]
             return
         rows = tuple(tuple(map(int, row)) for row in rows)
@@ -460,17 +455,19 @@ def _generators(m: MvAlgebra, view: _ByteView) -> Iterator[int]:
     """A set S that generates the carrier under p, each element yielded as
     it joins S, so a caller that stops early skips the rest of the walk.
 
-    The elements are walked by descending up-set size (ties by label), and
-    each one not yet reached joins S. The reached set is closed under right
-    sums r -> p[r][g], g in S, and each (element, generator) sum is taken
-    once: a new generator with every element reached before it, in one
-    ``translate`` of its column, and a newly reached element with every
+    The elements are walked by ascending down-set size (ties by label), and
+    each one not yet reached joins S. In an MV algebra x+y = 1 iff y >= x',
+    so row x of the table holds as many ``one``s as the down-set of x has
+    elements, and the walk reads no order rows. The reached set is closed
+    under right sums r -> p[r][g], g in S, and each (element, generator) sum
+    is taken once: a new generator with every element reached before it, in
+    one ``translate`` of its column, and a newly reached element with every
     generator so far, in one ``translate`` of its row. On a product of
     chains S is ``zero`` and one atom per factor.
     """
-    ups = list(map(bytes.count, _order_rows(m, range(m.k)), repeat(1)))
+    downs = list(map(bytes.count, view.rows, repeat(m.one)))
     gens = seen = b""
-    for x in sorted(range(m.k), key=ups.__getitem__, reverse=True):
+    for x in sorted(range(m.k), key=downs.__getitem__):
         if x in seen:
             continue
         yield x
@@ -629,9 +626,8 @@ def natural_order(algebra: Algebra) -> Poset:
     """The order x <= y given by x*y = 0 / x'+y = 1 / x->y = 1 per kind.
 
     Its rows come from ``_order_rows``, the single reader of the order that
-    cut subsets, codewords and ``_generators`` also use. Raises NotAPoset
-    when the relation breaks an order law, which signals an unverified input
-    table.
+    cut subsets and codewords also use. Raises NotAPoset when the relation
+    breaks an order law, which signals an unverified input table.
     """
     return Poset(_order_rows(algebra, range(algebra.k)))
 

@@ -16,7 +16,7 @@ algebras coincides with descending lexicographic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, compress
+from itertools import combinations, compress
 from typing import Iterable, Sequence
 
 from .algebras import Algebra, MvAlgebra, _order_rows, natural_order
@@ -26,7 +26,9 @@ from .order import Poset, _masks
 Word = tuple[int, ...]
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
-_BITS = bytes.maketrans(b"01", b"\0\1")
+# ASCII 0 / 1 to bytes 0 / 1, and bytes 0 / 1 to 2, so a character other than
+# ASCII 0 / 1 (encoded as "?" if not ASCII) reads as neither bit
+_BITS = bytes.maketrans(b"01\0\1", b"\0\1\2\2")
 _MARKS = bytes.maketrans(b"\0\1", b".#")
 
 
@@ -34,36 +36,27 @@ _MARKS = bytes.maketrans(b"\0\1", b".#")
 class BlockCode:
     """A sequence of distinct equal-length bit words.
 
-    One fast test comes first, as in ``CayleyTable``: words of one length n
-    that are all ASCII ``0`` / ``1`` strings, or whose entries ``bytes``
-    takes and that are all 0 or 1, n * size of them in all. Only when it
-    fails is every entry converted with ``int()`` and checked in turn, which
-    names the first bad word.
+    One fast test comes first, as in ``CayleyTable``, for the words the
+    package builds: words of one length n > 0 that are all strings of ASCII
+    ``0`` / ``1`` (the parser, embed restrictions) or all ``bytes`` of 0 / 1
+    (``_order_rows``). Every other input is converted entry by entry with
+    ``int()`` and checked in turn, which names the first bad word.
     """
 
     words: tuple[Word, ...]
 
     def __post_init__(self):
-        words, flat, rows = tuple(self.words), None, None
-        try:  # lengths first: a generator word has none, and stays unconsumed
-            n = len(words[0]) if words else 0
-            if n and set(map(len, words)) == {n}:
-                types = set(map(type, words))
-                if types == {str}:
-                    text = "".join(words).encode("ascii")
-                    flat = None if text.translate(None, b"01") else text.translate(_BITS)
-                elif types == {bytes}:  # rows of ``_order_rows``, kept as they are
-                    flat, rows = b"".join(words), words
-                else:
-                    flat = bytes(chain.from_iterable(words))
-        except (TypeError, ValueError):  # UnicodeEncodeError is a ValueError
-            pass
-        if flat is not None and len(flat) == n * len(words) and not flat.translate(None, b"\0\1"):
-            rows = rows or [flat[i : i + n] for i in range(0, len(flat), n)]
-            if len(set(rows)) != len(rows):
-                raise DuplicateWord("repeated codeword")
-            object.__setattr__(self, "words", tuple(map(tuple, rows)))
-            return
+        words = tuple(self.words)
+        kinds = set(map(type, words))
+        n = len(words[0]) if kinds == {str} or kinds == {bytes} else 0
+        if n and set(map(len, words)) == {n}:
+            flat = "".join(words).encode("ascii", "replace").translate(_BITS) if kinds == {str} else b"".join(words)
+            if not flat.translate(None, b"\0\1"):
+                rows = words if kinds == {bytes} else [flat[i : i + n] for i in range(0, len(flat), n)]
+                if len(set(rows)) != len(rows):
+                    raise DuplicateWord("repeated codeword")
+                object.__setattr__(self, "words", tuple(map(tuple, rows)))
+                return
         words = tuple(tuple(map(int, w)) for w in words)
         object.__setattr__(self, "words", words)
         if not words:

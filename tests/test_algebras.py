@@ -40,6 +40,7 @@ from mvcodes import (
     mv_leq_equivalences,
     natural_order,
     parse_algebra,
+    product_wajsberg,
     transport_structure,
     verify,
     verify_bck,
@@ -58,6 +59,7 @@ from mvcodes.algebras import (
     axiom_suite,
     bck_axiom_suite,
 )
+from mvcodes.catalog import _fold_product
 from mvcodes.order import OrderIso
 
 from conftest import (
@@ -336,6 +338,29 @@ class TestNoTupleRows:
             assert natural_order(algebra).leq == natural_order(entry.algebra).leq
             assert cut_subset(algebra, 1) == cut_subset(entry.algebra, 1)
         assert row_builds == []
+
+    @pytest.mark.parametrize("factors", [(2, 3, 4), (16, 16), (2,) * 8])
+    def test_package_tables_take_the_fast_test(self, factors):
+        # a table that took the fast test has no tuple ``rows`` until one is
+        # read; the cell walk sets them at once
+        w = _fold_product(factors)
+        k = w.k
+        mv, bck = convert(w, "mv"), convert(w, "bck")
+        moved = transport_structure(w, OrderIso([0, *reversed(range(1, k - 1)), k - 1]))
+        tables = {
+            "_fold_product": w.circ,
+            "product_wajsberg": product_wajsberg(_fold_product(factors[:1]), _fold_product(factors[1:])).circ,
+            "transport_structure": moved.circ,
+            "convert to mv": mv.oplus,
+            "convert to bck": bck.table,
+            "convert bck to wajsberg": convert(bck, "wajsberg").circ,
+            "mv_derived_ops product": mv_derived_ops(mv)[0],
+            "mv_derived_ops difference": mv_derived_ops(mv)[1],
+        }
+        tables.update((f"parser, {kind_of(a)}", _parts(parse_algebra(format_algebra(a)))[1]) for a in (moved, mv, bck))
+        for name, table in tables.items():
+            assert table.k == k and "rows" not in vars(table), name
+        assert "rows" in vars(CayleyTable(w.circ.rows))
 
 
 class TestVerifyBck:
@@ -873,6 +898,26 @@ class TestMvProof:
             monkeypatch.setattr(mvcodes.algebras, name, lambda algebra, view, name=name: calls.append(name))
         assert verify(algebra).valid
         assert calls == []
+
+
+def test_verify_reads_no_order(monkeypatch):
+    # the MV proof's generating set is picked off the table, never off the
+    # order rows; reports are those of the unpatched verify
+    rng = random.Random(0)
+    algebras = list(presentations_upto_24())
+    for algebra in presentations_upto_24():
+        rows = rows_of(algebra)
+        for _ in range(3):
+            i, j = rng.randrange(algebra.k), rng.randrange(algebra.k)
+            algebras.append(with_rows(algebra, mutate(rows, i, j, (rows[i][j] + 1) % algebra.k)))
+    reports = list(map(verify, algebras))
+    assert {r.valid for r in reports} == {False, True}
+
+    def no_order(*args):
+        raise AssertionError("verify read the natural order")
+
+    monkeypatch.setattr(mvcodes.algebras, "_order_rows", no_order)
+    assert list(map(verify, algebras)) == reports
 
 
 class TestNaturalOrder:

@@ -185,6 +185,78 @@ class TestParserTokenClasses:
         assert invoke([command[0], str(variant), *command[1:]]) == expected
 
 
+PLAIN_CODE = "111\n011\n001\n"
+
+CODE_COMMANDS = pytest.mark.parametrize(
+    "command", [["mindist"], ["attach"], ["embed", "--max-order", "4"]], ids=["mindist", "attach", "embed"]
+)
+
+
+class TestCodeTokenClasses:
+    """Every class of malformed code file exits 1 with one ``error:`` line,
+    and no traceback; a bad line is quoted."""
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("\ufeff" + PLAIN_CODE, "\ufeff111"),
+            (PLAIN_CODE.replace("\n", "\r"), "111\r011\r001"),
+            (PLAIN_CODE.replace("\n", "\u2028"), PLAIN_CODE.replace("\n", "\u2028")),
+            (PLAIN_CODE.replace("011", "0\x0b11"), "0\x0b11"),
+            (PLAIN_CODE.replace("011", "011\xa0"), "011\xa0"),
+            (PLAIN_CODE.replace("011", "0\x0011"), "0\x0011"),
+            (PLAIN_CODE.replace("011", "01\uff11"), "01\uff11"),
+            (PLAIN_CODE.replace("011", "021"), "021"),
+            (PLAIN_CODE.replace("011", "0\t11"), "0\t11"),
+            (PLAIN_CODE.replace("011", "0 11"), "0 11"),
+            (PLAIN_CODE.replace("011", "011 # c"), "011 # c"),
+        ],
+        ids=["bom", "cr-only", "u2028", "vt", "nbsp", "nul", "fullwidth-1", "digit-2", "inner-tab", "inner-space", "comment-after"],
+    )
+    @CODE_COMMANDS
+    def test_exits_1_quoting_the_line(self, tmp_path, command, text, line):
+        path = tmp_path / "bad.code"
+        path.write_bytes(text.encode("utf-8"))
+        assert invoke([command[0], str(path), *command[1:]]) == (1, "", f"error: expected a bit string, got: {line!r}\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (PLAIN_CODE.replace("011", "01"), "word lengths differ: 2 vs 3"),
+            (PLAIN_CODE.replace("011", "111"), "repeated codeword"),
+            ("", "code file holds no words"),
+            ("# c\n\n  \n", "code file holds no words"),
+        ],
+        ids=["lengths", "repeated", "empty", "comments-only"],
+    )
+    @CODE_COMMANDS
+    def test_bad_word_sets_exit_1(self, tmp_path, command, text, message):
+        path = tmp_path / "bad.code"
+        path.write_bytes(text.encode("utf-8"))
+        assert invoke([command[0], str(path), *command[1:]]) == (1, "", f"error: {message}\n")
+
+    @CODE_COMMANDS
+    def test_non_utf8_exits_1(self, tmp_path, command):
+        path = tmp_path / "latin1.code"
+        path.write_bytes("111\n01\u00e9\n".encode("latin-1"))
+        status, out, err = invoke([command[0], str(path), *command[1:]])
+        assert (status, out) == (1, "") and err == f"error: {path} is not UTF-8 text: invalid continuation byte at byte 6\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [PLAIN_CODE.replace("\n", "\r\n"), PLAIN_CODE.replace("\n", "\t\n"), PLAIN_CODE.replace("\n", "\t\r\n")],
+        ids=["crlf", "trailing-tabs", "crlf-and-tabs"],
+    )
+    @CODE_COMMANDS
+    def test_crlf_and_tabs_read_as_the_plain_file(self, tmp_path, command, text):
+        plain, variant = tmp_path / "plain.code", tmp_path / "variant.code"
+        plain.write_bytes(PLAIN_CODE.encode("ascii"))
+        variant.write_bytes(text.encode("ascii"))
+        expected = invoke([command[0], str(plain), *command[1:]])
+        assert expected[0] == 0 and expected[1]
+        assert invoke([command[0], str(variant), *command[1:]]) == expected
+
+
 class TestConvert:
     def test_bck_to_wajsberg(self, six_bck_file):
         status, out, _ = invoke(["convert", str(six_bck_file), "--to", "wajsberg"])
@@ -473,6 +545,22 @@ def algebra_like_text(draw):
 
 
 @st.composite
+def code_like_text(draw):
+    """Bit strings one to a line, sometimes with a character, line end,
+    separator, comment or word the code format refuses."""
+    n = draw(st.integers(1, 4))
+    word = st.text("01", min_size=n, max_size=n)
+    odd = st.sampled_from(["\ufeff", "\u2028", "\x0b", "\xa0", "\x00", "\uff11", "2", "\t", " ", " # c"])
+    spoilt = st.tuples(word, odd, st.integers(0, n)).map(lambda t: t[0][: t[2]] + t[1] + t[0][t[2] :])
+    lines = draw(st.lists(st.one_of(word, word, word, st.text("01", max_size=5), spoilt), min_size=1, max_size=6))
+    if draw(st.booleans()):  # a repeated word
+        lines.append(draw(st.sampled_from(lines)))
+    lines += draw(st.sampled_from([[], ["# c"], [""]]))
+    end = draw(st.one_of(st.just("\n"), st.sampled_from(["\r\n", "\t\n", "\r", "\u2028"])))
+    return draw(st.sampled_from(["", "\ufeff"])) + "".join(line + end for line in lines)
+
+
+@st.composite
 def catalog_text_with_one_edit(draw):
     """A catalog algebra file with one character overwritten."""
     entry = draw(st.sampled_from([e for n in range(1, 7) for e in enumerate_wajsberg(n)]))
@@ -486,6 +574,7 @@ FUZZ_INPUTS = st.one_of(
     st.text("01\n#", max_size=80).map(str.encode),
     st.text("0123456789 \n#:abdegiknorstuvwyz\u00b2\u0662\u00e9", max_size=120).map(str.encode),
     algebra_like_text().map(str.encode),
+    code_like_text().map(str.encode),
     catalog_text_with_one_edit().map(str.encode),
 )
 FUZZ_COMMANDS = (
