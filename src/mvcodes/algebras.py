@@ -125,11 +125,12 @@ class CayleyTable:
 
 
 def _relabel(table: CayleyTable, rows, cols, cells) -> CayleyTable:
-    """The table whose cell (x, y) is ``cells[t[rows[x]][cols[y]]]``; a map
-    given as None is the identity. Up to 256 elements each gathered row is
-    mapped through ``cells`` by one ``translate``, and its columns gathered by
-    a second one, of ``bytes(cols)`` through the row; beyond, each row is
-    gathered by one ``itemgetter`` call."""
+    """The table whose cell (x, y) is ``cells[t[rows[x]][cols[y]]]``; ``cols``
+    or ``cells`` given as None is the identity; ``rows`` is always a map.
+    Up to 256 elements each gathered row is mapped through ``cells`` by one
+    ``translate``, and its columns gathered by a second one, of
+    ``bytes(cols)`` through the row; beyond, each row is gathered by one
+    ``itemgetter`` call."""
     t = table._rows
     out = map(t.__getitem__, rows)
     if table.k > 256:

@@ -38,7 +38,6 @@ from .catalog import (
     ChainProduct,
     _all_isos,
     _fold_product,
-    _is_product_iso,
     _order_types,
     _product_iso,
     _product_masks,
@@ -143,11 +142,11 @@ def attach_wajsberg(
     code is accepted when that algebra regenerates it. Only a code that is
     not accepted has its order laws checked; an order that passes them is
     no product of chains, since on one the Birkhoff coordinates are an order
-    isomorphism (``catalog._is_product_iso``), whose transport regenerates
-    the code. With ``all_matches`` every order isomorphism from that entry is
-    listed, in lexicographic order, each with that one algebra: the
-    isomorphisms differ by automorphisms of the entry, so their transported
-    tables coincide.
+    isomorphism (the ``catalog._product_masks`` of the map are the code's
+    up-sets), whose transport regenerates the code. With ``all_matches``
+    every order isomorphism from that entry is listed, in lexicographic
+    order, each with that one algebra: the isomorphisms differ by
+    automorphisms of the entry, so their transported tables coincide.
     """
     report = validate_code_matrix(code)
     if not report.valid:
@@ -161,7 +160,7 @@ def attach_wajsberg(
         )
     up, down = _masks(code.words), _masks(zip(*code.words))
     found = _product_iso(up, down)
-    if found is not None and found[1] is not None:
+    if found is not None:
         factors, forward = found
         entry, iso = ChainProduct(factors, _fold_product(factors)), OrderIso(forward)
         algebra = transport_structure(entry.algebra, iso)
@@ -176,7 +175,7 @@ def attach_wajsberg(
         kind = "transitivity-failure" if law == "transitivity" else "not-a-poset"
         raise CodeRejected(RejectionReason(kind, witness, f"matrix relation breaks {law} at {witness}"))
     # coordinates that are an order isomorphism transport to an algebra with this code
-    if found is not None and found[1] is not None and _is_product_iso(*found, up):
+    if found is not None and _product_masks(*found)[0] == up:
         raise RuntimeError(
             f"the code's order is isomorphic to catalog entry {found[0]}, but the algebra "
             "transported along its Birkhoff coordinates does not regenerate the code"
@@ -230,11 +229,11 @@ def _canonical_embedding(
         forward[a], inverse[b] = b, a
     host = transport_structure(entry.algebra, OrderIso(tuple(forward)))
     # Host word p is the word of entry element inverse[p], and host column
-    # ordered[i] is entry column cols[i]: character r of digits[i] is bit r
-    # of that column's mask, and word r the r-th characters (m = 0: no digits).
-    digits = [f"{down[c]:0{q}b}"[::-1] for c in cols]
-    words = [*map("".join, zip(*digits))] or [""] * q
-    restriction = BlockCode(tuple(dict.fromkeys(map(words.__getitem__, inverse))))
+    # ordered[i] is entry column cols[i]: byte i of the word of element r is
+    # bit r of that column's mask.
+    masks = [down[c] for c in cols]
+    words = (bytes(d >> r & 1 for d in masks) for r in inverse)
+    restriction = BlockCode(tuple(dict.fromkeys(words)))
     if not want.issubset(restriction.words):
         raise RuntimeError(f"columns {cols} of host {entry.factors} do not cover the code")
     return EmbeddingResult(q, host, entry.factors, tuple(ordered), restriction)

@@ -151,10 +151,10 @@ def _chain_masks(up, down) -> Optional[list[int]]:
     return sorted(chains, key=lambda c: (c.bit_count(), -atom.get(c, 0)))
 
 
-def _product_iso(up, down) -> Optional[tuple[tuple[int, ...], Optional[tuple[int, ...]]]]:
+def _product_iso(up, down) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Factors and forward map of the least order isomorphism from the chain
     product onto the order of masks ``up`` / ``down``; None without
-    ``_chain_masks``, and the map None when it is no bijection.
+    ``_chain_masks``, or when the map is no bijection.
 
     Element x is the image of the mixed-radix number whose digits are
     ``|down(x) & chain|`` over the chains of ``_chain_masks``. Product
@@ -173,8 +173,9 @@ def _product_iso(up, down) -> Optional[tuple[tuple[int, ...], Optional[tuple[int
         for f, c in zip(factors, chains):
             i = i * f + (d & c).bit_count()
         inverse.append(i)
-    bijective = len(set(inverse)) == len(inverse)
-    return tuple(factors) or (1,), tuple(sorted(range(len(inverse)), key=inverse.__getitem__)) if bijective else None
+    if len(set(inverse)) != len(inverse):
+        return None
+    return tuple(factors) or (1,), tuple(sorted(range(len(inverse)), key=inverse.__getitem__))
 
 
 def _product_masks(factors: tuple[int, ...], forward=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -202,12 +203,6 @@ def _product_masks(factors: tuple[int, ...], forward=None) -> tuple[tuple[int, .
             up[y] &= at_least[v]
             down[y] &= at_most[v]
     return tuple(up), tuple(down)
-
-
-def _is_product_iso(factors: tuple[int, ...], forward: tuple[int, ...], up) -> bool:
-    """Whether ``forward`` is an order isomorphism from the chain product of
-    ``factors`` onto the order with up-set masks ``up``."""
-    return _product_masks(factors, forward)[0] == tuple(up)
 
 
 def _all_isos(factors: tuple[int, ...], forward: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -26,9 +26,7 @@ from .order import Poset, _masks
 Word = tuple[int, ...]
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
-# ASCII 0 / 1 to bytes 0 / 1, and bytes 0 / 1 to 2, so a character other than
-# ASCII 0 / 1 (encoded as "?" if not ASCII) reads as neither bit
-_BITS = bytes.maketrans(b"01\0\1", b"\0\1\2\2")
+_BITS = bytes.maketrans(b"01", b"\0\1")
 _MARKS = bytes.maketrans(b"\0\1", b".#")
 
 
@@ -37,26 +35,22 @@ class BlockCode:
     """A sequence of distinct equal-length bit words.
 
     One fast test comes first, as in ``CayleyTable``, for the words the
-    package builds: words of one length n > 0 that are all strings of ASCII
-    ``0`` / ``1`` (the parser, embed restrictions) or all ``bytes`` of 0 / 1
-    (``_order_rows``). Every other input is converted entry by entry with
-    ``int()`` and checked in turn, which names the first bad word.
+    package builds: words of one length n > 0 that are all ``bytes`` of 0 /
+    1 (the parser, ``_order_rows``, embed restrictions). Every other input,
+    strings of ``0`` / ``1`` too, is converted entry by entry with ``int()``
+    and checked in turn, which names the first bad word.
     """
 
     words: tuple[Word, ...]
 
     def __post_init__(self):
         words = tuple(self.words)
-        kinds = set(map(type, words))
-        n = len(words[0]) if kinds == {str} or kinds == {bytes} else 0
-        if n and set(map(len, words)) == {n}:
-            flat = "".join(words).encode("ascii", "replace").translate(_BITS) if kinds == {str} else b"".join(words)
-            if not flat.translate(None, b"\0\1"):
-                rows = words if kinds == {bytes} else [flat[i : i + n] for i in range(0, len(flat), n)]
-                if len(set(rows)) != len(rows):
-                    raise DuplicateWord("repeated codeword")
-                object.__setattr__(self, "words", tuple(map(tuple, rows)))
-                return
+        same = set(map(type, words)) == {bytes} and len(set(map(len, words))) == 1
+        if same and words[0] and not b"".join(words).translate(None, b"\0\1"):
+            if len(set(words)) != len(words):
+                raise DuplicateWord("repeated codeword")
+            object.__setattr__(self, "words", tuple(map(tuple, words)))
+            return
         words = tuple(tuple(map(int, w)) for w in words)
         object.__setattr__(self, "words", words)
         if not words:

@@ -27,7 +27,7 @@ import re
 from operator import itemgetter
 
 from .algebras import Algebra, CayleyTable, _make, _parts
-from .codes import BlockCode
+from .codes import _BITS, BlockCode
 from .errors import ParseError
 
 
@@ -170,7 +170,7 @@ def parse_code(text: str) -> BlockCode:
     if "".join(lines).strip("01"):
         bad = next(line for line in lines if not re.fullmatch(r"[01]+", line))
         raise ParseError(f"expected a bit string, got: {bad!r}")
-    return BlockCode.from_strings(lines)
+    return BlockCode(tuple(line.encode().translate(_BITS) for line in lines))
 
 
 def format_code(code: BlockCode) -> str:

@@ -20,7 +20,7 @@ from mvcodes import (
     WajsbergAlgebra,
     enumerate_wajsberg,
 )
-from mvcodes.catalog import _product_iso
+from mvcodes.catalog import _chain_masks
 
 SIX_STAR = (
     (0, 0, 0, 0, 0, 0),
@@ -199,9 +199,9 @@ def catalog_upto(max_n):
 
 
 def chain_factors(poset):
-    """The chain factors ``_product_iso`` reads off ``poset``, or None."""
-    found = _product_iso(poset.up, poset.down)
-    return None if found is None else found[0]
+    """The chain factors ``_chain_masks`` reads off ``poset``, or None."""
+    chains = _chain_masks(poset.up, poset.down)
+    return None if chains is None else tuple(c.bit_count() + 1 for c in chains) or (1,)
 
 
 def code_of(strings):

@@ -38,7 +38,6 @@ from mvcodes import (
 from mvcodes.attach import _canonical_embedding, _covering_columns
 from mvcodes.catalog import (
     _fold_product,
-    _is_product_iso,
     _product_iso,
     _product_masks,
     factorizations,
@@ -359,6 +358,19 @@ def relabelled_code(factors, seed):
     return entry, code_from_algebra(transport_structure(entry, OrderIso([0, *inner, entry.k - 1])))
 
 
+def inner_bit_flips(factors):
+    """The codes of distinct words one inner bit away from a relabelled code
+    of the chain product of ``factors``."""
+    _, code = relabelled_code(factors, 4)
+    k = code.size
+    for i in range(1, k - 1):
+        for j in range(1, k - 1):
+            words = [list(w) for w in code.words]
+            words[i][j] ^= 1
+            if len(set(map(tuple, words))) == k:
+                yield BlockCode(tuple(map(tuple, words)))
+
+
 # Orders whose join-irreducibles form disjoint chains with a plausible factor
 # multiset, but which are no product of chains: on the first two the
 # Birkhoff coordinates are not a bijection, on the last two they are, but the
@@ -397,21 +409,34 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("factors", [(2, 2, 3), (3, 4)])
     def test_every_inner_bit_flip(self, factors):
-        _, code = relabelled_code(factors, 4)
-        k, kinds = code.size, Counter()
-        for i in range(1, k - 1):
-            for j in range(1, k - 1):
-                words = [list(w) for w in code.words]
-                words[i][j] ^= 1
-                if len(set(map(tuple, words))) == k:
-                    flipped = BlockCode(tuple(map(tuple, words)))
-                    assert attach_outcome(flipped) == catalog_scan(flipped)
-                    kinds[attach_outcome(flipped)[0]] += 1
+        kinds = Counter()
+        for flipped in inner_bit_flips(factors):
+            assert attach_outcome(flipped) == catalog_scan(flipped)
+            kinds[attach_outcome(flipped)[0]] += 1
         assert {"not-a-poset", "transitivity-failure", "no-catalog-match"} <= set(kinds)
 
     def test_not_products_cover_both_failures(self):
         found = [_product_iso(p.up, p.down) for p in map(code_poset, map(code_of, NOT_PRODUCTS))]
-        assert [f[1] is None for f in found] == [True, True, False, False]
+        assert [f is None for f in found] == [True, True, False, False]
+
+    def test_product_iso_has_one_shape(self):
+        # None, or factors with a permutation; attach accepts exactly when
+        # that permutation's up-set masks are the code's
+        codes = [*map(code_of, NOT_PRODUCTS)]
+        for factors in [(2, 2, 3), (3, 4)]:
+            codes += [relabelled_code(factors, 4)[1], *inner_bit_flips(factors)]
+        seen = set()
+        for code in codes:
+            up, down = _masks(code.words), _masks(zip(*code.words))
+            found = _product_iso(up, down)
+            if found is not None:
+                factors, forward = found
+                assert sorted(forward) == list(range(code.size))
+            fits = found is not None and _product_masks(*found)[0] == up
+            accepted = isinstance(attach_outcome(code), list)
+            assert accepted == fits
+            seen.add((found is None, accepted))
+        assert seen == {(True, False), (False, False), (False, True)}
 
     @staticmethod
     def refuse_order_search(monkeypatch, *names):
@@ -448,7 +473,7 @@ class TestClosedForm:
             forward[i], forward[j] = forward[j], forward[i]
             maps.append(tuple(forward))
         for forward in maps:
-            assert _is_product_iso(factors, forward, up) == (forward in isos)
+            assert (_product_masks(factors, forward)[0] == up) == (forward in isos)
 
     def test_two_to_the_seventh_lists_every_map(self):
         entry, code = relabelled_code((2,) * 7, 1)

@@ -22,12 +22,15 @@ from mvcodes import (
     codeword_leq,
     cut_subset,
     distance_D,
+    embed_code,
     evaluate_axiom,
+    format_code,
     hamming,
     min_hamming_distance,
     mv_derived_ops,
     mv_sum_indicator,
     natural_order,
+    parse_code,
     Skeleton,
     skeleton,
     bck_to_mv,
@@ -37,6 +40,7 @@ from mvcodes import (
 )
 
 from conftest import (
+    CODE_PAIR,
     CODE_PROD23,
     CODE_SIX,
     PROD23,
@@ -258,6 +262,32 @@ class TestBlockCodeFastPath:
 
     def test_generator_words_are_read_once(self):
         assert BlockCode((iter((1, 0)), iter((0, 1)))).words == ((1, 0), (0, 1))
+
+    def test_package_codes_take_the_fast_test(self, monkeypatch):
+        # every package builder hands BlockCode ``bytes`` words
+        algebra = chain_wajsberg(5)
+        text = format_code(code_from_algebra(algebra))
+        pair = code_of(CODE_PAIR)
+        types = []
+        init = BlockCode.__post_init__
+
+        def record(code):
+            types.extend(map(type, code.words))
+            init(code)
+
+        monkeypatch.setattr(BlockCode, "__post_init__", record)
+        builds = {
+            "parse_code": lambda: parse_code(text),
+            "code_from_algebra": lambda: code_from_algebra(algebra),
+            "embed": lambda: embed_code(pair),
+            "embed --all": lambda: embed_code(pair, max_order=6, all_matches=True),
+        }
+        seen = {}
+        for name, build in builds.items():
+            types.clear()
+            build()
+            seen[name] = set(types)
+        assert seen == dict.fromkeys(builds, {bytes})
 
 
 class TestDistance:

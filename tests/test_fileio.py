@@ -212,6 +212,13 @@ def test_readme_algebra_example_parses_as_written():
     assert verify(algebra).valid
 
 
+def test_readme_quick_tour_runs_as_written(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    tour = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    exec(compile(tour, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "(8,) 8\n(2, 2, 2) 8\n(2, 4) 8\n"
+
+
 @pytest.mark.parametrize("kind", ["bck", "mv", "wajsberg"])
 def test_order_zero_rejected(kind):
     with pytest.raises(ParseError, match=r"^order must be at least 1$"):
