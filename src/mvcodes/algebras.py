@@ -14,10 +14,10 @@ package's only dispatch on the three classes.
 A table of at most 256 elements keeps its checked rows as ``bytes`` from
 build to print: every function in the package that builds a table hands
 ``CayleyTable`` byte rows, which its one fast test accepts, and any other
-rows are checked cell by cell.
-The axiom suites, the byte filters, ``_relabel`` and ``_order_rows`` read the
-byte rows, and the public tuple-of-int ``rows`` are built only when a caller
-reads them. Larger tables hold tuples of ints.
+rows are checked cell by cell. The axiom suites, the byte filters,
+``_relabel`` and ``_order_rows`` read the byte rows, and the public
+tuple-of-int ``rows`` are built only when a caller reads them
+(``order._LazyRows``). Larger tables hold tuples of ints.
 
 Verification checks every axiom over the whole carrier and reports the
 lexicographically least witness per violated axiom. Up to 256 elements a
@@ -52,7 +52,7 @@ from operator import getitem, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import EquivalenceBroken, MalformedTable, NotAnAlgebra
-from .order import Poset, _masks
+from .order import Poset, _byte_rows, _LazyRows, _masks
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -60,7 +60,7 @@ _BYTES = bytes(range(256))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class CayleyTable:
+class CayleyTable(_LazyRows):
     """A k-by-k operation table closed over ``{0, .., k-1}``.
 
     Every table is checked. One fast test comes first, for the rows the
@@ -70,8 +70,8 @@ class CayleyTable:
     converts what it can and names the first bad row or cell.
 
     ``_rows`` holds the checked rows: ``bytes`` up to 256 elements, tuples of
-    ints beyond. Up to 256 elements the public tuple ``rows`` are built from
-    the byte rows on first read, and cached.
+    ints beyond. A walked table keeps its tuple ``rows``; one that passed the
+    fast test builds them from the byte rows on first read (``_LazyRows``).
     """
 
     rows: Rows
@@ -80,10 +80,8 @@ class CayleyTable:
         rows = tuple(self.rows)
         k = len(rows)
         # k rows of ``bytes`` of length k, as ``_product_rows``, ``_relabel`` and the parser build them
-        square = k <= 256 and set(map(type, rows)) == {bytes} and set(map(len, rows)) == {k}
-        if square and not b"".join(rows).translate(None, _BYTES[:k]):
-            object.__setattr__(self, "_rows", rows)
-            del self.__dict__["rows"]
+        if k <= 256 and _byte_rows(rows, _BYTES[:k]) and set(map(len, rows)) == {k}:
+            self._keep(rows)
             return
         rows = tuple(tuple(map(int, row)) for row in rows)
         object.__setattr__(self, "rows", rows)
@@ -96,29 +94,6 @@ class CayleyTable:
                 j = next(j for j, v in enumerate(row) if not 0 <= v < k)
                 raise MalformedTable(f"entry ({i},{j}) = {row[j]} out of range [0,{k})")
         object.__setattr__(self, "_rows", tuple(map(bytes, rows)) if k <= 256 else rows)
-
-    def __getattr__(self, name):
-        # only a byte-row table lacks ``rows``, until its first read
-        if name != "rows":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rows = tuple(map(tuple, self._rows))
-        object.__setattr__(self, "rows", rows)
-        return rows
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self):
-        return hash(self._rows)
-
-    def __repr__(self):
-        return f"CayleyTable(rows={self.rows!r})"
-
-    @property
-    def k(self) -> int:
-        return len(self._rows)
 
     def at(self, x: int, y: int) -> int:
         return self._rows[x][y]
@@ -441,9 +416,8 @@ def _bck2_first_slice(b: BckAlgebra, view: _ByteView) -> Optional[int]:
 
 def _bck4_first_slice(b: BckAlgebra, view: _ByteView) -> Optional[int]:
     """First x with s[x][y] = s[y][x] = 0 for some y != x."""
-    is_zero = _lookup(bytes(u == b.zero for u in range(b.k)))
-    up = _masks(row.translate(is_zero) for row in view.rows)
-    down = _masks(col.translate(is_zero) for col in view.cols)
+    up = _masks(_marks(view.rows, b.zero, b.k))
+    down = _masks(_marks(view.cols, b.zero, b.k))
     return next((x for x, (u, d) in enumerate(zip(up, down)) if u & d & ~(1 << x)), None)
 
 
@@ -609,18 +583,22 @@ def ensure_verified(algebra: Algebra) -> None:
 
 def _order_rows(algebra: Algebra, xs: Iterable[int]) -> tuple[bytes, ...]:
     """Rows xs of the natural order: for each x, which y satisfy x*y = 0 /
-    x'+y = 1 / x->y = 1, as ``bytes`` of 0 and 1 (up to 256 elements, one
-    ``translate`` of a table row each).
+    x'+y = 1 / x->y = 1, as ``bytes`` of 0 and 1 (``_marks``).
 
     The one place the order is read off a presentation; row x is the up-set
     of x, i.e. its cut subset.
     """
     kind, table, u = _parts(algebra)
     rows = map(table._rows.__getitem__, map(u.__getitem__, xs) if kind == "mv" else xs)
-    target = algebra.zero if kind == "bck" else algebra.one
-    if algebra.k <= 256:
-        return tuple(map(bytes.translate, rows, repeat(bytes(target) + b"\1" + bytes(255 - target))))
-    return tuple(bytes([v == target for v in row]) for row in rows)
+    return _marks(rows, algebra.zero if kind == "bck" else algebra.one, algebra.k)
+
+
+def _marks(rows: Iterable, value: int, k: int) -> tuple[bytes, ...]:
+    """Each row of a k-element table as ``bytes`` of 0 and 1, 1 where it
+    holds ``value``: up to 256 elements one ``translate`` per row."""
+    if k <= 256:
+        return tuple(map(bytes.translate, rows, repeat(bytes(value) + b"\1" + bytes(255 - value))))
+    return tuple(bytes([v == value for v in row]) for row in rows)
 
 
 def natural_order(algebra: Algebra) -> Poset:

@@ -103,26 +103,20 @@ def validate_code_matrix(code: BlockCode) -> MatrixReport:
     k = code.size
     if code.length != k:
         raise NonSquare(f"{code.size} words of length {code.length}")
-    words = code.words
-    failures = []
-
-    def first_bad(cells, want):
-        for i, j in cells:
-            if words[i][j] != want:
-                return (i, j)
-        return None
-
+    flat = b"".join(code._rows)
+    # each condition's cells as a slice of the flattened matrix, and the bit they hold
     checks = [
-        ("first-row-ones", [(0, j) for j in range(k)], 1),
-        ("last-column-ones", [(i, k - 1) for i in range(k)], 1),
-        ("last-row-unit", [(k - 1, j) for j in range(k - 1)], 0),
-        ("first-column-unit", [(i, 0) for i in range(1, k)], 0),
-        ("diagonal-ones", [(i, i) for i in range(k)], 1),
+        ("first-row-ones", slice(0, k, 1), 1),
+        ("last-column-ones", slice(k - 1, k * k, k), 1),
+        ("last-row-unit", slice(k * k - k, k * k - 1, 1), 0),
+        ("first-column-unit", slice(k, k * k, k), 0),
+        ("diagonal-ones", slice(0, k * k, k + 1), 1),
     ]
+    failures = []
     for name, cells, want in checks:
-        pos = first_bad(cells, want)
-        if pos is not None:
-            failures.append(MatrixCheck(name, pos))
+        n = flat[cells].find(1 - want)
+        if n >= 0:
+            failures.append(MatrixCheck(name, divmod(cells.start + n * cells.step, k)))
     return MatrixReport(tuple(failures))
 
 
@@ -158,14 +152,14 @@ def attach_wajsberg(
                 f"{first.condition} fails at {first.position}",
             )
         )
-    up, down = _masks(code.words), _masks(zip(*code.words))
+    up, down = _masks(code._rows), _masks(zip(*code._rows))
     found = _product_iso(up, down)
     if found is not None:
         factors, forward = found
         entry, iso = ChainProduct(factors, _fold_product(factors)), OrderIso(forward)
         algebra = transport_structure(entry.algebra, iso)
         # equal codes prove that the relation is the product's order
-        if code_from_algebra(algebra).words == code.words:
+        if code_from_algebra(algebra) == code:
             if not all_matches:
                 return AttachmentResult(algebra, iso, entry)
             return [AttachmentResult(algebra, OrderIso(f), entry) for f in _all_isos(factors, forward)]
@@ -234,7 +228,7 @@ def _canonical_embedding(
     masks = [down[c] for c in cols]
     words = (bytes(d >> r & 1 for d in masks) for r in inverse)
     restriction = BlockCode(tuple(dict.fromkeys(words)))
-    if not want.issubset(restriction.words):
+    if not want.issubset(restriction._rows):
         raise RuntimeError(f"columns {cols} of host {entry.factors} do not cover the code")
     return EmbeddingResult(q, host, entry.factors, tuple(ordered), restriction)
 
@@ -308,7 +302,7 @@ def embed_code(
     lo = max(m, n)
     if max_order is None:
         max_order = lo + 4
-    want = set(code.words)
+    want = set(code._rows)
     results = []
     for q in range(lo, max_order + 1):
         for factors in _order_types(q):
@@ -316,7 +310,7 @@ def embed_code(
             for cols in _covering_columns(down, want, m):
                 if entry is None:
                     entry = ChainProduct(factors, _fold_product(factors))
-                    if _masks(zip(*code_from_algebra(entry.algebra).words)) != down:
+                    if _masks(zip(*code_from_algebra(entry.algebra)._rows)) != down:
                         raise RuntimeError(f"closed-form columns of {factors} differ from the code of its table")
                 result = _canonical_embedding(entry, cols, want, down)
                 if not all_matches:

@@ -1,14 +1,16 @@
 """Command-line front end over the algebra and code text formats.
 
-Exit codes: 0 success, 1 malformed input, 2 domain rejection (invalid
-algebra, rejected attachment, exhausted embedding), 64 usage error. Output is
-deterministic: identical inputs produce byte-identical output.
+Exit codes: 0 success, 1 malformed input or output that cannot be written
+(a closed pipe exits quietly), 2 domain rejection (invalid algebra, rejected
+attachment, exhausted embedding), 64 usage error, 130 interrupted (SIGINT).
+Output is deterministic: identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -34,6 +36,7 @@ EX_OK = 0
 EX_MALFORMED = 1
 EX_REJECTED = 2
 EX_USAGE = 64
+EX_INTERRUPTED = 130
 
 KIND_LABELS = {
     "bck": "bounded commutative BCK",
@@ -182,8 +185,9 @@ def _cmd_skeleton(args, out, err) -> int:
     return EX_OK
 
 
-def _write_or_print(texts: list[tuple[str, str]], output: Optional[Path], out) -> None:
-    """Emit named documents to a directory, or to stdout with separators."""
+def _write_or_print(texts: list[tuple[str, str]], output: Optional[Path], out, head: str = "") -> None:
+    """Emit named documents to a directory, or to stdout with separators;
+    ``head`` goes to stdout first, and only once the directory is written."""
     if output is not None:
         try:
             output.mkdir(parents=True, exist_ok=True)
@@ -191,22 +195,22 @@ def _write_or_print(texts: list[tuple[str, str]], output: Optional[Path], out) -
                 (output / name).write_text(text)
         except OSError as exc:
             raise ParseError(f"cannot write {output}: {exc.strerror}") from exc
-    else:
-        for _, text in texts:
-            print("---", file=out)
-            out.write(text)
+        texts = []
+    out.write(head)
+    for _, text in texts:
+        print("---", file=out)
+        out.write(text)
 
 
 def _cmd_enumerate(args, out, err) -> int:
     entries = enumerate_wajsberg(args.n)
     pi = len(entries) - 1  # the chain, then one entry per proper factorization
-    print(f"n={args.n} pi={pi} total={pi + 1}", file=out)
     texts = []
     for entry in entries:
         label = "chain" if len(entry.factors) == 1 else entry.factor_label()
         body = f"# factors: {label}\n" + format_algebra(entry.algebra)
         texts.append((f"w{args.n}_{label.replace('x', '_')}.alg", body))
-    _write_or_print(texts, args.output, out)
+    _write_or_print(texts, args.output, out, f"n={args.n} pi={pi} total={pi + 1}\n")
     return EX_OK
 
 
@@ -279,7 +283,18 @@ def run(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except KeyboardInterrupt:
+        code = EX_INTERRUPTED
+    except OSError as exc:  # stdout is a closed pipe, or its device is full
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        # the interpreter flushes stdout again at exit; let that flush go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EX_MALFORMED
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
-"""Finite partial orders as boolean relation matrices, plus isomorphism search.
+"""Finite partial orders as relation matrices of ``bytes`` rows of 0 / 1,
+the one representation of an order or a code, plus isomorphism search.
 
-Order queries read up-set / down-set ``int`` bitmasks built by ``_masks``, the
-one place rows, columns or codewords become bitmasks.
+``Poset``, ``codes.Skeleton``, ``codes.BlockCode`` and ``CayleyTable`` keep
+their checked rows behind a public tuple view built on first read
+(``_LazyRows``). Order queries read up-set / down-set ``int`` bitmasks built
+by ``_masks``, the one place rows, columns or codewords become bitmasks.
 """
 
 from __future__ import annotations
@@ -12,14 +15,56 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NotAnOrderIso, NotAPoset, SizeMismatch
 
-LeqRows = tuple[tuple[bool, ...], ...]
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _masks(rows: Iterable[Sequence]) -> tuple[int, ...]:
-    """One ``int`` per row, with bit j set when entry j of the row is truthy."""
-    rows = tuple(rows)
-    bits = [1 << j for j in range(max(map(len, rows), default=0))]
-    return tuple(sum(compress(bits, row)) for row in rows)
+class _LazyRows:
+    """The checked rows of a frozen dataclass in ``_rows``, behind its one
+    public field, named by ``_view``: a tuple of tuples of ``_cell`` values,
+    built from ``_rows`` on its first read and cached. Equality, hash and
+    repr are those of the rows, and ``k`` is their number."""
+
+    _view = "rows"
+    _cell = int
+
+    @property
+    def k(self) -> int:
+        return len(self._rows)
+
+    def _keep(self, rows) -> None:
+        """Hold ``rows`` as the checked rows, and drop the view until it is read."""
+        object.__setattr__(self, "_rows", rows)
+        del self.__dict__[self._view]
+
+    def __getattr__(self, name):
+        # only the view is looked up here, and only until its first read
+        if name != self._view:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        view = tuple(tuple(map(self._cell, row)) for row in self._rows)
+        object.__setattr__(self, name, view)
+        return view
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._rows == other._rows
+
+    def __hash__(self):
+        return hash(self._rows)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._view}={getattr(self, self._view)!r})"
+
+
+def _byte_rows(rows: tuple, allowed: bytes = b"\0\1") -> bool:
+    """Whether ``rows`` is not empty and every row is ``bytes`` of values in ``allowed``."""
+    return set(map(type, rows)) == {bytes} and not b"".join(rows).translate(None, allowed)
+
+
+def _masks(rows: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """One ``int`` per row of 0 / 1 entries, with bit j set when entry j is 1:
+    the reversed row read as a binary numeral."""
+    return tuple(int(bytes(row)[::-1].translate(_DIGITS) or b"0", 2) for row in rows)
 
 
 def order_violation(up: Sequence[int], down: Sequence[int]):
@@ -46,36 +91,38 @@ def order_violation(up: Sequence[int], down: Sequence[int]):
     return None
 
 
-@dataclass(frozen=True)
-class Poset:
+@dataclass(frozen=True, eq=False, repr=False)
+class Poset(_LazyRows):
     """A reflexive, antisymmetric, transitive relation on ``{0, .., k-1}``;
-    ``up`` / ``down`` hold the rows / columns of ``leq`` as ``_masks`` bitmasks."""
+    its rows are kept as ``bytes`` of 0 / 1 (square rows of that kind pass
+    one fast test, any others are read with ``bool``), and ``up`` / ``down``
+    hold the rows / columns of ``leq`` as ``_masks`` bitmasks."""
 
-    leq: LeqRows
-    up: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    down: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    leq: tuple[tuple[bool, ...], ...]
+    up: tuple[int, ...] = field(init=False)
+    down: tuple[int, ...] = field(init=False)
+    _view = "leq"
+    _cell = bool
 
     def __post_init__(self):
-        rows = tuple(tuple(map(bool, row)) for row in self.leq)
-        object.__setattr__(self, "leq", rows)
+        rows = tuple(self.leq)
         k = len(rows)
-        if any(len(row) != k for row in rows):
-            raise NotAPoset("shape", ())
+        if not (_byte_rows(rows) and set(map(len, rows)) == {k}):
+            rows = tuple(bytes(map(bool, row)) for row in rows)
+            if any(len(row) != k for row in rows):
+                raise NotAPoset("shape", ())
+        self._keep(rows)
         object.__setattr__(self, "up", _masks(rows))
         object.__setattr__(self, "down", _masks(zip(*rows)))
         bad = order_violation(self.up, self.down)
         if bad is not None:
             raise NotAPoset(*bad)
 
-    @property
-    def k(self) -> int:
-        return len(self.leq)
-
     def up_set(self, x: int) -> frozenset[int]:
-        return frozenset(y for y in range(self.k) if self.leq[x][y])
+        return frozenset(compress(range(self.k), self._rows[x]))
 
     def down_set(self, x: int) -> frozenset[int]:
-        return frozenset(y for y in range(self.k) if self.leq[y][x])
+        return frozenset(y for y in range(self.k) if self._rows[y][x])
 
     @property
     def bottom(self) -> Optional[int]:
@@ -93,7 +140,7 @@ class Poset:
             (x, y)
             for x in range(self.k)
             for y in range(self.k)
-            if x != y and self.leq[x][y]
+            if x != y and self._rows[x][y]
         )
 
 
@@ -143,7 +190,7 @@ def poset_isomorphisms(source: Poset, target: Poset) -> Iterator[OrderIso]:
     if sorted(sig_s) != sorted(sig_t):
         return
     candidates = [[j for j in range(k) if sig_t[j] == sig_s[i]] for i in range(k)]
-    p, q = source.leq, target.leq
+    p, q = source._rows, target._rows
     forward = [-1] * k
     used = [False] * k
 

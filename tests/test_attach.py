@@ -566,7 +566,7 @@ def scan_embed(code, max_order):
         for entry in enumerate_wajsberg(q):
             words = code_from_algebra(entry.algebra).words
             for cols in scan_columns(words, want, code.length):
-                results.append(_canonical_embedding(entry, cols, want, _masks(zip(*words))))
+                results.append(_canonical_embedding(entry, cols, set(map(bytes, want)), _masks(zip(*words))))
     return results
 
 
@@ -720,4 +720,4 @@ def test_columns_that_miss_a_wanted_word_raise():
     words = code_from_algebra(entry.algebra).words
     want = {(0, 0), (0, 1), (1, 0), (1, 1)}
     with pytest.raises(RuntimeError, match=r"^columns \(0, 1\) of host \(3,\) do not cover the code$"):
-        _canonical_embedding(entry, (0, 1), want, _masks(zip(*words)))
+        _canonical_embedding(entry, (0, 1), set(map(bytes, want)), _masks(zip(*words)))

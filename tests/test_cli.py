@@ -1,11 +1,17 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
 import io
+import os
 import random
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mvcodes
 from mvcodes import (
     attach_bck,
     attach_mv,
@@ -334,6 +340,16 @@ class TestEnumerate:
         assert status == 1
         assert err == f"error: cannot write {blocker / 'sub'}: Not a directory\n"
 
+    def test_existing_output_file_writes_nothing_to_stdout(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert invoke(["enumerate", "6", "--output", str(blocker)]) == (
+            1,
+            "",
+            f"error: cannot write {blocker}: File exists\n",
+        )
+        assert invoke(["enumerate", "6", "--output", str(tmp_path / "dir")]) == (0, "n=6 pi=1 total=2\n", "")
+
 
 class TestAttach:
     def test_attach_writes_algebra(self, six_code_file):
@@ -468,6 +484,59 @@ class TestEmbed:
         assert status == 0
         body = (outdir / "embedding_1.txt").read_text()
         assert body.startswith("q=6 factors=2x3 columns=2,3,4\n")
+
+
+@pytest.fixture
+def mvcodes_process():
+    """Starts ``mvcodes argv`` in a new interpreter, as the console script runs
+    it, with ``prelude`` run before ``cli.main``; kills what is left at the end."""
+    procs = []
+
+    def start(argv, prelude="", **kwargs):
+        script = f"import sys\nfrom mvcodes import cli\n{prelude}\ncli.main()"
+        env = dict(os.environ, PYTHONPATH=str(Path(mvcodes.__file__).parents[1]))
+        procs.append(subprocess.Popen([sys.executable, "-c", script, *argv], env=env, **kwargs))
+        return procs[-1]
+
+    yield start
+    for proc in procs:
+        proc.kill()
+        proc.communicate()
+
+
+class TestProcessExit:
+    """Failed writes to stdout and interrupts end in an exit code, never a traceback."""
+
+    def test_closed_pipe_exits_quietly(self, mvcodes_process):
+        proc = mvcodes_process(["enumerate", "240"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        assert head.startswith(b"n=240 pi=37 total=38\n---\n# factors: chain\n") and len(head) == 100
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=120) == 1
+
+    def test_full_device_gives_one_error_line(self, mvcodes_process, six_bck_file):
+        with open("/dev/full", "wb") as full:
+            proc = mvcodes_process(["code", str(six_bck_file)], stdout=full, stderr=subprocess.PIPE)
+            _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, b"error: cannot write output: No space left on device\n")
+
+    def test_interrupt_exits_130(self, mvcodes_process, tmp_path):
+        # a search of ~25 s: a 9-word code whose least host has order 60
+        words = "0000101 0010110 0010111 0100110 1000001 1000100 1101010 1110011 1111101"
+        path = tmp_path / "nine.code"
+        path.write_text("\n".join(words.split()) + "\n")
+        # SIGINT raises KeyboardInterrupt even where the parent ignores it
+        prelude = "import signal\nsignal.signal(signal.SIGINT, signal.default_int_handler)\nprint(file=sys.stderr, flush=True)"
+        argv = ["embed", str(path), "--max-order", "64"]
+        proc = mvcodes_process(argv, prelude, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stderr.readline() == b"\n"  # the job starts
+        try:
+            proc.wait(timeout=0.5)
+        except subprocess.TimeoutExpired:
+            proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, out, err) == (130, b"", b"")
 
 
 class TestUsage:
