@@ -52,7 +52,7 @@ from operator import getitem, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import EquivalenceBroken, MalformedTable, NotAnAlgebra
-from .order import Poset, _byte_rows, _LazyRows, _masks
+from .order import Poset, _byte_rows, _LazyRows, _up_down
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -416,8 +416,7 @@ def _bck2_first_slice(b: BckAlgebra, view: _ByteView) -> Optional[int]:
 
 def _bck4_first_slice(b: BckAlgebra, view: _ByteView) -> Optional[int]:
     """First x with s[x][y] = s[y][x] = 0 for some y != x."""
-    up = _masks(_marks(view.rows, b.zero, b.k))
-    down = _masks(_marks(view.cols, b.zero, b.k))
+    up, down = _up_down(_marks(view.rows, b.zero, b.k))
     return next((x for x, (u, d) in enumerate(zip(up, down)) if u & d & ~(1 << x)), None)
 
 

@@ -3,27 +3,22 @@
 A square code whose matrix has the right boundary shape carries a candidate
 order: the matrix read as a relation, bit (i,j) saying row i is below row j.
 When that relation is an order, row i is the up-set of i, so the relation is
-also the reverse-componentwise order of the words. A finite MV algebra is a
-product of chains (Cignoli-D'Ottaviano-Mundici 2000), and its order, a
-distributive lattice, is fixed by its join-irreducibles (Birkhoff). They
-form one chain per factor, and the number of members of each chain below an
-element is its digit for that factor. So the factors and the first order
-isomorphism are read off the relation in closed form, only that one chain
-product is built, and its structure is transported onto the code's rows
-once. When that algebra regenerates the code, the relation is the product's
-order and no order law needs checking. Otherwise the order laws are checked
-and give the witness (for instance of a broken transitivity), and an order
-that passes them is no product of chains: on a product the coordinates
-would be an order isomorphism, and no search over maps is needed. Every
-other isomorphism differs from the first by an order automorphism of the
-product, which only permutes the digits of equal factors and so is an
-algebra automorphism: all of them transport to the same algebra.
+also the reverse-componentwise order of the words. Its Birkhoff coordinates
+(see ``order``) give the one candidate chain product and the first order
+isomorphism from it in closed form; only that product is built, and its
+structure is transported onto the code's rows once. When that algebra
+regenerates the code, the relation is the product's order and no order law
+needs checking. Otherwise the order laws are checked and give the witness
+(for instance of a broken transitivity), and an order that passes them is
+no product of chains: on a product the coordinates would be an order
+isomorphism, and no search over maps is needed. Every other isomorphism
+only permutes the digits of equal factors, an algebra automorphism, so all
+of them transport to the same algebra.
 
-Embedding searches the same products without building them. The code of a
-chain product is closed form in the digits: column c is the down-set of c,
-the elements whose every digit is at most c's (``catalog._product_masks``).
-The column search reads those masks, and a host's table is folded only for
-an entry that has a hit, once, and checked against its closed-form columns.
+Embedding searches the same products without building them: column c of a
+product's code is the down-set of c, read off the digits
+(``order._product_masks``). A host's table is folded only for an entry that
+has a hit, once, and checked against its closed-form columns.
 """
 
 from __future__ import annotations
@@ -34,18 +29,10 @@ from operator import not_
 from typing import Iterator, Optional, Union
 
 from .algebras import BckAlgebra, MvAlgebra, WajsbergAlgebra, _translate
-from .catalog import (
-    ChainProduct,
-    _all_isos,
-    _fold_product,
-    _order_types,
-    _product_iso,
-    _product_masks,
-    transport_structure,
-)
+from .catalog import ChainProduct, _fold_product, _order_types, transport_structure
 from .codes import BlockCode, code_from_algebra
 from .errors import AlgebraError, NoEmbeddingFound, NonSquare
-from .order import OrderIso, _masks, order_violation
+from .order import OrderIso, _all_isos, _product_iso, _product_masks, _up_down, order_violation
 
 
 @dataclass(frozen=True)
@@ -128,15 +115,14 @@ def attach_wajsberg(
     Rows of the code become carrier elements in their listed order. Raises
     CodeRejected with a re-checkable witness when the matrix fails the
     boundary shape, its relation is not an order, or the word order matches
-    no catalog entry. The one candidate entry is the chain product whose
-    factors are read off the join-irreducibles of the relation; catalog
-    entries are pairwise non-isomorphic, so no other entry can match. Its
-    structure is transported along the least order isomorphism, read off
-    the same join-irreducibles (``catalog._product_iso``), once per code; the
-    code is accepted when that algebra regenerates it. Only a code that is
-    not accepted has its order laws checked; an order that passes them is
-    no product of chains, since on one the Birkhoff coordinates are an order
-    isomorphism (the ``catalog._product_masks`` of the map are the code's
+    no catalog entry. The one candidate entry, and the least order
+    isomorphism from it, are read off the relation's Birkhoff coordinates
+    (``order._product_iso``); catalog entries are pairwise non-isomorphic,
+    so no other entry can match. The entry's structure is transported once,
+    and the code is accepted when that algebra regenerates it. Only a code
+    that is not accepted has its order laws checked; an order that passes
+    them is no product of chains, since on one the coordinates are an order
+    isomorphism (the ``order._product_masks`` of the map are the code's
     up-sets), whose transport regenerates the code. With ``all_matches``
     every order isomorphism from that entry is listed, in lexicographic
     order, each with that one algebra: the isomorphisms differ by
@@ -152,7 +138,7 @@ def attach_wajsberg(
                 f"{first.condition} fails at {first.position}",
             )
         )
-    up, down = _masks(code._rows), _masks(zip(*code._rows))
+    up, down = _up_down(code._rows)
     found = _product_iso(up, down)
     if found is not None:
         factors, forward = found
@@ -310,7 +296,7 @@ def embed_code(
             for cols in _covering_columns(down, want, m):
                 if entry is None:
                     entry = ChainProduct(factors, _fold_product(factors))
-                    if _masks(zip(*code_from_algebra(entry.algebra)._rows)) != down:
+                    if _up_down(code_from_algebra(entry.algebra)._rows)[1] != down:
                         raise RuntimeError(f"closed-form columns of {factors} differ from the code of its table")
                 result = _canonical_embedding(entry, cols, want, down)
                 if not all_matches:

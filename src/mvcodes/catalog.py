@@ -14,21 +14,15 @@ intermediate algebra per factor. Each step is ``_product_rows``, the one
 product step, which ``product_wajsberg`` also takes: up to 256 elements in
 ``bytes``, a shifted block one ``translate`` and a row one ``join``.
 
-A representative's factors can be read back off its order (Birkhoff): the
-join-irreducibles, the elements with exactly one lower cover, form one chain
-of n - 1 elements per factor n, and the number of members of each chain
-below an element is its digit for that factor, so an order isomorphism from
-the product comes in closed form (``_product_iso``). So do the up-sets and
-down-sets of a product, the rows and columns of its code, read off the
-digits without building its table (``_product_masks``).
+A representative's factors, and its order isomorphisms onto a relabelled
+carrier, are read back off its order in closed form by the Birkhoff
+coordinates of ``order``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from math import prod
-from operator import itemgetter, or_
+from itertools import chain
 from typing import Iterator, Optional
 
 from .algebras import _BYTES, CayleyTable, WajsbergAlgebra, _relabel, natural_order
@@ -123,110 +117,6 @@ def _fold_product(factors: tuple[int, ...]) -> WajsbergAlgebra:
         rows = _product_rows([[*range(top - a, top), *[top] * (f - a)] for a in range(f)], rows)
     k = len(rows)
     return WajsbergAlgebra(CayleyTable(rows), tuple(range(k - 1, -1, -1)), k - 1)
-
-
-def _chain_masks(up, down) -> Optional[list[int]]:
-    """The join-irreducibles of the order with up-set / down-set masks ``up``
-    / ``down``, as one chain mask per factor, most significant digit first.
-
-    An element x is join-irreducible when its strict down-set is the down-set
-    of one element, its one lower cover. In a product of chains these
-    elements split into disjoint chains, one of n - 1 elements per factor n,
-    and the factors multiply to k; otherwise the result is None. A finite
-    distributive lattice is fixed by its join-irreducibles (Birkhoff), so no
-    product with other factors has this order. The chains are sorted by
-    size, and among equal sizes the chain whose atom (least member) has the
-    larger label comes first.
-    """
-    below = set(down)
-    irreducible = [x for x, d in enumerate(down) if d ^ 1 << x in below]
-    mask = sum(1 << x for x in irreducible)
-    # The irreducibles comparable to x: these sets partition the
-    # irreducibles exactly when they are disjoint chains.
-    chain_of = {x: (up[x] | down[x]) & mask for x in irreducible}
-    chains = set(chain_of.values())
-    if sum(c.bit_count() for c in chains) != len(irreducible) or prod(c.bit_count() + 1 for c in chains) != len(down):
-        return None
-    atom = {c: x for x, c in chain_of.items() if down[x] & c == 1 << x}
-    return sorted(chains, key=lambda c: (c.bit_count(), -atom.get(c, 0)))
-
-
-def _product_iso(up, down) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Factors and forward map of the least order isomorphism from the chain
-    product onto the order of masks ``up`` / ``down``; None without
-    ``_chain_masks``, or when the map is no bijection.
-
-    Element x is the image of the mixed-radix number whose digits are
-    ``|down(x) & chain|`` over the chains of ``_chain_masks``. Product
-    element 1 goes to the least atom that the least significant digit may
-    take, and so on up, so on a product of chains the map is the least
-    isomorphism in lexicographic order of forward maps. On any other
-    relation the caller checks it.
-    """
-    chains = _chain_masks(up, down)
-    if chains is None:
-        return None
-    factors = [c.bit_count() + 1 for c in chains]
-    inverse = []
-    for d in down:
-        i = 0
-        for f, c in zip(factors, chains):
-            i = i * f + (d & c).bit_count()
-        inverse.append(i)
-    if len(set(inverse)) != len(inverse):
-        return None
-    return tuple(factors) or (1,), tuple(sorted(range(len(inverse)), key=inverse.__getitem__))
-
-
-def _product_masks(factors: tuple[int, ...], forward=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Up-set and down-set masks of the order of the chain product of
-    ``factors``, its element x labelled ``forward[x]`` (x itself by default).
-
-    x <= y when every digit of x is at most y's, so the up-set of x is the
-    meet, over the digits, of the elements whose digit is at least x's, and
-    the down-set the meet of those whose digit is at most x's. These sets are
-    built once per digit value: O(k * factors) mask operations, no table.
-    Column c of the product's code is the down-set of c, and row c its up-set.
-    """
-    k = stride = prod(factors)
-    labels = range(k) if forward is None else forward
-    up, down = [(1 << k) - 1] * k, [(1 << k) - 1] * k
-    for f in factors:
-        stride //= f
-        digits = [x // stride % f for x in range(k)]
-        at = [0] * f
-        for v, y in zip(digits, labels):
-            at[v] |= 1 << y
-        at_most = list(accumulate(at, or_))
-        at_least = list(accumulate(reversed(at), or_))[::-1]
-        for v, y in zip(digits, labels):
-            up[y] &= at_least[v]
-            down[y] &= at_most[v]
-    return tuple(up), tuple(down)
-
-
-def _all_isos(factors: tuple[int, ...], forward: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """``forward`` composed with every order automorphism of the chain product
-    of ``factors``, in lexicographic order: all the order isomorphisms when
-    ``forward`` is one.
-
-    The automorphisms permute the digits of equal factors. Every one of them
-    is, once, a product of one swap per digit, with itself (the identity) or
-    a more significant digit of the same factor; a composition is one
-    ``itemgetter`` gather.
-    """
-    k = len(forward)
-    strides = [prod(factors[p + 1 :]) for p in range(len(factors))]
-    out = [forward]
-    for q, f in enumerate(factors):
-        sq = strides[q]
-        swaps = [
-            itemgetter(*(e + (e // sq % f - e // sp % f) * (sp - sq) for e in range(k)))
-            for sp, g in zip(strides[:q], factors)
-            if g == f
-        ]
-        out += [swap(iso) for swap in swaps for iso in out]
-    return sorted(out)
 
 
 def _order_types(n: int) -> list[tuple[int, ...]]:

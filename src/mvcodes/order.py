@@ -1,16 +1,31 @@
 """Finite partial orders as relation matrices of ``bytes`` rows of 0 / 1,
-the one representation of an order or a code, plus isomorphism search.
+the one representation of an order or a code; isomorphism search; and the
+Birkhoff coordinates of products of chains.
 
 ``Poset``, ``codes.Skeleton``, ``codes.BlockCode`` and ``CayleyTable`` keep
 their checked rows behind a public tuple view built on first read
 (``_LazyRows``). Order queries read up-set / down-set ``int`` bitmasks built
-by ``_masks``, the one place rows, columns or codewords become bitmasks.
+by ``_masks``. ``_up_down`` is the one place a matrix's columns become
+masks: it reads them as strided slices of the rows joined.
+
+A finite MV algebra is a product of Łukasiewicz chains
+(Cignoli-D'Ottaviano-Mundici 2000), and its order, a finite distributive
+lattice, is fixed by its join-irreducibles (Birkhoff). The elements with
+exactly one lower cover form one chain of n - 1 elements per factor n
+(``_chain_masks``), and the number of members of each chain below an element
+is its digit for that factor: its Birkhoff coordinates. Read as a
+mixed-radix number, they give the least order isomorphism from the chain
+product (``_product_iso``); every other one permutes the digits of equal
+factors (``_all_isos``). A product's up-sets and down-sets, its code's rows
+and columns, are read off the digits with no table (``_product_masks``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import accumulate, compress
+from math import prod
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NotAnOrderIso, NotAPoset, SizeMismatch
@@ -67,6 +82,13 @@ def _masks(rows: Iterable[Sequence[int]]) -> tuple[int, ...]:
     return tuple(int(bytes(row)[::-1].translate(_DIGITS) or b"0", 2) for row in rows)
 
 
+def _up_down(rows: Sequence[bytes]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Up-set and down-set masks of a square matrix of ``bytes`` rows of 0 / 1:
+    the ``_masks`` of its rows and of its columns, ``flat[x::k]`` of the rows joined."""
+    k, flat = len(rows), b"".join(rows)
+    return _masks(rows), _masks(flat[x::k] for x in range(k))
+
+
 def order_violation(up: Sequence[int], down: Sequence[int]):
     """First broken order law of up-set / down-set masks, as (law, witness), or None.
 
@@ -112,9 +134,10 @@ class Poset(_LazyRows):
             if any(len(row) != k for row in rows):
                 raise NotAPoset("shape", ())
         self._keep(rows)
-        object.__setattr__(self, "up", _masks(rows))
-        object.__setattr__(self, "down", _masks(zip(*rows)))
-        bad = order_violation(self.up, self.down)
+        up, down = _up_down(rows)
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
+        bad = order_violation(up, down)
         if bad is not None:
             raise NotAPoset(*bad)
 
@@ -217,3 +240,105 @@ def poset_isomorphisms(source: Poset, target: Poset) -> Iterator[OrderIso]:
 def poset_isomorphism(source: Poset, target: Poset) -> Optional[OrderIso]:
     """First order isomorphism under lexicographic backtracking, or None."""
     return next(poset_isomorphisms(source, target), None)
+
+
+def _chain_masks(up, down) -> Optional[list[int]]:
+    """The join-irreducibles of the order with up-set / down-set masks ``up``
+    / ``down``, as one chain mask per factor, most significant digit first;
+    None unless they split into disjoint chains whose sizes plus one
+    multiply to k, since then no product of chains has this order.
+
+    An element x is join-irreducible when its strict down-set is the down-set
+    of one element, its one lower cover. The chains are sorted by size, and
+    among equal sizes the chain whose atom (least member) has the larger
+    label comes first.
+    """
+    below = set(down)
+    irreducible = [x for x, d in enumerate(down) if d ^ 1 << x in below]
+    mask = sum(1 << x for x in irreducible)
+    # The irreducibles comparable to x: these sets partition the
+    # irreducibles exactly when they are disjoint chains.
+    chain_of = {x: (up[x] | down[x]) & mask for x in irreducible}
+    chains = set(chain_of.values())
+    if sum(c.bit_count() for c in chains) != len(irreducible) or prod(c.bit_count() + 1 for c in chains) != len(down):
+        return None
+    atom = {c: x for x, c in chain_of.items() if down[x] & c == 1 << x}
+    return sorted(chains, key=lambda c: (c.bit_count(), -atom.get(c, 0)))
+
+
+def _product_iso(up, down) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Factors and forward map of the least order isomorphism from the chain
+    product onto the order of masks ``up`` / ``down``; None without
+    ``_chain_masks``, or when the map is no bijection.
+
+    Element x is the image of the mixed-radix number whose digits are
+    ``|down(x) & chain|`` over the chains of ``_chain_masks``. Product
+    element 1 goes to the least atom that the least significant digit may
+    take, and so on up, so on a product of chains the map is the least
+    isomorphism in lexicographic order of forward maps. On any other
+    relation the caller checks it.
+    """
+    chains = _chain_masks(up, down)
+    if chains is None:
+        return None
+    factors = [c.bit_count() + 1 for c in chains]
+    inverse = []
+    for d in down:
+        i = 0
+        for f, c in zip(factors, chains):
+            i = i * f + (d & c).bit_count()
+        inverse.append(i)
+    if len(set(inverse)) != len(inverse):
+        return None
+    return tuple(factors) or (1,), tuple(sorted(range(len(inverse)), key=inverse.__getitem__))
+
+
+def _product_masks(factors: tuple[int, ...], forward=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Up-set and down-set masks of the order of the chain product of
+    ``factors``, its element x labelled ``forward[x]`` (x itself by default).
+
+    x <= y when every digit of x is at most y's, so the up-set of x is the
+    meet, over the digits, of the elements whose digit is at least x's, and
+    the down-set the meet of those whose digit is at most x's. These sets are
+    built once per digit value: O(k * factors) mask operations, no table.
+    Column c of the product's code is the down-set of c, and row c its up-set.
+    """
+    k = stride = prod(factors)
+    labels = range(k) if forward is None else forward
+    up, down = [(1 << k) - 1] * k, [(1 << k) - 1] * k
+    for f in factors:
+        stride //= f
+        digits = [x // stride % f for x in range(k)]
+        at = [0] * f
+        for v, y in zip(digits, labels):
+            at[v] |= 1 << y
+        at_most = list(accumulate(at, or_))
+        at_least = list(accumulate(reversed(at), or_))[::-1]
+        for v, y in zip(digits, labels):
+            up[y] &= at_least[v]
+            down[y] &= at_most[v]
+    return tuple(up), tuple(down)
+
+
+def _all_isos(factors: tuple[int, ...], forward: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """``forward`` composed with every order automorphism of the chain product
+    of ``factors``, in lexicographic order: all the order isomorphisms when
+    ``forward`` is one.
+
+    The automorphisms permute the digits of equal factors. Every one of them
+    is, once, a product of one swap per digit, with itself (the identity) or
+    a more significant digit of the same factor; a composition is one
+    ``itemgetter`` gather.
+    """
+    k = len(forward)
+    strides = [prod(factors[p + 1 :]) for p in range(len(factors))]
+    out = [forward]
+    for q, f in enumerate(factors):
+        sq = strides[q]
+        swaps = [
+            itemgetter(*(e + (e // sq % f - e // sp % f) * (sp - sq) for e in range(k)))
+            for sp, g in zip(strides[:q], factors)
+            if g == f
+        ]
+        out += [swap(iso) for swap in swaps for iso in out]
+    return sorted(out)

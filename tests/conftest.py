@@ -20,7 +20,7 @@ from mvcodes import (
     WajsbergAlgebra,
     enumerate_wajsberg,
 )
-from mvcodes.catalog import _chain_masks
+from mvcodes.order import _chain_masks
 
 SIX_STAR = (
     (0, 0, 0, 0, 0, 0),

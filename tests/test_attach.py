@@ -36,15 +36,9 @@ from mvcodes import (
     validate_code_matrix,
 )
 from mvcodes.attach import _canonical_embedding, _covering_columns
-from mvcodes.catalog import (
-    _fold_product,
-    _product_iso,
-    _product_masks,
-    factorizations,
-    transport_structure,
-)
+from mvcodes.catalog import _fold_product, factorizations, transport_structure
 from mvcodes.errors import InvalidSize, NotAPoset
-from mvcodes.order import OrderIso, Poset, _masks, poset_isomorphisms
+from mvcodes.order import OrderIso, Poset, _masks, _product_iso, _product_masks, _up_down, poset_isomorphisms
 
 from conftest import (
     CODE_CYCLED,
@@ -421,13 +415,16 @@ class TestClosedForm:
 
     def test_product_iso_has_one_shape(self):
         # None, or factors with a permutation; attach accepts exactly when
-        # that permutation's up-set masks are the code's
+        # that permutation's up-set masks are the code's. The masks of the
+        # one transpose equal the zip oracle's, on relations that are no
+        # order too
         codes = [*map(code_of, NOT_PRODUCTS)]
         for factors in [(2, 2, 3), (3, 4)]:
             codes += [relabelled_code(factors, 4)[1], *inner_bit_flips(factors)]
         seen = set()
         for code in codes:
             up, down = _masks(code.words), _masks(zip(*code.words))
+            assert _up_down(code._rows) == (up, down)
             found = _product_iso(up, down)
             if found is not None:
                 factors, forward = found

@@ -86,3 +86,20 @@ def test_each_axiom_is_named_once_in_its_suite():
     literals = Counter(node.value for node in ast.walk(tree) if isinstance(node, ast.Constant))
     assert len(names) == 19
     assert {name: literals[name] for name in names} == dict.fromkeys(names, 1)
+
+
+def test_order_masks_have_one_home():
+    # columns become masks only in order._up_down, by strided slices, and the
+    # Birkhoff helpers live next to it
+    home = ["_up_down", "_chain_masks", "_product_iso", "_product_masks", "_all_isos"]
+    defined, transposed = {}, []
+    for path in sorted(Path(mvcodes.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name in home:
+                defined.setdefault(node.name, []).append(path.name)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_masks":
+                zips = [n for arg in node.args for n in ast.walk(arg) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "zip"]
+                if any(isinstance(a, ast.Starred) for z in zips for a in z.args):
+                    transposed.append(f"{path.name}:{node.lineno}")
+    assert transposed == []
+    assert defined == {name: ["order.py"] for name in home}
