@@ -149,7 +149,7 @@ def attach_wajsberg(
             if not all_matches:
                 return AttachmentResult(algebra, iso, entry)
             return [AttachmentResult(algebra, OrderIso(f), entry) for f in _all_isos(factors, forward)]
-    bad = order_violation(up, down)
+    bad = order_violation(code._rows, up, down)
     if bad is not None:
         law, witness = bad
         kind = "transitivity-failure" if law == "transitivity" else "not-a-poset"

@@ -142,8 +142,8 @@ def min_hamming_distance(code: BlockCode) -> int:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Skeleton(_LazyRows):
-    """Boolean matrix with a mark at (i, j) iff element i <= element j; its
-    rows are kept as ``bytes`` of 0 / 1, any other rows read with ``bool``."""
+    """Square boolean matrix, a mark at (i, j) iff element i <= element j; rows
+    are ``bytes`` of 0 / 1 (others read with ``bool``); a ragged one raises ``MalformedTable``."""
 
     black: tuple[tuple[bool, ...], ...]
     _view = "black"
@@ -151,7 +151,11 @@ class Skeleton(_LazyRows):
 
     def __post_init__(self):
         rows = tuple(self.black)
-        self._keep(rows if _byte_rows(rows) else tuple(bytes(map(bool, row)) for row in rows))
+        rows = rows if _byte_rows(rows) else tuple(bytes(map(bool, row)) for row in rows)
+        if not set(map(len, rows)) <= {len(rows)}:
+            i = next(i for i, row in enumerate(rows) if len(row) != len(rows))
+            raise MalformedTable(f"row {i} has length {len(rows[i])}, expected {len(rows)}")
+        self._keep(rows)
 
     def render(self) -> str:
         return b"\n".join(self._rows).translate(_MARKS).decode()

@@ -4,9 +4,10 @@ Birkhoff coordinates of products of chains.
 
 ``Poset``, ``codes.Skeleton``, ``codes.BlockCode`` and ``CayleyTable`` keep
 their checked rows behind a public tuple view built on first read
-(``_LazyRows``). Order queries read up-set / down-set ``int`` bitmasks built
-by ``_masks``. ``_up_down`` is the one place a matrix's columns become
-masks: it reads them as strided slices of the rows joined.
+(``_LazyRows``). Rows become up-set ``int`` bitmasks in ``_masks``, columns
+down-set ones only in ``_up_down``, as strided slices of the rows joined.
+``order_violation`` checks each law as its definition: one mask test per
+element, and each up-set equal to the OR of its members' up-sets.
 
 A finite MV algebra is a product of Łukasiewicz chains
 (Cignoli-D'Ottaviano-Mundici 2000), and its order, a finite distributive
@@ -23,6 +24,7 @@ and columns, are read off the digits with no table (``_product_masks``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate, compress
 from math import prod
 from operator import itemgetter, or_
@@ -89,10 +91,11 @@ def _up_down(rows: Sequence[bytes]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return _masks(rows), _masks(flat[x::k] for x in range(k))
 
 
-def order_violation(up: Sequence[int], down: Sequence[int]):
-    """First broken order law of up-set / down-set masks, as (law, witness), or None.
+def order_violation(rows: Sequence[Sequence[int]], up: Sequence[int], down: Sequence[int]):
+    """First broken order law of 0 / 1 ``rows`` and their masks, as (law, witness), or None.
 
-    Laws are checked in the order reflexivity, antisymmetry, transitivity;
+    Laws are checked in the order reflexivity, antisymmetry (one mask test per
+    element), transitivity (each up-set is the OR of its members' up-sets);
     within each law the lexicographically least witness is returned.
     """
     for x, ux in enumerate(up):
@@ -102,23 +105,20 @@ def order_violation(up: Sequence[int], down: Sequence[int]):
         both = ux & dx & ~(1 << x)
         if both:
             return ("antisymmetry", (x, (both & -both).bit_length() - 1))
-    for x, ux in enumerate(up):
-        rest = ux
-        while rest:  # y runs over up(x) in ascending order
-            y = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+    for x, (row, ux) in enumerate(zip(rows, up)):
+        if reduce(or_, compress(up, row), 0) != ux:
+            y = next(y for y in compress(range(len(up)), row) if up[y] & ~ux)
             missing = up[y] & ~ux
-            if missing:
-                return ("transitivity", (x, y, (missing & -missing).bit_length() - 1))
+            return ("transitivity", (x, y, (missing & -missing).bit_length() - 1))
     return None
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Poset(_LazyRows):
-    """A reflexive, antisymmetric, transitive relation on ``{0, .., k-1}``;
-    its rows are kept as ``bytes`` of 0 / 1 (square rows of that kind pass
-    one fast test, any others are read with ``bool``), and ``up`` / ``down``
-    hold the rows / columns of ``leq`` as ``_masks`` bitmasks."""
+    """A reflexive, antisymmetric, transitive relation on ``{0, .., k-1}``, as
+    ``order_violation`` checks it; rows kept as ``bytes`` of 0 / 1 (square rows
+    of that kind pass one fast test, any others are read with ``bool``), and
+    ``up`` / ``down`` its rows / columns as ``_masks`` bitmasks."""
 
     leq: tuple[tuple[bool, ...], ...]
     up: tuple[int, ...] = field(init=False)
@@ -137,7 +137,7 @@ class Poset(_LazyRows):
         up, down = _up_down(rows)
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "down", down)
-        bad = order_violation(up, down)
+        bad = order_violation(rows, up, down)
         if bad is not None:
             raise NotAPoset(*bad)
 
@@ -145,7 +145,7 @@ class Poset(_LazyRows):
         return frozenset(compress(range(self.k), self._rows[x]))
 
     def down_set(self, x: int) -> frozenset[int]:
-        return frozenset(y for y in range(self.k) if self._rows[y][x])
+        return frozenset(compress(range(self.k), b"".join(self._rows)[x :: self.k]))
 
     @property
     def bottom(self) -> Optional[int]:
@@ -159,12 +159,8 @@ class Poset(_LazyRows):
         return all((u | d).bit_count() == self.k for u, d in zip(self.up, self.down))
 
     def strict_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (x, y)
-            for x in range(self.k)
-            for y in range(self.k)
-            if x != y and self._rows[x][y]
-        )
+        k = self.k
+        return frozenset((x, y) for x, row in enumerate(self._rows) for y in compress(range(k), row) if x != y)
 
 
 @dataclass(frozen=True)

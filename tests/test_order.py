@@ -198,6 +198,10 @@ class TestBitmaskCore:
         assert p.bottom == next((x for x in range(k) if all(p.leq[x])), None)
         assert p.top == next((x for x in range(k) if all(row[x] for row in p.leq)), None)
         assert p.is_total() == all(p.leq[x][y] or p.leq[y][x] for x in range(k) for y in range(k))
+        for x in range(k):
+            assert p.up_set(x) == {y for y in range(k) if rows[x][y]}
+            assert p.down_set(x) == {y for y in range(k) if rows[y][x]}
+        assert p.strict_pairs() == {(x, y) for x in range(k) for y in range(k) if x != y and rows[x][y]}
 
     def test_masks_take_no_part_in_equality(self):
         p = natural_order(chain_wajsberg(3))

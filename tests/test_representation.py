@@ -17,6 +17,8 @@ import pytest
 from mvcodes import (
     BlockCode,
     CayleyTable,
+    LengthMismatch,
+    MalformedTable,
     MvAlgebra,
     NotAPoset,
     Poset,
@@ -118,7 +120,7 @@ def old_poset(rows):
         return "shape", ()
     up = tuple(sum(1 << j for j, v in enumerate(row) if v) for row in leq)
     down = tuple(sum(1 << i for i, row in enumerate(leq) if row[j]) for j in range(k))
-    return order_violation(up, down) or (leq, up, down)
+    return order_violation(leq, up, down) or (leq, up, down)
 
 
 def new_poset(rows):
@@ -208,3 +210,17 @@ class TestAgainstTuplePaths:
             algebra = MvAlgebra(CayleyTable(rows), m.complement, m.zero)
             o = algebra.one
             assert mv_sum_indicator(algebra).black == tuple(tuple(v == o for v in row) for row in rows)
+
+
+@pytest.mark.parametrize("rows", [((1, 0), (1,)), (b"\1\0", b"\1")])
+@pytest.mark.parametrize(
+    "container, error",
+    [(CayleyTable, MalformedTable), (Poset, NotAPoset), (BlockCode, LengthMismatch), (Skeleton, MalformedTable)],
+)
+def test_ragged_rows_raise_the_documented_error(container, error, rows):
+    with pytest.raises(error) as exc:
+        container(rows)
+    if error is NotAPoset:
+        assert exc.value.law == "shape"
+    if error is MalformedTable:
+        assert str(exc.value) == "row 1 has length 1, expected 2"
