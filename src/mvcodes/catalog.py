@@ -10,9 +10,13 @@ carrier.
 A representative is built in one pass on the mixed-radix carrier, the last
 factor the least significant digit: the componentwise Łukasiewicz
 implication is tabulated factor by factor from the last digit up, with no
-intermediate algebra per factor. Each step is ``_product_rows``, the one
+intermediate algebra per factor. The last factor's chain rows are written
+down directly; each factor before it is one ``_product_rows``, the one
 product step, which ``product_wajsberg`` also takes: up to 256 elements in
 ``bytes``, a shifted block one ``translate`` and a row one ``join``.
+``_chain_products`` builds the entries one at a time as they are drawn:
+``enumerate_wajsberg`` lists them, and the CLI writes each one out before it
+builds the next.
 
 A representative's factors, and its order isomorphisms onto a relabelled
 carrier, are read back off its order in closed form by the Birkhoff
@@ -108,13 +112,23 @@ def _product_rows(t1, t2) -> list:
     return [tuple(chain.from_iterable(map(b.__getitem__, p))) for p in t1 for b in blocks]
 
 
+def _chain_rows(f: int) -> list:
+    """Rows of the f-element chain, x->y = min(top, top - x + y): ``bytes``
+    up to 256 elements, tuples of ints beyond."""
+    top = f - 1
+    if f <= 256:
+        return [_BYTES[top - a : top] + bytes([top]) * (f - a) for a in range(f)]
+    return [(*range(top - a, top), *[top] * (f - a)) for a in range(f)]
+
+
 def _fold_product(factors: tuple[int, ...]) -> WajsbergAlgebra:
-    """The chain product, equal to folding ``product_wajsberg`` left to right;
-    a chain's table is x->y = min(top, top - x + y)."""
-    rows = [b"\0"]
-    for f in reversed(factors):
-        top = f - 1
-        rows = _product_rows([[*range(top - a, top), *[top] * (f - a)] for a in range(f)], rows)
+    """The chain product, equal to folding ``product_wajsberg`` left to right:
+    the last factor's chain rows, then one ``_product_rows`` per factor
+    before it."""
+    *outer, last = factors
+    rows = _chain_rows(last)
+    for f in reversed(outer):
+        rows = _product_rows(_chain_rows(f), rows)
     k = len(rows)
     return WajsbergAlgebra(CayleyTable(rows), tuple(range(k - 1, -1, -1)), k - 1)
 
@@ -132,11 +146,17 @@ def _order_types(n: int) -> list[tuple[int, ...]]:
     return every
 
 
+def _chain_products(types: list[tuple[int, ...]]) -> Iterator[ChainProduct]:
+    """The catalog entries of ``_order_types``, built one at a time as they
+    are drawn, so a caller that drops each entry holds one table at a time."""
+    return (ChainProduct(factors, _fold_product(factors)) for factors in types)
+
+
 def enumerate_wajsberg(n: int) -> list[ChainProduct]:
     """One algebra per order type of size n: the chain, then one per
     factorization, pairwise non-isomorphic as ordered sets. Raises
     InvalidSize, building nothing, over ``MAX_CATALOG_CELLS`` table cells."""
-    return [ChainProduct(factors, _fold_product(factors)) for factors in _order_types(n)]
+    return list(_chain_products(_order_types(n)))
 
 
 def pi_count(n: int) -> int:

@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 malformed input or output that cannot be written
 (a closed pipe exits quietly), 2 domain rejection (invalid algebra, rejected
 attachment, exhausted embedding), 64 usage error, 130 interrupted (SIGINT).
 Output is deterministic: identical inputs produce byte-identical output.
+``enumerate`` builds, formats and writes one catalog entry at a time, so an
+interrupted run, or one whose stdout pipe closes, leaves the entries already
+written, and still exits 130, or quietly 1.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import functools
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .algebras import Algebra, _translate, kind_of, verify
 from .attach import (
@@ -21,7 +24,7 @@ from .attach import (
     attach_wajsberg,
     embed_code,
 )
-from .catalog import enumerate_wajsberg
+from .catalog import _chain_products, _order_types
 from .codes import (
     code_from_algebra,
     distance_D,
@@ -185,32 +188,39 @@ def _cmd_skeleton(args, out, err) -> int:
     return EX_OK
 
 
-def _write_or_print(texts: list[tuple[str, str]], output: Optional[Path], out, head: str = "") -> None:
-    """Emit named documents to a directory, or to stdout with separators;
-    ``head`` goes to stdout first, and only once the directory is written."""
-    if output is not None:
-        try:
-            output.mkdir(parents=True, exist_ok=True)
-            for name, text in texts:
-                (output / name).write_text(text)
-        except OSError as exc:
-            raise ParseError(f"cannot write {output}: {exc.strerror}") from exc
-        texts = []
+def _write_or_print(docs: Iterable[tuple[str, Sequence[str]]], output: Optional[Path], out, head: str = "") -> None:
+    """Emit named documents, each a sequence of text parts written in turn,
+    never joined, one at a time as ``docs`` yields them: to files in a
+    directory, then ``head`` to stdout; or ``head``, then each document after
+    a ``---`` line, to stdout."""
+    if output is None:
+        out.write(head)
+        for _, parts in docs:
+            out.write("---\n")
+            for part in parts:
+                out.write(part)
+        return
+    try:
+        output.mkdir(parents=True, exist_ok=True)
+        for name, parts in docs:
+            with open(output / name, "w") as file:
+                file.writelines(parts)
+    except OSError as exc:
+        raise ParseError(f"cannot write {output}: {exc.strerror}") from exc
     out.write(head)
-    for _, text in texts:
-        print("---", file=out)
-        out.write(text)
 
 
 def _cmd_enumerate(args, out, err) -> int:
-    entries = enumerate_wajsberg(args.n)
-    pi = len(entries) - 1  # the chain, then one entry per proper factorization
-    texts = []
-    for entry in entries:
-        label = "chain" if len(entry.factors) == 1 else entry.factor_label()
-        body = f"# factors: {label}\n" + format_algebra(entry.algebra)
-        texts.append((f"w{args.n}_{label.replace('x', '_')}.alg", body))
-    _write_or_print(texts, args.output, out, f"n={args.n} pi={pi} total={pi + 1}\n")
+    n = args.n
+    types = _order_types(n)  # raises InvalidSize before anything is built or written
+    head = f"n={n} pi={len(types) - 1} total={len(types)}\n"  # the chain, then the proper factorizations
+
+    def docs():
+        for entry in _chain_products(types):
+            label = "chain" if len(entry.factors) == 1 else entry.factor_label()
+            yield f"w{n}_{label.replace('x', '_')}.alg", (f"# factors: {label}\n", format_algebra(entry.algebra))
+
+    _write_or_print(docs(), args.output, out, head)
     return EX_OK
 
 
@@ -230,11 +240,11 @@ def _cmd_attach(args, out, err) -> int:
     head = f"# catalog: n={source.order} factors={source.factor_label()}\n"
     # a transport of a catalog entry, valid by construction: translated unverified
     body = format_algebra(_translate(results[0].algebra, args.kind))
-    texts = [
-        (f"attached_{i}_{args.kind}.alg", f"{head}# relabeling: {','.join(map(str, r.iso.forward))}\n{body}")
+    docs = [
+        (f"attached_{i}_{args.kind}.alg", (head, f"# relabeling: {','.join(map(str, r.iso.forward))}\n", body))
         for i, r in enumerate(results, start=1)
     ]
-    _write_or_print(texts, args.output, out)
+    _write_or_print(docs, args.output, out)
     return EX_OK
 
 
@@ -246,18 +256,13 @@ def _cmd_embed(args, out, err) -> int:
         print(f"no embedding found up to order {exc.max_order}", file=err)
         return EX_REJECTED
     results = found if args.all_matches else [found]
-    texts = []
+    docs = []
     for i, result in enumerate(results, start=1):
         cols = ",".join(str(c) for c in result.columns)
         summary = f"q={result.q} factors={result.factor_label()} columns={cols}\n"
-        body = (
-            summary
-            + format_algebra(result.host)
-            + "# restricted code\n"
-            + format_code(result.restriction)
-        )
-        texts.append((f"embedding_{i}.txt", body))
-    _write_or_print(texts, args.output, out)
+        parts = (summary, format_algebra(result.host), "# restricted code\n", format_code(result.restriction))
+        docs.append((f"embedding_{i}.txt", parts))
+    _write_or_print(docs, args.output, out)
     return EX_OK
 
 

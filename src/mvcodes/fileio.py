@@ -17,8 +17,10 @@ are separated, and lines padded, by ASCII spaces and tabs only, so no other
 control or Unicode separator character is read as a break.
 
 Up to 256 elements the rows of a table are read into ``bytes`` and written
-from them, one ``translate`` per decimal digit plane, without building the
-table's tuple rows; larger tables are read and written as tuples of ints.
+from them, without building the table's tuple rows: in blocks of whole rows
+of about 8 K cells, one ``translate`` per decimal digit plane and block, so
+no temporary is much larger than a block; larger tables are read and written
+as tuples of ints.
 """
 
 from __future__ import annotations
@@ -118,16 +120,28 @@ _TENS = bytes(48 + v // 10 % 10 if v >= 10 else 0 for v in range(256))
 _ONES = bytes(48 + v % 10 for v in range(256))
 
 
-def _format_bytes(flat: bytes, k: int) -> str:
+# Cells per block of ``_format_bytes``: its buffers stay near 32 KB, below the
+# size at which malloc hands out fresh pages for each one.
+_BLOCK_CELLS = 8192
+
+
+def _format_bytes(flat: bytes, k: int) -> list[str]:
     """Byte cells as decimal names, k to a line, each followed by a space or,
-    at the end of its line, a newline: one ``translate`` per digit plane,
+    at the end of its line, a newline, in blocks of whole rows of about
+    ``_BLOCK_CELLS`` cells: per block one ``translate`` per digit plane,
     interleaved with the separators in one ``bytearray``."""
-    out = bytearray(4 * len(flat))
-    out[0::4] = flat.translate(_HUNDREDS)
-    out[1::4] = flat.translate(_TENS)
-    out[2::4] = flat.translate(_ONES)
-    out[3::4] = (b" " * (k - 1) + b"\n") * (len(flat) // k)
-    return out.translate(None, b"\0").decode("ascii")
+    step = k * max(1, _BLOCK_CELLS // k)
+    lines = (b" " * (k - 1) + b"\n") * (step // k)
+    blocks = []
+    for i in range(0, len(flat), step):
+        block = flat[i : i + step]
+        out = bytearray(4 * len(block))
+        out[0::4] = block.translate(_HUNDREDS)
+        out[1::4] = block.translate(_TENS)
+        out[2::4] = block.translate(_ONES)
+        out[3::4] = lines[: len(block)]
+        blocks.append(out.translate(None, b"\0").decode("ascii"))
+    return blocks
 
 
 def _format_rows(rows, names: list[str]) -> str:
@@ -147,7 +161,8 @@ def format_algebra(algebra: Algebra) -> str:
     """Serialise an algebra in the exact file format (no comments).
 
     Up to 256 elements the unary map and the table are formatted from bytes
-    by ``_format_bytes``; beyond, from tuples of ints by ``_format_rows``."""
+    by ``_format_bytes``, whose blocks and the head are joined once, into the
+    text at its final size; beyond, from tuples of ints by ``_format_rows``."""
     kind, table, unary = _parts(algebra)
     k = algebra.k
     head = f"kind: {kind}\norder: {k}\n"
@@ -158,7 +173,7 @@ def format_algebra(algebra: Algebra) -> str:
         head += (f"zero: {algebra.zero}\n" if kind == "mv" else f"one: {algebra.one}\n") + "unary: "
         rows = (bytes(unary) if k <= 256 else unary, *table._rows)
     if k <= 256:
-        return head + _format_bytes(b"".join(rows), k)
+        return "".join([head, *_format_bytes(b"".join(rows), k)])
     return head + _format_rows(rows, [str(v) for v in range(k)])
 
 

@@ -35,7 +35,7 @@ from mvcodes import (
     wajsberg_to_mv,
 )
 from mvcodes import catalog
-from mvcodes.catalog import _fold_product
+from mvcodes.catalog import _fold_product, _order_types
 from mvcodes.order import OrderIso
 
 from conftest import (
@@ -194,11 +194,20 @@ def assert_same_algebra(got, want, label):
     assert got.one == want.one, label
 
 
+def closed_chain(k):
+    """The k-element chain from its closed form, x->y = min(top, top - x + y),
+    cell by cell: no code of the package builds its rows."""
+    top = k - 1
+    rows = tuple(tuple(min(top, top - x + y) for y in range(k)) for x in range(k))
+    return WajsbergAlgebra(CayleyTable(rows), tuple(range(top, -1, -1)), top)
+
+
 def assert_fold_matches_products(factors):
-    folded = oracle = chain_wajsberg(factors[0])
+    folded = chain_wajsberg(factors[0])
+    oracle = closed_chain(factors[0])
     for f in factors[1:]:
         folded = product_wajsberg(folded, chain_wajsberg(f))
-        oracle = cellwise_product(oracle, chain_wajsberg(f))
+        oracle = cellwise_product(oracle, closed_chain(f))
     built = _fold_product(factors)
     assert_same_algebra(built, folded, factors)
     assert_same_algebra(built, oracle, factors)
@@ -232,9 +241,9 @@ class TestOnePassProducts:
             assert w.negation == tuple(top - i for i in range(k))
             assert w.one == top
 
-    @pytest.mark.parametrize("k", [128, 240, 256, 257])
+    @pytest.mark.parametrize("k", [128, 240, 256, 257, 300])
     def test_large_chains_match_closed_form(self, k):
-        # 256 is the largest carrier folded in bytes; 257 takes the tuple fold
+        # 256 is the largest chain built in bytes; 257 and 300 are built in tuples
         top = k - 1
         assert chain_wajsberg(k).circ.rows == tuple(
             tuple(top if i <= j else top - i + j for j in range(k)) for i in range(k)
@@ -247,8 +256,9 @@ class TestOnePassProducts:
 
     @pytest.mark.parametrize("n", [128, 240, 256, 258])
     def test_large_products_fold(self, n):
-        # up to 2**8 = 256 the rows are folded in bytes; 2*3*43 = 258 takes the tuple fold
-        for factors in factorizations(n):
+        # up to 2**8 = 256 the rows are folded in bytes; 2*3*43 = 258 takes the tuple fold;
+        # every order type, the chain included, against the closed-form chains' cellwise fold
+        for factors in _order_types(n):
             assert_fold_matches_products(factors)
 
 

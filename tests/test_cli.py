@@ -6,6 +6,7 @@ import random
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -310,7 +311,44 @@ class TestCodeAndSkeleton:
         assert out == "1\n"
 
 
+def listed_enumeration(n):
+    """The enumerate output as rendered from the list ``enumerate_wajsberg``
+    returns: the stdout text and the files of ``--output``, by name."""
+    entries = enumerate_wajsberg(n)
+    files = {}
+    for entry in entries:
+        label = "chain" if len(entry.factors) == 1 else entry.factor_label()
+        files[f"w{n}_{label.replace('x', '_')}.alg"] = f"# factors: {label}\n" + format_algebra(entry.algebra)
+    head = f"n={n} pi={len(entries) - 1} total={len(entries)}\n"
+    return head, head + "".join("---\n" + text for text in files.values()), files
+
+
 class TestEnumerate:
+    @pytest.mark.parametrize("n", [1, 2, 6, 48, 96, 240, 300])
+    def test_streamed_output_matches_listed_rendering(self, n, tmp_path):
+        # 300 takes the tuple rows beyond 256 elements
+        head, stdout, files = listed_enumeration(n)
+        assert invoke(["enumerate", str(n)]) == (0, stdout, "")
+        assert invoke(["enumerate", str(n), "--output", str(tmp_path)]) == (0, head, "")
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == files
+
+    def test_streams_one_entry_at_a_time(self):
+        # the 38 entries of order 240 hold 2.2 MB of tables and 8.5 MB of text;
+        # one entry, its text and the formatter's blocks stay well under 2 MB
+        class Sink:
+            def write(self, text):
+                pass
+
+        err = io.StringIO()
+        tracemalloc.start()
+        try:
+            status = run(["enumerate", "240"], Sink(), err)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (status, err.getvalue()) == (0, "")
+        assert peak < 2 << 20
+
     def test_summary_line(self):
         status, out, _ = invoke(["enumerate", "6"])
         assert status == 0

@@ -69,14 +69,16 @@ def test_format_matches_row_by_row_oracle():
         assert format_algebra(algebra) == percent_format(algebra)
 
 
-@pytest.mark.parametrize("k", [1, 2, 9, 10, 11, 99, 100, 101, 256])
+@pytest.mark.parametrize("k", [1, 2, 9, 10, 11, 90, 91, 99, 100, 101, 128, 129, 200, 256])
 def test_byte_formatter_matches_scalar_formatter(k):
-    # every value below k sits in the table, so k = 256 holds each byte value
+    # every value below k sits in the table, so k = 256 holds each byte value;
+    # blocks hold 8192 // k whole rows: one block for 90 rows, 90 + 1 for 91
+    # (92 with the unary row), 64 + 64 for 128 (+ 1), 63 + 63 + 3 for 129
     rng = random.Random(k)
     cells = list(range(k)) * k
     rng.shuffle(cells)
     table = CayleyTable([cells[i : i + k] for i in range(0, k * k, k)])
-    assert _format_bytes(b"".join(table._rows), k) == _format_rows(table.rows, [str(v) for v in range(k)])
+    assert "".join(_format_bytes(b"".join(table._rows), k)) == _format_rows(table.rows, [str(v) for v in range(k)])
     unary = rng.sample(range(k), k)
     for algebra in (BckAlgebra(table, 0, k - 1), MvAlgebra(table, unary, 0), WajsbergAlgebra(table, unary, k - 1)):
         text = format_algebra(algebra)
