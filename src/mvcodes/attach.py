@@ -225,15 +225,19 @@ def _covering_columns(ones: tuple[int, ...], want: set, m: int) -> Iterator[tupl
     column c.
 
     Yields them in the order of ``itertools.permutations(range(q), m)``,
-    depth first, trying unused columns (a bitmask) in ascending order. For
-    each wanted word a q-bit mask marks the code words that agree with it on
-    the columns chosen so far, and a prefix with an empty mask is dropped.
+    depth first, trying unused columns (a bitmask) in ascending order, on a
+    stack of its own, so a code of any length takes no recursion. For each
+    wanted word a q-bit mask marks the code words that agree with it on the
+    columns chosen so far, and a prefix with an empty mask is dropped.
     The masks sit in lanes of q + 1 bits of one ``int``, the top bit of each
     lane a guard, and for each depth and column one packed mask holds, per
     lane, the words with the wanted word's bit in that column. A candidate
     column costs one AND, and one addition of q ones per lane, which carries
     into a lane's guard exactly when that lane is not empty.
     """
+    if m == 0:  # words of length 0: the empty tuple covers them
+        yield ()
+        return
     q, full = len(ones), (1 << len(ones)) - 1
     lanes = [1 << t * (q + 1) for t in range(len(want))]  # bit 0 of each lane
     spread = sum(lanes)
@@ -242,23 +246,29 @@ def _covering_columns(ones: tuple[int, ...], want: set, m: int) -> Iterator[tupl
     # at depth d, a lane whose wanted word has a 0 there takes the complement
     zeros = [sum(compress(lanes, map(not_, bits))) * full for bits in zip(*want)]
     packed = [[s ^ z for s in spread_ones] for z in zeros]
-    chosen = []
-
-    def extend(live, used, depth):
-        if depth == m:
-            yield tuple(chosen)
-            return
-        by_column = packed[depth]
-        for c in range(q):
+    chosen, used = [], 0
+    # one frame per depth: the live masks of the chosen prefix, the packed
+    # masks of the depth, and the columns the depth has yet to try
+    frames = [(low, packed[0], iter(range(q)))]
+    while frames:
+        live, by_column, columns = frames[-1]
+        for c in columns:
             if used >> c & 1:
                 continue
             narrowed = live & by_column[c]
             if (narrowed + low) & guard == guard:
-                chosen.append(c)
-                yield from extend(narrowed, used | 1 << c, depth + 1)
-                chosen.pop()
-
-    return extend(low, 0, 0)
+                break
+        else:
+            frames.pop()
+            if chosen:
+                used ^= 1 << chosen.pop()
+            continue
+        if len(chosen) + 1 == m:
+            yield (*chosen, c)
+        else:
+            chosen.append(c)
+            used |= 1 << c
+            frames.append((narrowed, packed[len(chosen)], iter(range(q))))
 
 
 def embed_code(

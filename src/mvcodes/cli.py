@@ -7,15 +7,21 @@ Output is deterministic: identical inputs produce byte-identical output.
 ``enumerate`` builds, formats and writes one catalog entry at a time, so an
 interrupted run, or one whose stdout pipe closes, leaves the entries already
 written, and still exits 130, or quietly 1.
+
+``run`` reads a well-formed command line straight off the command table,
+``_COMMANDS``. Only what that reader declines (help, usage errors, and forms
+such as ``--to=mv`` or the abbreviation ``--max``) goes to an argparse parser,
+built from the same table on first need, so ``import mvcodes.cli`` loads no
+argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
 
 from .algebras import Algebra, _translate, kind_of, verify
@@ -54,69 +60,6 @@ class _UsageError(Exception):
 
 class _HelpRequested(Exception):
     """Carries the help text of ``-h``/``--help`` back to ``run()``."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-    def print_help(self, file=None):
-        raise _HelpRequested(self.format_help())
-
-
-@functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser, built on first use and shared by later calls."""
-    parser = _Parser(prog="mvcodes", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="check the axioms of an algebra file")
-    p.add_argument("algebra", type=Path)
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("convert", help="translate an algebra to another presentation")
-    p.add_argument("algebra", type=Path)
-    p.add_argument("--to", required=True, choices=("bck", "mv", "wajsberg"), dest="kind")
-    p.set_defaults(handler=_cmd_convert)
-
-    p = sub.add_parser("code", help="print the block code generated by an algebra")
-    p.add_argument("algebra", type=Path)
-    p.set_defaults(handler=_cmd_code)
-
-    p = sub.add_parser("distance", help="cut-set distance between two elements")
-    p.add_argument("algebra", type=Path)
-    p.add_argument("r", type=int)
-    p.add_argument("s", type=int)
-    p.set_defaults(handler=_cmd_distance)
-
-    p = sub.add_parser("mindist", help="minimum Hamming distance of a code file")
-    p.add_argument("code", type=Path)
-    p.set_defaults(handler=_cmd_mindist)
-
-    p = sub.add_parser("skeleton", help="print the order skeleton of an algebra")
-    p.add_argument("algebra", type=Path)
-    p.set_defaults(handler=_cmd_skeleton)
-
-    p = sub.add_parser("enumerate", help="all Wajsberg algebras of a given order")
-    p.add_argument("n", type=int)
-    p.add_argument("--output", type=Path, default=None)
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("attach", help="reconstruct the algebra behind a square code")
-    p.add_argument("code", type=Path)
-    p.add_argument("--all", action="store_true", dest="all_matches")
-    p.add_argument("--to", choices=("bck", "mv", "wajsberg"), dest="kind", default="wajsberg")
-    p.add_argument("--output", type=Path, default=None)
-    p.set_defaults(handler=_cmd_attach)
-
-    p = sub.add_parser("embed", help="embed a code into a larger algebra's code")
-    p.add_argument("code", type=Path)
-    p.add_argument("--max-order", type=int, default=None, dest="max_order")
-    p.add_argument("--all", action="store_true", dest="all_matches")
-    p.add_argument("--output", type=Path, default=None)
-    p.set_defaults(handler=_cmd_embed)
-
-    return parser
 
 
 def _read(path: Path) -> str:
@@ -266,11 +209,152 @@ def _cmd_embed(args, out, err) -> int:
     return EX_OK
 
 
+_KINDS = ("bck", "mv", "wajsberg")
+
+# The command table, one row per command in the order ``-h`` lists them:
+# (help line, handler, positionals as (dest, type), options as flag ->
+# (dest, action, default, required)). An option's action is the type that
+# converts its value, the tuple of its choices, or None for a flag stored as
+# True.
+_COMMANDS = {
+    "verify": ("check the axioms of an algebra file", _cmd_verify, (("algebra", Path),), {}),
+    "convert": (
+        "translate an algebra to another presentation",
+        _cmd_convert,
+        (("algebra", Path),),
+        {"--to": ("kind", _KINDS, None, True)},
+    ),
+    "code": ("print the block code generated by an algebra", _cmd_code, (("algebra", Path),), {}),
+    "distance": (
+        "cut-set distance between two elements",
+        _cmd_distance,
+        (("algebra", Path), ("r", int), ("s", int)),
+        {},
+    ),
+    "mindist": ("minimum Hamming distance of a code file", _cmd_mindist, (("code", Path),), {}),
+    "skeleton": ("print the order skeleton of an algebra", _cmd_skeleton, (("algebra", Path),), {}),
+    "enumerate": (
+        "all Wajsberg algebras of a given order",
+        _cmd_enumerate,
+        (("n", int),),
+        {"--output": ("output", Path, None, False)},
+    ),
+    "attach": (
+        "reconstruct the algebra behind a square code",
+        _cmd_attach,
+        (("code", Path),),
+        {
+            "--all": ("all_matches", None, False, False),
+            "--to": ("kind", _KINDS, "wajsberg", False),
+            "--output": ("output", Path, None, False),
+        },
+    ),
+    "embed": (
+        "embed a code into a larger algebra's code",
+        _cmd_embed,
+        (("code", Path),),
+        {
+            "--max-order": ("max_order", int, None, False),
+            "--all": ("all_matches", None, False, False),
+            "--output": ("output", Path, None, False),
+        },
+    ),
+}
+
+
+@functools.cache
+def _build_parser():
+    """The argparse parser of the command table, built on first use and
+    shared by later calls. It reads what ``_read_argv`` declines: help,
+    usage errors and the forms the table parser does not take."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
+        def print_help(self, file=None):
+            raise _HelpRequested(self.format_help())
+
+    # -h shows the module docstring but its last paragraph, which is about the source
+    parser = _Parser(prog="mvcodes", description=__doc__ and __doc__.rpartition("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, handler, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for dest, type_ in positionals:
+            p.add_argument(dest, type=type_)
+        for flag, (dest, action, default, required) in options.items():
+            if action is None:
+                spec = {"action": "store_true"}
+            elif isinstance(action, tuple):
+                spec = {"choices": action}
+            else:
+                spec = {"type": action}
+            p.add_argument(flag, dest=dest, default=default, required=required, **spec)
+        p.set_defaults(handler=handler)
+    return parser
+
+
+def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace ``_build_parser().parse_args(argv)`` gives, when ``argv``
+    is in the canonical form; otherwise None.
+
+    Canonical: an exact command name, then tokens that are either positionals
+    (not starting with ``-``) or exact options of that command, each valued
+    option followed by a value that does not start with ``-``; values convert
+    by the same callable argparse uses, or lie in the choices; every required
+    option and exactly as many positionals as the command takes are there. A
+    repeated option keeps its last value, as argparse does. Help,
+    abbreviations, ``--to=mv``, ``--``, a lone ``-``, negative numbers and
+    failed conversions are not canonical.
+    """
+    row = _COMMANDS.get(argv[0]) if argv else None
+    if row is None:
+        return None
+    _, handler, positionals, options = row
+    # a required option gets no default here, so leaving it out leaves its
+    # dest out (the dests of a command are distinct)
+    values = {dest: default for dest, _, default, required in options.values() if not required}
+    words = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        if token not in options:
+            return None
+        dest, action, _, _ = options[token]
+        if action is None:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value declines as a flag would
+        if value.startswith("-"):
+            return None
+        if isinstance(action, tuple):
+            if value not in action:
+                return None
+        else:
+            try:
+                value = action(value)
+            except ValueError:
+                return None
+        values[dest] = value
+    if len(values) != len(options) or len(words) != len(positionals):
+        return None
+    for (dest, type_), word in zip(positionals, words):
+        try:
+            values[dest] = type_(word)
+        except ValueError:
+            return None
+    return SimpleNamespace(command=argv[0], handler=handler, **values)
+
+
 def run(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _read_argv(argv) or _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return EX_USAGE

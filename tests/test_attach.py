@@ -7,7 +7,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -598,6 +598,24 @@ def test_pruned_search_matches_full_scan(case):
     else:
         with pytest.raises(NoEmbeddingFound):
             embed_code(code, max_order=max_order, all_matches=True)
+
+
+def test_search_matches_full_scan_on_short_codes():
+    # every word set of length m <= 3 and a sample of length 4, against every
+    # catalog entry of order m..6
+    rng = random.Random(4)
+    for m in range(5):
+        words = list(product((0, 1), repeat=m))
+        if m < 4:
+            wants = [set(ws) for r in range(1, len(words) + 1) for ws in combinations(words, r)]
+        else:
+            wants = [set(rng.sample(words, rng.randint(1, 7))) for _ in range(60)]
+        for q in range(max(m, 1), 7):
+            for entry in enumerate_wajsberg(q):
+                host = code_from_algebra(entry.algebra).words
+                ones = _masks(zip(*host))
+                for want in wants:
+                    assert list(_covering_columns(ones, want, m)) == scan_columns(host, want, m), (entry, want)
 
 
 def test_invariant_checks_survive_optimised_mode():

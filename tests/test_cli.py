@@ -27,6 +27,7 @@ from mvcodes import (
     transport_structure,
     verify,
 )
+from mvcodes import cli
 from mvcodes.cli import run
 from mvcodes.order import OrderIso
 
@@ -523,6 +524,15 @@ class TestEmbed:
         body = (outdir / "embedding_1.txt").read_text()
         assert body.startswith("q=6 factors=2x3 columns=2,3,4\n")
 
+    def test_long_code_exits_0(self, tmp_path):
+        # a column search 1009 deep, past the interpreter's recursion limit
+        n = 1009
+        path = tmp_path / "long.code"
+        path.write_text("1" * n + "\n" + "0" * (n - 1) + "1\n")
+        status, out, err = invoke(["embed", str(path)])
+        assert (status, err) == (0, "")
+        assert out.startswith(f"---\nq={n} factors={n} columns={','.join(map(str, range(n)))}\n")
+
 
 @pytest.fixture
 def mvcodes_process():
@@ -577,6 +587,134 @@ class TestProcessExit:
         assert (proc.returncode, out, err) == (130, b"", b"")
 
 
+# ``mvcodes -h`` and ``mvcodes COMMAND -h`` at COLUMNS=80, pinned byte for
+# byte: argparse is built from the command table, and its help must not drift.
+HELP_AT_80_COLUMNS = {
+    "": (
+        "usage: mvcodes [-h]\n"
+        "               {verify,convert,code,distance,mindist,skeleton,enumerate,attach,embed}\n"
+        "               ...\n"
+        "\n"
+        "Command-line front end over the algebra and code text formats. Exit codes: 0\n"
+        "success, 1 malformed input or output that cannot be written (a closed pipe\n"
+        "exits quietly), 2 domain rejection (invalid algebra, rejected attachment,\n"
+        "exhausted embedding), 64 usage error, 130 interrupted (SIGINT). Output is\n"
+        "deterministic: identical inputs produce byte-identical output. ``enumerate``\n"
+        "builds, formats and writes one catalog entry at a time, so an interrupted run,\n"
+        "or one whose stdout pipe closes, leaves the entries already written, and still\n"
+        "exits 130, or quietly 1.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {verify,convert,code,distance,mindist,skeleton,enumerate,attach,embed}\n"
+        "    verify              check the axioms of an algebra file\n"
+        "    convert             translate an algebra to another presentation\n"
+        "    code                print the block code generated by an algebra\n"
+        "    distance            cut-set distance between two elements\n"
+        "    mindist             minimum Hamming distance of a code file\n"
+        "    skeleton            print the order skeleton of an algebra\n"
+        "    enumerate           all Wajsberg algebras of a given order\n"
+        "    attach              reconstruct the algebra behind a square code\n"
+        "    embed               embed a code into a larger algebra's code\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    "verify": (
+        "usage: mvcodes verify [-h] algebra\n"
+        "\n"
+        "positional arguments:\n"
+        "  algebra\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+    "convert": (
+        "usage: mvcodes convert [-h] --to {bck,mv,wajsberg} algebra\n"
+        "\n"
+        "positional arguments:\n"
+        "  algebra\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --to {bck,mv,wajsberg}\n"
+    ),
+    "code": (
+        "usage: mvcodes code [-h] algebra\n"
+        "\n"
+        "positional arguments:\n"
+        "  algebra\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+    "distance": (
+        "usage: mvcodes distance [-h] algebra r s\n"
+        "\n"
+        "positional arguments:\n"
+        "  algebra\n"
+        "  r\n"
+        "  s\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+    "mindist": (
+        "usage: mvcodes mindist [-h] code\n"
+        "\n"
+        "positional arguments:\n"
+        "  code\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+    "skeleton": (
+        "usage: mvcodes skeleton [-h] algebra\n"
+        "\n"
+        "positional arguments:\n"
+        "  algebra\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+    "enumerate": (
+        "usage: mvcodes enumerate [-h] [--output OUTPUT] n\n"
+        "\n"
+        "positional arguments:\n"
+        "  n\n"
+        "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --output OUTPUT\n"
+    ),
+    "attach": (
+        "usage: mvcodes attach [-h] [--all] [--to {bck,mv,wajsberg}] [--output OUTPUT]\n"
+        "                      code\n"
+        "\n"
+        "positional arguments:\n"
+        "  code\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --all\n"
+        "  --to {bck,mv,wajsberg}\n"
+        "  --output OUTPUT\n"
+    ),
+    "embed": (
+        "usage: mvcodes embed [-h] [--max-order MAX_ORDER] [--all] [--output OUTPUT]\n"
+        "                     code\n"
+        "\n"
+        "positional arguments:\n"
+        "  code\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --max-order MAX_ORDER\n"
+        "  --all\n"
+        "  --output OUTPUT\n"
+    ),
+}
+
+
 class TestUsage:
     def test_unknown_command(self):
         status, _, err = invoke(["frobnicate"])
@@ -601,6 +739,11 @@ class TestUsage:
         assert (status, err) == (0, "")
         assert out.startswith("usage: mvcodes [-h]")
         assert "check the axioms of an algebra file" in out
+
+    @pytest.mark.parametrize("command", list(HELP_AT_80_COLUMNS))
+    def test_help_text_is_unchanged(self, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert invoke([command, "-h"] if command else ["-h"]) == (0, HELP_AT_80_COLUMNS[command], "")
 
     def test_parser_is_shared_without_carrying_state(self, six_bck_file):
         first = invoke(["frobnicate"])
@@ -783,6 +926,119 @@ FUZZ_ARGV = st.one_of(
 def test_run_never_raises_on_arbitrary_argv(argv_paths, argv):
     status, _, _ = invoke([argv_paths.get(token, token) for token in argv])
     assert status in (0, 1, 2, 64)
+
+
+def _insert(argv_and_extras):
+    argv, extras = argv_and_extras
+    for at, token in extras:
+        argv = argv[:at] + [token] + argv[at:]
+    return argv
+
+
+# argv of every shape: the fuzz shapes, their tails reordered, and tokens the
+# table parser declines (abbreviations, ``--to=mv``, ``--``, ``-``, a negative
+# number) or converts as ``int`` does (spaces, underscores, a non-ASCII digit,
+# a number past the digit limit), inserted anywhere
+PARSER_ARGV = st.one_of(
+    FUZZ_ARGV,
+    FUZZ_ARGV.flatmap(lambda argv: st.permutations(argv[1:]).map(lambda tail: argv[:1] + tail)),
+    st.tuples(
+        FUZZ_ARGV,
+        st.lists(
+            st.tuples(
+                st.integers(0, 6),
+                st.sampled_from(["--max", "--al", "--to=mv", "--", "-", "-2", "", " 4", "1_0", "\u0663", "7" * 5000]),
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+    ).map(_insert),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(PARSER_ARGV)
+def test_table_parser_agrees_with_argparse(argv_paths, argv):
+    argv = [argv_paths.get(token, token) for token in argv]
+    args = cli._read_argv(argv)
+    if args is not None:
+        assert vars(args) == vars(cli._build_parser().parse_args(argv))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_read_argv", lambda argv: None)
+        through_argparse = invoke(argv)
+    assert invoke(argv) == through_argparse
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["verify", "@algebra", "-h"],
+        ["--help"],
+        ["convert", "@algebra"],  # a required option left out
+        ["convert", "@algebra", "--to", "ring"],
+        ["convert", "@algebra", "--to=mv"],
+        ["verify", "@algebra", "--to", "mv"],  # an option of another command
+        ["embed", "@code", "--max", "6"],
+        ["attach", "@code", "--al"],
+        ["embed", "@code", "--max-order"],
+        ["embed", "@code", "--max-order", "--all"],
+        ["embed", "@code", "--max-order", "x"],
+        ["verify", "--", "@algebra"],
+        ["verify", "-"],
+        ["enumerate", "-2"],
+        ["enumerate", "7" * 5000],
+        ["distance", "@algebra", "1"],
+        ["distance", "@algebra", "1", "2", "3"],
+    ],
+)
+def test_table_parser_declines_what_it_does_not_take(argv):
+    assert cli._read_argv(argv) is None
+
+
+def test_well_formed_runs_load_no_argparse(tmp_path, six_bck_file, six_code_file):
+    script = (
+        "import io, sys\n"
+        "from mvcodes import cli\n"
+        "algebra, code, out = sys.argv[1:]\n"
+        "for argv in (\n"
+        "    ['verify', algebra], ['convert', algebra, '--to', 'mv'], ['code', algebra],\n"
+        "    ['distance', algebra, '1', '2'], ['mindist', code], ['skeleton', algebra],\n"
+        "    ['enumerate', '6', '--output', out], ['attach', code, '--all', '--output', out],\n"
+        "    ['embed', code, '--max-order', '7', '--output', out],\n"
+        "):\n"
+        "    print(cli.run(argv, io.StringIO(), io.StringIO()))\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(mvcodes.__file__).parents[1]))
+    argv = [sys.executable, "-c", script, str(six_bck_file), str(six_code_file), str(tmp_path / "out")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "0\n" * 9 + "[]\n"
+
+
+def test_benchmark_job_shapes_build_no_parser(six_bck_file, six_code_file):
+    algebra, code = str(six_bck_file), str(six_code_file)
+    cli._build_parser.cache_clear()
+    for argv in (
+        ["verify", algebra],
+        ["code", algebra],
+        ["skeleton", algebra],
+        ["convert", algebra, "--to", "bck"],
+        ["convert", "--to", "wajsberg", algebra],
+        ["distance", algebra, "1", "2"],
+        ["mindist", code],
+        ["enumerate", "12"],
+        ["attach", code],
+        ["attach", code, "--to", "mv", "--all"],
+        ["attach", "--all", "--to", "bck", code],
+        ["embed", code],
+        ["embed", code, "--max-order", "7", "--all"],
+        ["embed", "--all", "--max-order", "7", code],
+    ):
+        assert invoke(argv)[0] == 0, argv
+    assert cli._build_parser.cache_info().misses == 0
 
 
 def test_every_attach_output_verifies(tmp_path):
