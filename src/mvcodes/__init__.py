@@ -1,157 +1,27 @@
-"""Finite BCK/MV/Wajsberg algebras and the binary block codes they generate."""
+"""Finite BCK/MV/Wajsberg algebras and the binary block codes they generate.
 
-from .algebras import (
-    Algebra,
-    AxiomReport,
-    BckAlgebra,
-    CayleyTable,
-    MvAlgebra,
-    Violation,
-    WajsbergAlgebra,
-    evaluate_axiom,
-    kind_of,
-    mv_derived_ops,
-    mv_leq_equivalences,
-    natural_order,
-    verify,
-    verify_bck,
-    verify_mv,
-    verify_wajsberg,
-)
-from .attach import (
-    AttachmentResult,
-    CodeRejected,
-    EmbeddingResult,
-    MatrixReport,
-    RejectionReason,
-    attach_bck,
-    attach_mv,
-    attach_wajsberg,
-    embed_code,
-    validate_code_matrix,
-)
-from .catalog import (
-    ChainProduct,
-    chain_wajsberg,
-    enumerate_wajsberg,
-    factorizations,
-    pi_count,
-    product_wajsberg,
-    transport_structure,
-    wajsberg_isomorphic,
-    wajsberg_isomorphisms,
-)
-from .codes import (
-    BlockCode,
-    Skeleton,
-    code_equivalent,
-    code_from_algebra,
-    code_poset,
-    codeword_leq,
-    cut_subset,
-    distance_D,
-    hamming,
-    min_hamming_distance,
-    mv_sum_indicator,
-    skeleton,
-)
-from .convert import bck_to_mv, convert, mv_to_bck, mv_to_wajsberg, wajsberg_to_mv
-from .errors import (
-    AlgebraError,
-    DuplicateWord,
-    EquivalenceBroken,
-    InvalidSize,
-    LengthMismatch,
-    MalformedTable,
-    NoEmbeddingFound,
-    NonSquare,
-    NotAnAlgebra,
-    NotAnOrderIso,
-    NotAPoset,
-    NotBounded,
-    NotCommutative,
-    ParseError,
-    SizeMismatch,
-    TooFewWords,
-)
-from .fileio import format_algebra, format_code, parse_algebra, parse_code
-from .order import OrderIso, Poset, poset_isomorphism, poset_isomorphisms
+Each module lists the public names it defines in its ``__all__``; the package
+re-exports them, and its ``__all__`` is those lists joined.
+"""
 
-__all__ = [
-    "Algebra",
-    "AlgebraError",
-    "AttachmentResult",
-    "AxiomReport",
-    "BckAlgebra",
-    "BlockCode",
-    "CayleyTable",
-    "ChainProduct",
-    "CodeRejected",
-    "DuplicateWord",
-    "EmbeddingResult",
-    "EquivalenceBroken",
-    "InvalidSize",
-    "LengthMismatch",
-    "MalformedTable",
-    "MatrixReport",
-    "MvAlgebra",
-    "NoEmbeddingFound",
-    "NonSquare",
-    "NotAPoset",
-    "NotAnAlgebra",
-    "NotAnOrderIso",
-    "NotBounded",
-    "NotCommutative",
-    "OrderIso",
-    "ParseError",
-    "Poset",
-    "RejectionReason",
-    "SizeMismatch",
-    "Skeleton",
-    "TooFewWords",
-    "Violation",
-    "WajsbergAlgebra",
-    "attach_bck",
-    "attach_mv",
-    "attach_wajsberg",
-    "bck_to_mv",
-    "chain_wajsberg",
-    "code_equivalent",
-    "code_from_algebra",
-    "code_poset",
-    "codeword_leq",
-    "convert",
-    "cut_subset",
-    "distance_D",
-    "embed_code",
-    "enumerate_wajsberg",
-    "evaluate_axiom",
-    "factorizations",
-    "format_algebra",
-    "format_code",
-    "hamming",
-    "kind_of",
-    "min_hamming_distance",
-    "mv_derived_ops",
-    "mv_leq_equivalences",
-    "mv_sum_indicator",
-    "mv_to_bck",
-    "mv_to_wajsberg",
-    "natural_order",
-    "parse_algebra",
-    "parse_code",
-    "pi_count",
-    "poset_isomorphism",
-    "poset_isomorphisms",
-    "product_wajsberg",
-    "skeleton",
-    "transport_structure",
-    "validate_code_matrix",
-    "verify",
-    "verify_bck",
-    "verify_mv",
-    "verify_wajsberg",
-    "wajsberg_isomorphic",
-    "wajsberg_isomorphisms",
-    "wajsberg_to_mv",
-]
+from . import algebras, attach, catalog, codes, convert, errors, fileio, order
+
+# read before ``from .convert import *`` rebinds ``convert`` to the function
+__all__ = []
+__all__ += algebras.__all__
+__all__ += attach.__all__
+__all__ += catalog.__all__
+__all__ += codes.__all__
+__all__ += convert.__all__
+__all__ += errors.__all__
+__all__ += fileio.__all__
+__all__ += order.__all__
+
+from .algebras import *  # noqa: E402, F403
+from .attach import *  # noqa: E402, F403
+from .catalog import *  # noqa: E402, F403
+from .codes import *  # noqa: E402, F403
+from .convert import *  # noqa: E402, F403
+from .errors import *  # noqa: E402, F403
+from .fileio import *  # noqa: E402, F403
+from .order import *  # noqa: E402, F403

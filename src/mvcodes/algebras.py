@@ -54,6 +54,12 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 from .errors import EquivalenceBroken, MalformedTable, NotAnAlgebra
 from .order import Poset, _byte_rows, _LazyRows, _up_down
 
+__all__ = [
+    "Algebra", "AxiomReport", "BckAlgebra", "CayleyTable", "MvAlgebra", "Violation", "WajsbergAlgebra",
+    "evaluate_axiom", "kind_of", "mv_derived_ops", "mv_leq_equivalences", "natural_order", "verify", "verify_bck",
+    "verify_mv", "verify_wajsberg",
+]
+
 Rows = tuple[tuple[int, ...], ...]
 
 _BYTES = bytes(range(256))

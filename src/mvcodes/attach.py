@@ -34,6 +34,11 @@ from .codes import BlockCode, code_from_algebra
 from .errors import AlgebraError, NoEmbeddingFound, NonSquare
 from .order import OrderIso, _all_isos, _product_iso, _product_masks, _up_down, order_violation
 
+__all__ = [
+    "AttachmentResult", "CodeRejected", "EmbeddingResult", "MatrixReport", "RejectionReason", "attach_bck",
+    "attach_mv", "attach_wajsberg", "embed_code", "validate_code_matrix",
+]
+
 
 @dataclass(frozen=True)
 class MatrixCheck:

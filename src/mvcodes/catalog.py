@@ -33,6 +33,11 @@ from .algebras import _BYTES, CayleyTable, WajsbergAlgebra, _relabel, natural_or
 from .errors import InvalidSize, NotAnOrderIso, SizeMismatch
 from .order import OrderIso, poset_isomorphisms
 
+__all__ = [
+    "ChainProduct", "chain_wajsberg", "enumerate_wajsberg", "factorizations", "pi_count", "product_wajsberg",
+    "transport_structure", "wajsberg_isomorphic", "wajsberg_isomorphisms",
+]
+
 MAX_CATALOG_CELLS = 1 << 26  # per enumerate_wajsberg; n = 720: 98 entries, 50.8 M cells
 
 

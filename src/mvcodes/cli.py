@@ -1,12 +1,5 @@
-"""Command-line front end over the algebra and code text formats.
-
-Exit codes: 0 success, 1 malformed input or output that cannot be written
-(a closed pipe exits quietly), 2 domain rejection (invalid algebra, rejected
-attachment, exhausted embedding), 64 usage error, 130 interrupted (SIGINT).
-Output is deterministic: identical inputs produce byte-identical output.
-``enumerate`` builds, formats and writes one catalog entry at a time, so an
-interrupted run, or one whose stdout pipe closes, leaves the entries already
-written, and still exits 130, or quietly 1.
+"""Command-line front end over the algebra and code text formats; its
+``-h`` text, with the exit codes, is ``_DESCRIPTION``.
 
 ``run`` reads a well-formed command line straight off the command table,
 ``_COMMANDS``. Only what that reader declines (help, usage errors, and forms
@@ -52,6 +45,16 @@ KIND_LABELS = {
     "mv": "MV",
     "wajsberg": "Wajsberg",
 }
+
+# the top-level ``-h`` text; argparse joins its lines and wraps them anew
+_DESCRIPTION = """Command-line front end over the algebra and code text formats.
+Exit codes: 0 success, 1 malformed input or output that cannot be written
+(a closed pipe exits quietly), 2 domain rejection (invalid algebra, rejected
+attachment, exhausted embedding), 64 usage error, 130 interrupted (SIGINT).
+Output is deterministic: identical inputs produce byte-identical output.
+``enumerate`` builds, formats and writes one catalog entry at a time, so an
+interrupted run, or one whose stdout pipe closes, leaves the entries already
+written, and still exits 130, or quietly 1."""
 
 
 class _UsageError(Exception):
@@ -209,54 +212,50 @@ def _cmd_embed(args, out, err) -> int:
     return EX_OK
 
 
-_KINDS = ("bck", "mv", "wajsberg")
+_KINDS = tuple(KIND_LABELS)
 
-# The command table, one row per command in the order ``-h`` lists them:
-# (help line, handler, positionals as (dest, type), options as flag ->
-# (dest, action, default, required)). An option's action is the type that
-# converts its value, the tuple of its choices, or None for a flag stored as
-# True.
+# The command table, one row per command in the order ``-h`` lists them: help
+# line, handler, and arguments, each name with the keyword arguments that
+# argparse's ``add_argument`` takes for it. Names starting with ``-`` are
+# options, the others positionals in order.
 _COMMANDS = {
-    "verify": ("check the axioms of an algebra file", _cmd_verify, (("algebra", Path),), {}),
+    "verify": ("check the axioms of an algebra file", _cmd_verify, {"algebra": {"type": Path}}),
     "convert": (
         "translate an algebra to another presentation",
         _cmd_convert,
-        (("algebra", Path),),
-        {"--to": ("kind", _KINDS, None, True)},
+        {"algebra": {"type": Path}, "--to": {"dest": "kind", "choices": _KINDS, "required": True}},
     ),
-    "code": ("print the block code generated by an algebra", _cmd_code, (("algebra", Path),), {}),
+    "code": ("print the block code generated by an algebra", _cmd_code, {"algebra": {"type": Path}}),
     "distance": (
         "cut-set distance between two elements",
         _cmd_distance,
-        (("algebra", Path), ("r", int), ("s", int)),
-        {},
+        {"algebra": {"type": Path}, "r": {"type": int}, "s": {"type": int}},
     ),
-    "mindist": ("minimum Hamming distance of a code file", _cmd_mindist, (("code", Path),), {}),
-    "skeleton": ("print the order skeleton of an algebra", _cmd_skeleton, (("algebra", Path),), {}),
+    "mindist": ("minimum Hamming distance of a code file", _cmd_mindist, {"code": {"type": Path}}),
+    "skeleton": ("print the order skeleton of an algebra", _cmd_skeleton, {"algebra": {"type": Path}}),
     "enumerate": (
         "all Wajsberg algebras of a given order",
         _cmd_enumerate,
-        (("n", int),),
-        {"--output": ("output", Path, None, False)},
+        {"n": {"type": int}, "--output": {"type": Path}},
     ),
     "attach": (
         "reconstruct the algebra behind a square code",
         _cmd_attach,
-        (("code", Path),),
         {
-            "--all": ("all_matches", None, False, False),
-            "--to": ("kind", _KINDS, "wajsberg", False),
-            "--output": ("output", Path, None, False),
+            "code": {"type": Path},
+            "--all": {"dest": "all_matches", "action": "store_true"},
+            "--to": {"dest": "kind", "choices": _KINDS, "default": "wajsberg"},
+            "--output": {"type": Path},
         },
     ),
     "embed": (
         "embed a code into a larger algebra's code",
         _cmd_embed,
-        (("code", Path),),
         {
-            "--max-order": ("max_order", int, None, False),
-            "--all": ("all_matches", None, False, False),
-            "--output": ("output", Path, None, False),
+            "code": {"type": Path},
+            "--max-order": {"type": int},
+            "--all": {"dest": "all_matches", "action": "store_true"},
+            "--output": {"type": Path},
         },
     ),
 }
@@ -276,21 +275,12 @@ def _build_parser():
         def print_help(self, file=None):
             raise _HelpRequested(self.format_help())
 
-    # -h shows the module docstring but its last paragraph, which is about the source
-    parser = _Parser(prog="mvcodes", description=__doc__ and __doc__.rpartition("\n\n")[0])
+    parser = _Parser(prog="mvcodes", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, handler, positionals, options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        for dest, type_ in positionals:
-            p.add_argument(dest, type=type_)
-        for flag, (dest, action, default, required) in options.items():
-            if action is None:
-                spec = {"action": "store_true"}
-            elif isinstance(action, tuple):
-                spec = {"choices": action}
-            else:
-                spec = {"type": action}
-            p.add_argument(flag, dest=dest, default=default, required=required, **spec)
+    for command, (help_line, handler, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for name, spec in arguments.items():
+            p.add_argument(name, **spec)
         p.set_defaults(handler=handler)
     return parser
 
@@ -302,8 +292,8 @@ def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     Canonical: an exact command name, then tokens that are either positionals
     (not starting with ``-``) or exact options of that command, each valued
     option followed by a value that does not start with ``-``; values convert
-    by the same callable argparse uses, or lie in the choices; every required
-    option and exactly as many positionals as the command takes are there. A
+    by the spec's ``type``, or lie in its ``choices``; every required option
+    and exactly as many positionals as the command takes are there. A
     repeated option keeps its last value, as argparse does. Help,
     abbreviations, ``--to=mv``, ``--``, a lone ``-``, negative numbers and
     failed conversions are not canonical.
@@ -311,41 +301,34 @@ def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     row = _COMMANDS.get(argv[0]) if argv else None
     if row is None:
         return None
-    _, handler, positionals, options = row
-    # a required option gets no default here, so leaving it out leaves its
-    # dest out (the dests of a command are distinct)
-    values = {dest: default for dest, _, default, required in options.values() if not required}
-    words = []
+    _, handler, arguments = row
+    positionals = iter([name for name in arguments if not name.startswith("-")])
+    given = {}
     tokens = iter(argv[1:])
-    for token in tokens:
-        if not token.startswith("-"):
-            words.append(token)
-            continue
-        if token not in options:
-            return None
-        dest, action, _, _ = options[token]
-        if action is None:
-            values[dest] = True
-            continue
-        value = next(tokens, "-")  # a missing value declines as a flag would
-        if value.startswith("-"):
-            return None
-        if isinstance(action, tuple):
-            if value not in action:
+    try:
+        for token in tokens:
+            if not token.startswith("-"):
+                name, word = next(positionals, ""), token  # a positional too many is a KeyError
+            elif arguments[token].get("action") == "store_true":
+                given[token] = True
+                continue
+            else:
+                name, word = token, next(tokens, "-")  # a missing value declines as a flag would
+            spec = arguments[name]
+            if word.startswith("-") or ("choices" in spec and word not in spec["choices"]):
                 return None
-        else:
-            try:
-                value = action(value)
-            except ValueError:
-                return None
-        values[dest] = value
-    if len(values) != len(options) or len(words) != len(positionals):
+            given[name] = spec.get("type", str)(word)
+    except (KeyError, ValueError):
         return None
-    for (dest, type_), word in zip(positionals, words):
-        try:
-            values[dest] = type_(word)
-        except ValueError:
+    values = {}
+    for name, spec in arguments.items():
+        if name in given:
+            value = given[name]
+        elif name.startswith("-") and not spec.get("required"):
+            value = spec.get("default", False if spec.get("action") == "store_true" else None)
+        else:
             return None
+        values[spec.get("dest") or name.lstrip("-").replace("-", "_")] = value
     return SimpleNamespace(command=argv[0], handler=handler, **values)
 
 

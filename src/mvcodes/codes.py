@@ -27,6 +27,11 @@ from .algebras import Algebra, MvAlgebra, _marks, _order_rows, natural_order
 from .errors import DuplicateWord, LengthMismatch, MalformedTable, TooFewWords
 from .order import _DIGITS, Poset, _byte_rows, _LazyRows, _masks
 
+__all__ = [
+    "BlockCode", "Skeleton", "code_equivalent", "code_from_algebra", "code_poset", "codeword_leq", "cut_subset",
+    "distance_D", "hamming", "min_hamming_distance", "mv_sum_indicator", "skeleton",
+]
+
 Word = tuple[int, ...]
 
 _BITS = bytes.maketrans(b"01", b"\0\1")

@@ -23,6 +23,8 @@ from .algebras import (
 )
 from .errors import NotAnAlgebra, NotBounded, NotCommutative
 
+__all__ = ["bck_to_mv", "convert", "mv_to_bck", "mv_to_wajsberg", "wajsberg_to_mv"]
+
 
 def _ensure_bck_verified(b: BckAlgebra) -> None:
     """Raise NotBounded, NotCommutative or NotAnAlgebra, in that order of

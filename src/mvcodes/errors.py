@@ -1,5 +1,11 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "AlgebraError", "DuplicateWord", "EquivalenceBroken", "InvalidSize", "LengthMismatch", "MalformedTable",
+    "NoEmbeddingFound", "NonSquare", "NotAPoset", "NotAnAlgebra", "NotAnOrderIso", "NotBounded", "NotCommutative",
+    "ParseError", "SizeMismatch", "TooFewWords",
+]
+
 
 class AlgebraError(Exception):
     """Base class for every domain error raised by this package."""

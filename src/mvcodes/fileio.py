@@ -32,6 +32,8 @@ from .algebras import Algebra, CayleyTable, _make, _parts
 from .codes import _BITS, BlockCode
 from .errors import ParseError
 
+__all__ = ["format_algebra", "format_code", "parse_algebra", "parse_code"]
+
 
 def _content_lines(text: str) -> list[str]:
     lines = []

@@ -32,6 +32,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NotAnOrderIso, NotAPoset, SizeMismatch
 
+__all__ = ["OrderIso", "Poset", "poset_isomorphism", "poset_isomorphisms"]
+
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 

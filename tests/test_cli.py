@@ -745,6 +745,16 @@ class TestUsage:
         monkeypatch.setenv("COLUMNS", "80")
         assert invoke([command, "-h"] if command else ["-h"]) == (0, HELP_AT_80_COLUMNS[command], "")
 
+    def test_help_does_not_read_the_module_docstring(self, monkeypatch):
+        # the module docstring holds notes for readers of the source; -h stays as pinned when they change
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(cli, "__doc__", "Notes for readers of the source.\n\nA second paragraph.\n")
+        cli._build_parser.cache_clear()
+        try:
+            assert invoke(["-h"]) == (0, HELP_AT_80_COLUMNS[""], "")
+        finally:
+            cli._build_parser.cache_clear()
+
     def test_parser_is_shared_without_carrying_state(self, six_bck_file):
         first = invoke(["frobnicate"])
         assert invoke(["embed", "--help"])[0] == 0

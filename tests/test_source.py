@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -103,3 +105,29 @@ def test_order_masks_have_one_home():
                     transposed.append(f"{path.name}:{node.lineno}")
     assert transposed == []
     assert defined == {name: ["order.py"] for name in home}
+
+
+def test_each_public_name_is_declared_once():
+    # a module's __all__ names what it defines; the package's __all__ joins
+    # those lists and names exactly what the package binds, modules aside
+    misplaced, declared = [], []
+    for path in sorted(Path(mvcodes.__file__).parent.glob("[!_]*.py")):
+        module = importlib.import_module(f"mvcodes.{path.stem}")
+        if not hasattr(module, "__all__"):
+            continue
+        defined, imported = set(), set()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("mvcodes")):
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+        declared += module.__all__
+        misplaced += [f"{path.stem}.{name}" for name in module.__all__ if name not in defined or name in imported or not hasattr(module, name)]
+    assert misplaced == []
+    assert len(mvcodes.__all__) == len(set(mvcodes.__all__))
+    assert sorted(declared) == sorted(mvcodes.__all__)
+    public = {name for name, value in vars(mvcodes).items() if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(mvcodes.__all__) == sorted(public)
