@@ -11,48 +11,50 @@ or BCK row ``one``, as x' = 1*x) and the constants they name: ``_parts``
 reads the kind, table and u off a presentation and ``_make`` builds one, the
 package's only dispatch on the three classes.
 
-A table of at most 256 elements keeps its checked rows as ``bytes`` from
-build to print: every function in the package that builds a table hands
-``CayleyTable`` byte rows, which its one fast test accepts, and any other
-rows are checked cell by cell. The axiom suites, the byte filters,
-``_relabel`` and ``_order_rows`` read the byte rows, and the public
-tuple-of-int ``rows`` are built only when a caller reads them
-(``order._LazyRows``). Larger tables hold tuples of ints.
+A table keeps its checked rows, from build to print, in the row format that
+``_cells`` picks from its size, the package's one choice of it: ``bytes`` up
+to 256 elements, tuples of ints beyond. Every site that builds or reads rows
+is written against the format's four operations (build a row, join rows,
+make a lookup, ``translate``): C-level ``bytes`` work, or ``itemgetter``
+gathers. Every function in the package that builds a table hands
+``CayleyTable`` rows of the format, which its one fast test accepts, and any
+other rows are checked cell by cell. The axiom suites, the filters,
+``_relabel`` and ``_order_rows`` read those rows, and the public tuple-of-int
+``rows`` are built only when a caller reads them (``order._LazyRows``).
 
 Verification checks every axiom over the whole carrier and reports the
-lexicographically least witness per violated axiom. Up to 256 elements a
-Wajsberg or BCK table is first checked through its MV translation, made by
-``_translate`` like every change of presentation: when that verifies, every
-axiom of the input holds, and only otherwise are the input's own axioms
-scanned for witnesses. Both are one call of ``_scan``, the package's one
-axiom search, which yields one violation at a time, so the proof stops at
-the first.
+lexicographically least witness per violated axiom. A Wajsberg or BCK table
+is first checked through its MV translation, made by ``_translate`` like
+every change of presentation: when that verifies, every axiom of the input
+holds, and only otherwise are the input's own axioms scanned for witnesses.
+Both are one call of ``_scan``, the package's one axiom search, which yields
+one violation at a time, so the proof stops at the first.
 
 Each row of a ``*_axiom_suite`` is the one definition of an axiom: its name,
-arity, predicate and byte filter. For carriers of at most 256 elements, whose
-table rows fit byte strings, ``_scan`` first runs every axiom in two or three
-variables through its filter, which finds the first x whose slice (x, ...)
-holds a failing pair or triple, with C-level ``bytes`` work over the one
-``_ByteView`` of the call (``translate`` as table lookup, strided slices as
+arity, predicate and filter. ``_scan`` first runs every axiom in two or
+three variables through its filter, which finds the first x whose slice
+(x, ...) holds a failing pair or triple, with whole-row work over the one
+``_TableView`` of the call (``translate`` as table lookup, strided slices as
 transposes); the predicate is run only over that slice, so it still picks
-the witness. The assoc filter, the one axiom in three variables of the MV
-proof, first tests only the slices of a set S that generates the carrier
-(Light's test), picked off the table itself with no read of the order: a
-valid table costs O(|S| k^2) byte operations instead of O(k^3), and on a
-product of chains |S| is 1 + the number of factors. The axioms in one
-variable, and every axiom of a larger carrier, are scanned element by
-element, pair by pair or triple by triple.
+the witness, and an axiom that first fails at x costs O(x k^2) row work. The
+assoc filter, the one axiom in three variables of the MV proof, first tests
+only the slices of a set S that generates the carrier (Light's test), picked
+off the table itself with no read of the order: a valid table costs
+O(|S| k^2) row operations instead of O(k^3), and on a product of chains |S|
+is 1 + the number of factors. The axioms in one variable are scanned element
+by element.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from operator import getitem, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import EquivalenceBroken, MalformedTable, NotAnAlgebra
-from .order import Poset, _byte_rows, _LazyRows, _up_down
+from .errors import EquivalenceBroken, MalformedTable
+from .order import Poset, _LazyRows, _up_down
 
 __all__ = [
     "Algebra", "AxiomReport", "BckAlgebra", "CayleyTable", "MvAlgebra", "Violation", "WajsbergAlgebra",
@@ -62,7 +64,31 @@ __all__ = [
 
 Rows = tuple[tuple[int, ...], ...]
 
-_BYTES = bytes(range(256))
+
+def _gather(data, table, *delete):
+    """``bytes.translate`` on tuple rows: ``table`` at each cell of ``data``,
+    of any length, as ``bytes`` when ``table`` is; with no table, ``data``
+    without its int cells in ``delete``, one sequence if given."""
+    if table is None:
+        drop = set(*delete)
+        return tuple(v for v in data if type(v) is not int or v not in drop)
+    cells = itemgetter(*data)(table) if len(data) > 1 else tuple(map(table.__getitem__, data))
+    return bytes(cells) if type(table) is bytes else cells
+
+
+# (row, join, lookup, translate, identity) of each row format; see ``_cells``
+_BYTE_CELLS = (bytes, b"".join, lambda cells: cells.ljust(256, b"\0"), bytes.translate, bytes(range(256)))
+_TUPLE_CELLS = (tuple, lambda rows: tuple(chain.from_iterable(rows)), lambda cells: cells, _gather, range(sys.maxsize))
+
+
+def _cells(k: int):
+    """The row format of a k-element table, the package's one choice of it:
+    ``bytes`` up to 256 elements, tuples of ints beyond. Its operations
+    build a row from ints, join rows into one, make a row a lookup, and
+    ``translate`` a row through a lookup, or delete cells when the lookup is
+    None; ``translate.__get__(x)`` is ``x.translate``. The identity maps
+    each cell to itself, so its slice from s, as a lookup, adds s to a cell."""
+    return _BYTE_CELLS if k <= 256 else _TUPLE_CELLS
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -70,14 +96,15 @@ class CayleyTable(_LazyRows):
     """A k-by-k operation table closed over ``{0, .., k-1}``.
 
     Every table is checked. One fast test comes first, for the rows the
-    package builds: k <= 256 rows, each ``bytes`` of length k, with every
-    byte below k. Every other input (tuples, lists, ``bytearray``, arrays,
-    generators, strings) is walked cell by cell with ``int()``, which
-    converts what it can and names the first bad row or cell.
+    package builds: k rows in the row format of ``_cells``, each of length
+    k, with every cell an int below k. Every other input (lists,
+    ``bytearray``, arrays, generators, strings, rows of the other format) is
+    walked cell by cell with ``int()``, which converts what it can and names
+    the first bad row or cell.
 
-    ``_rows`` holds the checked rows: ``bytes`` up to 256 elements, tuples of
-    ints beyond. A walked table keeps its tuple ``rows``; one that passed the
-    fast test builds them from the byte rows on first read (``_LazyRows``).
+    ``_rows`` holds the checked rows in the row format. A walked table keeps
+    its tuple ``rows``; one that passed the fast test builds them from
+    ``_rows`` on first read (``_LazyRows``).
     """
 
     rows: Rows
@@ -85,8 +112,10 @@ class CayleyTable(_LazyRows):
     def __post_init__(self):
         rows = tuple(self.rows)
         k = len(rows)
-        # k rows of ``bytes`` of length k, as ``_product_rows``, ``_relabel`` and the parser build them
-        if k <= 256 and _byte_rows(rows, _BYTES[:k]) and set(map(len, rows)) == {k}:
+        form, join, _, translate, identity = _cells(k)
+        # k rows of the format, of length k, as ``_product_rows``, ``_relabel`` and the parser build them
+        fast = set(map(type, rows)) == {form} and not translate(join(rows), None, identity[:k])
+        if fast and set(map(len, rows)) == {k}:
             self._keep(rows)
             return
         rows = tuple(tuple(map(int, row)) for row in rows)
@@ -99,7 +128,7 @@ class CayleyTable(_LazyRows):
             if min(row) < 0 or max(row) >= k:
                 j = next(j for j, v in enumerate(row) if not 0 <= v < k)
                 raise MalformedTable(f"entry ({i},{j}) = {row[j]} out of range [0,{k})")
-        object.__setattr__(self, "_rows", tuple(map(bytes, rows)) if k <= 256 else rows)
+        object.__setattr__(self, "_rows", tuple(map(form, rows)))
 
     def at(self, x: int, y: int) -> int:
         return self._rows[x][y]
@@ -108,22 +137,15 @@ class CayleyTable(_LazyRows):
 def _relabel(table: CayleyTable, rows, cols, cells) -> CayleyTable:
     """The table whose cell (x, y) is ``cells[t[rows[x]][cols[y]]]``; ``cols``
     or ``cells`` given as None is the identity; ``rows`` is always a map.
-    Up to 256 elements each gathered row is mapped through ``cells`` by one
-    ``translate``, and its columns gathered by a second one, of
-    ``bytes(cols)`` through the row; beyond, each row is gathered by one
-    ``itemgetter`` call."""
-    t = table._rows
-    out = map(t.__getitem__, rows)
-    if table.k > 256:
-        if cols is not None:
-            out = map(itemgetter(*cols), out)
-        if cells is not None:
-            out = [itemgetter(*row)(cells) for row in out]
-        return CayleyTable(tuple(out))
+    In the row format of ``_cells``, each gathered row is mapped through
+    ``cells`` by one ``translate``, and its columns gathered by a second
+    one, of ``cols`` through the row."""
+    row, _, lookup, translate, _ = _cells(table.k)
+    out = map(table._rows.__getitem__, rows)
     if cells is not None:
-        out = map(bytes.translate, out, repeat(_lookup(bytes(cells))))
+        out = map(translate, out, repeat(lookup(row(cells))))
     if cols is not None:
-        out = map(bytes(cols).translate, map(_lookup, out))
+        out = map(translate.__get__(row(cols)), map(lookup, out))
     return CayleyTable(list(out))
 
 
@@ -323,23 +345,20 @@ def axiom_suite(algebra: Algebra) -> AxiomSuite:
     return suites[kind_of(algebra)](algebra)
 
 
-def _lookup(values: bytes) -> bytes:
-    """Values as a ``bytes.translate`` table: byte i maps to values[i]."""
-    return values.ljust(256, b"\0")
-
-
-class _ByteView:
-    """A table's rows, columns and the rows joined, as bytes, with a ``translate``
-    lookup per row and per column; built once per ``_scan`` call and read by
-    every filter."""
+class _TableView:
+    """A table's rows, columns and the rows joined, in the row format of
+    ``_cells``, whose operations it holds, with a ``translate`` lookup per
+    row and per column; built once per ``_scan`` call and read by every
+    filter."""
 
     def __init__(self, table: CayleyTable):
         self.rows = table._rows
         k = len(self.rows)
-        self.flat = b"".join(self.rows)
+        self.row, self.join, self.lookup, self.translate, _ = _cells(k)
+        self.flat = self.join(self.rows)
         self.cols = [self.flat[y::k] for y in range(k)]
-        self.lookups = [_lookup(row) for row in self.rows]
-        self.col_lookups = [_lookup(col) for col in self.cols]
+        self.lookups = [self.lookup(row) for row in self.rows]
+        self.col_lookups = [self.lookup(col) for col in self.cols]
 
 
 def _first_asymmetric(flat: bytes, k: int) -> Optional[int]:
@@ -348,38 +367,39 @@ def _first_asymmetric(flat: bytes, k: int) -> Optional[int]:
     return next((x for x in range(k) if flat[x * k : x * k + k] != flat[x::k]), None)
 
 
-def _w2_first_slice(w: WajsbergAlgebra, view: _ByteView) -> Optional[int]:
+def _w2_first_slice(w: WajsbergAlgebra, view: _TableView) -> Optional[int]:
     """First x with t[t[x][y]][t[t[y][v]][t[x][v]]] != 1 for some y, v."""
-    k = len(view.rows)
+    k, join, translate = len(view.rows), view.join, view.translate
     row_of = [slice(y, None, k) for y in range(k)]
-    ones = bytes([w.one]) * k
+    ones = view.row((w.one,)) * k
     for x, tx in enumerate(view.rows):
-        # Column v, over y, of t[t[y][v]][t[x][v]]; its row y is every k-th byte.
-        inner = b"".join(map(bytes.translate, view.cols, map(view.col_lookups.__getitem__, tx)))
-        outer = map(bytes.translate, map(inner.__getitem__, row_of), map(view.lookups.__getitem__, tx))
+        # Column v, over y, of t[t[y][v]][t[x][v]]; its row y is every k-th cell.
+        inner = join(map(translate, view.cols, map(view.col_lookups.__getitem__, tx)))
+        outer = map(translate, map(inner.__getitem__, row_of), map(view.lookups.__getitem__, tx))
         if not all(map(ones.__eq__, outer)):
             return x
     return None
 
 
-def _w3_first_slice(w: WajsbergAlgebra, view: _ByteView) -> Optional[int]:
+def _w3_first_slice(w: WajsbergAlgebra, view: _TableView) -> Optional[int]:
     """First x with t[t[x][y]][y] != t[t[y][x]][x] for some y."""
     # Column y, over x, of t[t[x][y]][y].
-    return _first_asymmetric(b"".join(map(bytes.translate, view.cols, view.col_lookups)), w.k)
+    return _first_asymmetric(view.join(map(view.translate, view.cols, view.col_lookups)), w.k)
 
 
-def _w4_first_slice(w: WajsbergAlgebra, view: _ByteView) -> Optional[int]:
+def _w4_first_slice(w: WajsbergAlgebra, view: _TableView) -> Optional[int]:
     """First x with t[t[n[x]][n[y]]][t[y][x]] != 1 for some y."""
-    n = bytes(w.negation)
-    ones = bytes([w.one]) * w.k
+    row, translate = view.row, view.translate
+    n = row(w.negation)
+    ones = row((w.one,)) * w.k
     for x, col in enumerate(view.cols):
         # Row x, over y, of t[a][b] with a = t[n[x]][n[y]] and b = t[y][x].
-        if bytes(map(getitem, map(view.rows.__getitem__, n.translate(view.lookups[n[x]])), col)) != ones:
+        if row(map(getitem, map(view.rows.__getitem__, translate(n, view.lookups[n[x]])), col)) != ones:
             return x
     return None
 
 
-def _bck1_first_slice(b: BckAlgebra, view: _ByteView) -> Optional[int]:
+def _bck1_first_slice(b: BckAlgebra, view: _TableView) -> Optional[int]:
     """First x with s[s[s[x][y]][s[x][w]]][s[w][y]] != 0 for some y, w.
 
     Scanned by y: with y and w fixed, d = s[w][y] is the same for every x, so
@@ -387,17 +407,17 @@ def _bck1_first_slice(b: BckAlgebra, view: _ByteView) -> Optional[int]:
     Once a slice ``first`` is flagged, later columns are built only over the
     rows x < first.
     """
-    k = len(view.rows)
+    k, join, lookup, translate = len(view.rows), view.join, view.lookup, view.translate
     # fails[d] maps u to 1 where s[u][d] != 0, else to 0.
-    nonzero = _lookup(bytes(u != b.zero for u in range(k)))
-    fails = [_lookup(col.translate(nonzero)) for col in view.cols]
+    nonzero = lookup(view.row(u != b.zero for u in range(k)))
+    fails = [lookup(translate(col, nonzero)) for col in view.cols]
     col_of = [slice(w, None, k) for w in range(k)]
     first = k
     for coly in view.cols:
         # Row x < first, over w, of u = s[s[x][y]][s[x][w]].
-        u = b"".join(map(bytes.translate, view.rows[:first], map(view.lookups.__getitem__, coly[:first])))
-        # Byte w*n + x is 1 where (x, y, w) fails, n = first.
-        marks = b"".join(map(bytes.translate, map(u.__getitem__, col_of), map(fails.__getitem__, coly)))
+        u = join(map(translate, view.rows[:first], map(view.lookups.__getitem__, coly[:first])))
+        # Cell w*n + x is 1 where (x, y, w) fails, n = first.
+        marks = join(map(translate, map(u.__getitem__, col_of), map(fails.__getitem__, coly)))
         if 1 in marks:
             n = first
             first = next(x for x in range(n) if 1 in marks[x::n])
@@ -406,32 +426,32 @@ def _bck1_first_slice(b: BckAlgebra, view: _ByteView) -> Optional[int]:
     return first if first < k else None
 
 
-def _meets(view: _ByteView) -> bytes:
+def _meets(view: _TableView):
     """s[x][s[x][y]], flattened row by row."""
-    return b"".join(map(bytes.translate, view.rows, view.lookups))
+    return view.join(map(view.translate, view.rows, view.lookups))
 
 
-def _bck2_first_slice(b: BckAlgebra, view: _ByteView) -> Optional[int]:
+def _bck2_first_slice(b: BckAlgebra, view: _TableView) -> Optional[int]:
     """First x with s[s[x][s[x][y]]][y] != 0 for some y."""
     meets, k = _meets(view), b.k
-    # Column y, over x, of s[s[x][s[x][y]]][y]; its row x is every k-th byte.
-    marks = b"".join(map(bytes.translate, (meets[y::k] for y in range(k)), view.col_lookups))
-    zeros = bytes([b.zero]) * k
+    # Column y, over x, of s[s[x][s[x][y]]][y]; its row x is every k-th cell.
+    marks = view.join(map(view.translate, (meets[y::k] for y in range(k)), view.col_lookups))
+    zeros = view.row((b.zero,)) * k
     return next((x for x in range(k) if marks[x::k] != zeros), None)
 
 
-def _bck4_first_slice(b: BckAlgebra, view: _ByteView) -> Optional[int]:
+def _bck4_first_slice(b: BckAlgebra, view: _TableView) -> Optional[int]:
     """First x with s[x][y] = s[y][x] = 0 for some y != x."""
     up, down = _up_down(_marks(view.rows, b.zero, b.k))
     return next((x for x, (u, d) in enumerate(zip(up, down)) if u & d & ~(1 << x)), None)
 
 
-def _commutative_first_slice(b: BckAlgebra, view: _ByteView) -> Optional[int]:
+def _commutative_first_slice(b: BckAlgebra, view: _TableView) -> Optional[int]:
     """First x with s[y][s[y][x]] != s[x][s[x][y]] for some y."""
     return _first_asymmetric(_meets(view), b.k)
 
 
-def _generators(m: MvAlgebra, view: _ByteView) -> Iterator[int]:
+def _generators(m: MvAlgebra, view: _TableView) -> Iterator[int]:
     """A set S that generates the carrier under p, each element yielded as
     it joins S, so a caller that stops early skips the rest of the walk.
 
@@ -445,20 +465,21 @@ def _generators(m: MvAlgebra, view: _ByteView) -> Iterator[int]:
     generator so far, in one ``translate`` of its row. On a product of
     chains S is ``zero`` and one atom per factor.
     """
-    downs = list(map(bytes.count, view.rows, repeat(m.one)))
-    gens = seen = b""
+    row, translate = view.row, view.translate
+    downs = list(map(row.count, view.rows, repeat(m.one)))
+    gens = seen = row()
     for x in sorted(range(m.k), key=downs.__getitem__):
         if x in seen:
             continue
         yield x
-        gens += bytes([x])
-        frontier = gens[-1:] + seen.translate(view.col_lookups[x])
-        while frontier := bytes(dict.fromkeys(frontier.translate(None, seen))):
+        gens += row((x,))
+        frontier = gens[-1:] + translate(seen, view.col_lookups[x])
+        while frontier := row(dict.fromkeys(translate(frontier, None, seen))):
             seen += frontier
-            frontier = b"".join(map(gens.translate, map(view.lookups.__getitem__, frontier)))
+            frontier = view.join(map(translate.__get__(gens), map(view.lookups.__getitem__, frontier)))
 
 
-def _assoc_first_slice(m: MvAlgebra, view: _ByteView) -> Optional[int]:
+def _assoc_first_slice(m: MvAlgebra, view: _TableView) -> Optional[int]:
     """First x with p[p[x][y]][w] != p[x][p[y][w]] for some y, w.
 
     Light's test (Clifford-Preston 1961, 1.2): the slice of x holds for
@@ -470,38 +491,38 @@ def _assoc_first_slice(m: MvAlgebra, view: _ByteView) -> Optional[int]:
     """
 
     def fails(x: int) -> bool:
-        return view.flat.translate(view.lookups[x]) != b"".join(map(view.rows.__getitem__, view.rows[x]))
+        return view.translate(view.flat, view.lookups[x]) != view.join(map(view.rows.__getitem__, view.rows[x]))
 
     if not any(map(fails, _generators(m, view))):
         return None
     return next(filter(fails, range(m.k)))
 
 
-def _comm_first_slice(m: MvAlgebra, view: _ByteView) -> Optional[int]:
+def _comm_first_slice(m: MvAlgebra, view: _TableView) -> Optional[int]:
     """First x with p[x][y] != p[y][x] for some y."""
     return _first_asymmetric(view.flat, m.k)
 
 
-def _lukasiewicz_first_slice(m: MvAlgebra, view: _ByteView) -> Optional[int]:
+def _lukasiewicz_first_slice(m: MvAlgebra, view: _TableView) -> Optional[int]:
     """First x with p[c[p[c[x]][y]]][y] != p[c[p[c[y]][x]]][x] for some y."""
-    c = bytes(m.complement)
+    c, translate = view.row(m.complement), view.translate
     # Column y, over x, of c[p[c[x]][y]], then of p[c[p[c[x]][y]]][y].
-    inner = map(bytes.translate, map(c.translate, view.col_lookups), repeat(_lookup(c)))
-    return _first_asymmetric(b"".join(map(bytes.translate, inner, view.col_lookups)), m.k)
+    inner = map(translate, map(translate.__get__(c), view.col_lookups), repeat(view.lookup(c)))
+    return _first_asymmetric(view.join(map(translate, inner, view.col_lookups)), m.k)
 
 
 def _scan(algebra: Algebra) -> Iterator[Violation]:
     """The lexicographically least witness of each violated axiom, yielded
     in suite order.
 
-    Up to 256 elements each axiom with a byte filter is skipped when its
-    filter flags no slice, and searched only in the flagged slice (x, ...)
-    otherwise, over one ``_ByteView``; the predicate finds the witness in it.
+    Each axiom with a filter is skipped when its filter flags no slice, and
+    searched only in the flagged slice (x, ...) otherwise, over one
+    ``_TableView``; the predicate finds the witness in it. Every table size
+    takes this one path.
     """
     k = algebra.k
-    view = _ByteView(_parts(algebra)[1]) if k <= 256 else None
+    view = _TableView(_parts(algebra)[1])
     for name, arity, pred, first_slice in axiom_suite(algebra):
-        first_slice = first_slice if view else None
         if first_slice:
             x = first_slice(algebra, view)
             if x is None:
@@ -530,16 +551,15 @@ def _translate(algebra: Algebra, kind: str) -> Algebra:
 def verify(algebra: Algebra) -> AxiomReport:
     """Exhaustively check every axiom of the algebra's kind.
 
-    Up to 256 elements a Wajsberg or BCK input is first proved valid through
-    its MV translation, which is term-equivalent (Font-Rodriguez-Torrens 1984,
+    At every size a Wajsberg or BCK input is first proved valid through its
+    MV translation, which is term-equivalent (Font-Rodriguez-Torrens 1984,
     Mundici 1986): when that verifies, ``_translate`` maps it back to the
     input exactly (a valid translation of a BCK table has 1*0 = 1, so its
     ``one`` is the input's), and the input is valid. The proof stops at the
     first violation, and only then are the input's own axioms scanned, which
-    finds the witnesses: two calls of ``_scan`` at most, one for an MV input
-    or beyond 256 elements.
+    finds the witnesses: two calls of ``_scan`` at most, one for an MV input.
     """
-    mv = _translate(algebra, "mv") if algebra.k <= 256 else algebra
+    mv = _translate(algebra, "mv")
     if mv is not algebra and next(_scan(mv), None) is None:
         return AxiomReport(())
     return AxiomReport(tuple(_scan(algebra)))
@@ -578,14 +598,6 @@ def kind_of(algebra: Algebra) -> str:
     return _parts(algebra)[0]
 
 
-def ensure_verified(algebra: Algebra) -> None:
-    """Raise NotAnAlgebra (with the report attached) unless verification passes."""
-    report = verify(algebra)
-    if not report.valid:
-        axioms = ", ".join(sorted(report.axioms()))
-        raise NotAnAlgebra(f"{kind_of(algebra)} verification failed: {axioms}", report)
-
-
 def _order_rows(algebra: Algebra, xs: Iterable[int]) -> tuple[bytes, ...]:
     """Rows xs of the natural order: for each x, which y satisfy x*y = 0 /
     x'+y = 1 / x->y = 1, as ``bytes`` of 0 and 1 (``_marks``).
@@ -600,10 +612,9 @@ def _order_rows(algebra: Algebra, xs: Iterable[int]) -> tuple[bytes, ...]:
 
 def _marks(rows: Iterable, value: int, k: int) -> tuple[bytes, ...]:
     """Each row of a k-element table as ``bytes`` of 0 and 1, 1 where it
-    holds ``value``: up to 256 elements one ``translate`` per row."""
-    if k <= 256:
-        return tuple(map(bytes.translate, rows, repeat(bytes(value) + b"\1" + bytes(255 - value))))
-    return tuple(bytes([v == value for v in row]) for row in rows)
+    holds ``value``: one ``translate`` per row, through a ``bytes`` lookup."""
+    _, _, lookup, translate, _ = _cells(k)
+    return tuple(map(translate, rows, repeat(lookup(bytes(value) + b"\1" + bytes(k - 1 - value)))))
 
 
 def natural_order(algebra: Algebra) -> Poset:

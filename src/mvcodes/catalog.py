@@ -12,8 +12,8 @@ factor the least significant digit: the componentwise Łukasiewicz
 implication is tabulated factor by factor from the last digit up, with no
 intermediate algebra per factor. The last factor's chain rows are written
 down directly; each factor before it is one ``_product_rows``, the one
-product step, which ``product_wajsberg`` also takes: up to 256 elements in
-``bytes``, a shifted block one ``translate`` and a row one ``join``.
+product step, which ``product_wajsberg`` also takes: in the row format of
+``algebras._cells``, a shifted block one ``translate`` and a row one ``join``.
 ``_chain_products`` builds the entries one at a time as they are drawn:
 ``enumerate_wajsberg`` lists them, and the CLI writes each one out before it
 builds the next.
@@ -26,10 +26,9 @@ coordinates of ``order``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Optional
 
-from .algebras import _BYTES, CayleyTable, WajsbergAlgebra, _relabel, natural_order
+from .algebras import CayleyTable, WajsbergAlgebra, _cells, _relabel, natural_order
 from .errors import InvalidSize, NotAnOrderIso, SizeMismatch
 from .order import OrderIso, poset_isomorphisms
 
@@ -105,25 +104,22 @@ def _product_rows(t1, t2) -> list:
     """Rows of the componentwise product of the tables with rows t1 and t2.
 
     Cell (a*k + r, c*k + s) is t1[a][c]*k + t2[r][s], k = |t2|: row r of t2
-    shifted by m*k is block m, and row a of t1 picks its blocks by c. Up to
-    256 elements a shift is a ``translate`` through a rotated identity table
-    and a row is ``bytes``; beyond, a tuple of ints."""
-    k = len(t2)
-    if len(t1) * k <= 256:
-        shifts = [_BYTES[s:] + _BYTES[:s] for s in range(0, len(t1) * k, k)]
-        blocks = [list(map(row.translate, shifts)) for row in t2]
-        return [b"".join(map(b.__getitem__, p)) for p in t1 for b in blocks]
-    blocks = [[tuple(map((k * m).__add__, row)) for m in range(len(t1))] for row in t2]
-    return [tuple(chain.from_iterable(map(b.__getitem__, p))) for p in t1 for b in blocks]
+    shifted by m*k is block m, and row a of t1 joins its blocks by c. In the
+    row format of ``_cells``, a shift is a ``translate`` through the lookup
+    of the identity from m*k on."""
+    k, n = len(t2), len(t1) * len(t2)
+    _, join, lookup, translate, identity = _cells(n)
+    shifts = [lookup(identity[s:]) for s in range(0, n, k)]
+    blocks = [list(map(shift, shifts)) for shift in map(translate.__get__, t2)]
+    return [join(map(b.__getitem__, p)) for p in t1 for b in blocks]
 
 
 def _chain_rows(f: int) -> list:
-    """Rows of the f-element chain, x->y = min(top, top - x + y): ``bytes``
-    up to 256 elements, tuples of ints beyond."""
-    top = f - 1
-    if f <= 256:
-        return [_BYTES[top - a : top] + bytes([top]) * (f - a) for a in range(f)]
-    return [(*range(top - a, top), *[top] * (f - a)) for a in range(f)]
+    """Rows of the f-element chain, x->y = min(top, top - x + y), in the row
+    format of ``_cells``: row a is (0, .., top - 1, top, .., top) from top - a on."""
+    row, top = _cells(f)[0], f - 1
+    cells = row(range(top)) + row((top,)) * f
+    return [cells[top - a : top - a + f] for a in range(f)]
 
 
 def _fold_product(factors: tuple[int, ...]) -> WajsbergAlgebra:

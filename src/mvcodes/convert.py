@@ -11,32 +11,10 @@ also proves Wajsberg and BCK tables valid through.
 
 from __future__ import annotations
 
-from .algebras import (
-    Algebra,
-    BckAlgebra,
-    MvAlgebra,
-    WajsbergAlgebra,
-    _translate,
-    ensure_verified,
-    kind_of,
-    verify,
-)
+from .algebras import Algebra, BckAlgebra, MvAlgebra, WajsbergAlgebra, _translate, kind_of, verify
 from .errors import NotAnAlgebra, NotBounded, NotCommutative
 
 __all__ = ["bck_to_mv", "convert", "mv_to_bck", "mv_to_wajsberg", "wajsberg_to_mv"]
-
-
-def _ensure_bck_verified(b: BckAlgebra) -> None:
-    """Raise NotBounded, NotCommutative or NotAnAlgebra, in that order of
-    precedence, unless the BCK input verifies."""
-    report = verify(b)
-    if not report.valid:
-        axioms = report.axioms()
-        if "bounded" in axioms:
-            raise NotBounded("input BCK algebra is not bounded", report)
-        if "commutative" in axioms:
-            raise NotCommutative("input BCK algebra is not commutative", report)
-        raise NotAnAlgebra("input is not a BCK algebra", report)
 
 
 def _convert_kind(algebra: Algebra, src: str, kind: str) -> Algebra:
@@ -70,13 +48,21 @@ def mv_to_wajsberg(m: MvAlgebra) -> WajsbergAlgebra:
 def convert(algebra: Algebra, kind: str) -> Algebra:
     """Convert any presentation to the named one in one table relabelling.
 
-    The input is verified once: a BCK input leaving BCK raises as
-    ``bck_to_mv`` does, any other input as ``ensure_verified``."""
+    The input is verified once, and one that fails raises with its report:
+    a BCK input leaving BCK raises NotBounded, NotCommutative or
+    NotAnAlgebra, in that order of precedence, and any other input
+    NotAnAlgebra naming the failed axioms."""
     src = kind_of(algebra)
     if kind not in ("bck", "mv", "wajsberg"):
         raise ValueError(f"unknown kind: {kind}")
-    if src == "bck" and kind != "bck":
-        _ensure_bck_verified(algebra)
-    else:
-        ensure_verified(algebra)
-    return _translate(algebra, kind)
+    report = verify(algebra)
+    if report.valid:
+        return _translate(algebra, kind)
+    axioms = report.axioms()
+    if src != "bck" or kind == "bck":
+        raise NotAnAlgebra(f"{src} verification failed: {', '.join(sorted(axioms))}", report)
+    if "bounded" in axioms:
+        raise NotBounded("input BCK algebra is not bounded", report)
+    if "commutative" in axioms:
+        raise NotCommutative("input BCK algebra is not commutative", report)
+    raise NotAnAlgebra("input is not a BCK algebra", report)

@@ -16,11 +16,11 @@ does not fit the schema is an error. Lines end in ``\n`` or ``\r\n``; fields
 are separated, and lines padded, by ASCII spaces and tabs only, so no other
 control or Unicode separator character is read as a break.
 
-Up to 256 elements the rows of a table are read into ``bytes`` and written
-from them, without building the table's tuple rows: in blocks of whole rows
-of about 8 K cells, one ``translate`` per decimal digit plane and block, so
-no temporary is much larger than a block; larger tables are read and written
-as tuples of ints.
+The rows of a table are read into the row format of ``algebras._cells`` and
+written from it, without building the table's tuple rows: ``bytes`` rows in
+blocks of whole rows of about 8 K cells, one ``translate`` per decimal digit
+plane and block, so no temporary is much larger than a block; tuple rows by
+one ``itemgetter`` gather of the element names per row.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from operator import itemgetter
 
-from .algebras import Algebra, CayleyTable, _make, _parts
+from .algebras import Algebra, CayleyTable, _cells, _make, _parts
 from .codes import _BITS, BlockCode
 from .errors import ParseError
 
@@ -65,9 +65,10 @@ def _int(token: str, what: str) -> int:
         raise ParseError(f"{what} holds an integer of {len(token)} digits, too long to read") from None
 
 
-def _int_row(line: str, k: int, values: dict[str, int], what: str):
-    """The k indices of a row: ``bytes`` up to 256 elements; a tuple of ints
-    beyond, or when a token is no canonical element name, such as '007'."""
+def _int_row(line: str, k: int, values: dict[str, int], what: str, row: type):
+    """The k indices of a row, built by ``row``, the row format of a k-element
+    table; a tuple of ints when a token is no canonical element name, such as
+    '007'."""
     parts = line.split()
     # split() also breaks at control characters such as \x1c, and isdigit also
     # accepts non-ASCII digits such as '²', which int() refuses: only ASCII
@@ -75,7 +76,7 @@ def _int_row(line: str, k: int, values: dict[str, int], what: str):
     if len(parts) != k or not line.isascii() or not line.replace("\t", " ").isprintable():
         raise ParseError(f"expected {what} of {k} indices, got: {line!r}")
     try:
-        return (bytes if k <= 256 else tuple)(map(values.__getitem__, parts))
+        return row(map(values.__getitem__, parts))
     except KeyError:  # a token such as '007', a value >= k, or no number at all
         if not all(map(str.isdigit, parts)):
             raise ParseError(f"expected {what} of {k} indices, got: {line!r}") from None
@@ -94,6 +95,7 @@ def parse_algebra(text: str) -> Algebra:
     # lines left, so a huge order on a short file builds no huge lookup
     values = {str(v): v for v in range(min(k, len(lines)))}
     zero = one = unary = None  # constants as strings of digits, or None where ``kind`` holds none
+    row = _cells(k)[0]
     if kind == "bck":
         zero, one = _match(
             _take(lines, "constants line"),
@@ -106,9 +108,9 @@ def parse_algebra(text: str) -> Algebra:
         (one,) = _match(_take(lines, "constants line"), r"one:[ \t]*([0-9]+)", "one: <j>")
     if kind != "bck":
         unary = _int_row(
-            _match(_take(lines, "unary line"), r"unary:[ \t]*(.+)", "unary: row")[0], k, values, "unary row"
+            _match(_take(lines, "unary line"), r"unary:[ \t]*(.+)", "unary: row")[0], k, values, "unary row", row
         )
-    rows = tuple(_int_row(_take(lines, f"table row {i}"), k, values, f"table row {i}") for i in range(k))
+    rows = tuple(_int_row(_take(lines, f"table row {i}"), k, values, f"table row {i}", row) for i in range(k))
     if lines:
         raise ParseError(f"trailing content: {lines[0]!r}")
     zero, one = (c and _int(c, "constants line") for c in (zero, one))
@@ -162,20 +164,21 @@ def _format_rows(rows, names: list[str]) -> str:
 def format_algebra(algebra: Algebra) -> str:
     """Serialise an algebra in the exact file format (no comments).
 
-    Up to 256 elements the unary map and the table are formatted from bytes
-    by ``_format_bytes``, whose blocks and the head are joined once, into the
-    text at its final size; beyond, from tuples of ints by ``_format_rows``."""
+    The unary map and the table are formatted in the row format of
+    ``_cells``: ``bytes`` by ``_format_bytes``, whose blocks and the head are
+    joined once, into the text at its final size; tuples by ``_format_rows``."""
     kind, table, unary = _parts(algebra)
     k = algebra.k
+    row, join, *_ = _cells(k)
     head = f"kind: {kind}\norder: {k}\n"
     if kind == "bck":
         head += f"zero: {algebra.zero} one: {algebra.one}\n"
         rows = table._rows
     else:
         head += (f"zero: {algebra.zero}\n" if kind == "mv" else f"one: {algebra.one}\n") + "unary: "
-        rows = (bytes(unary) if k <= 256 else unary, *table._rows)
-    if k <= 256:
-        return "".join([head, *_format_bytes(b"".join(rows), k)])
+        rows = (row(unary), *table._rows)
+    if row is bytes:
+        return "".join([head, *_format_bytes(join(rows), k)])
     return head + _format_rows(rows, [str(v) for v in range(k)])
 
 

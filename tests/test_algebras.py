@@ -41,6 +41,7 @@ from mvcodes import (
     natural_order,
     parse_algebra,
     product_wajsberg,
+    skeleton,
     transport_structure,
     verify,
     verify_bck,
@@ -51,10 +52,11 @@ from mvcodes.algebras import (
     AxiomReport,
     Violation,
     _assoc_first_slice,
-    _ByteView,
     _generators,
+    _make,
     _parts,
     _relabel,
+    _TableView,
     _translate,
     axiom_suite,
     bck_axiom_suite,
@@ -209,6 +211,20 @@ class TestCayleyTable:
             )
         )
         assert table_outcome(cell_walk, rows) == table_outcome(table_rows, rows)
+
+    @given(st.data())
+    def test_tuple_fast_test_matches_cell_walk(self, data):
+        # the fast test of the tuple rows of tables over 256 elements, forced onto small ones
+        k = data.draw(st.integers(0, 8))
+        length = st.sampled_from([k, k, k, k, max(k - 1, 0), k + 1])
+        cell = st.one_of(st.integers(-2, k + 1), st.sampled_from([True, 1.0]))
+        rows = data.draw(st.lists(length.flatmap(lambda n: st.tuples(*[cell] * n)), min_size=k, max_size=k))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mvcodes.algebras, "_cells", lambda k: mvcodes.algebras._TUPLE_CELLS)
+            got = table_outcome(lambda rows: CayleyTable(rows)._rows, rows)
+        assert got == table_outcome(cell_walk, rows)
+        if got[0] == "ok":
+            assert {type(v) for row in got[1] for v in row} <= {int}
 
     def test_constants_must_be_elements(self):
         with pytest.raises(MalformedTable):
@@ -489,8 +505,8 @@ def plain_scan(k, suite):
 
 
 def first_slices(algebra):
-    """Each filtered axiom's first flagged slice, or None, over one ``_ByteView``."""
-    view = _ByteView(_parts(algebra)[1])
+    """Each filtered axiom's first flagged slice, or None, over one ``_TableView``."""
+    view = _TableView(_parts(algebra)[1])
     return {name: first_slice(algebra, view) for name, _, _, first_slice in axiom_suite(algebra) if first_slice}
 
 
@@ -610,7 +626,7 @@ class TestSliceFilters:
                 mutated = with_rows(algebra, mutate(rows_of(algebra), i, j, v))
                 bck1 = [axiom for axiom in bck_axiom_suite(mutated) if axiom[0] == "bck1"]
                 witness = plain_scan(k, bck1).witness("bck1")
-                assert bck1[0][3](mutated, _ByteView(mutated.table)) == (witness and witness[0])
+                assert bck1[0][3](mutated, _TableView(mutated.table)) == (witness and witness[0])
                 checked.add(witness is not None and witness[0] > 0)
         assert checked == {False, True}
 
@@ -681,7 +697,7 @@ def right_sum_closure(rows, gens):
 
 def assoc_filter(rows, complement, zero):
     m = MvAlgebra(CayleyTable(rows), complement, zero)
-    return _assoc_first_slice(m, _ByteView(m.oplus))
+    return _assoc_first_slice(m, _TableView(m.oplus))
 
 
 def every_element_a_generator(k):
@@ -743,7 +759,7 @@ class TestAssocGenerators:
             m = MvAlgebra(CayleyTable(rows), complement, 0)
             # the constant is reached from the first generator
             expected = set(range(k)) - ({k // 2} if name == "constant" and k > 1 else set())
-            assert set(_generators(m, _ByteView(m.oplus))) == expected, name
+            assert set(_generators(m, _TableView(m.oplus))) == expected, name
             assert assoc_filter(rows, complement, 0) is None
             for i, j, v in product(range(k), repeat=3) if k <= 5 else [(k - 1, k - 2, 0), (3, 7, 11)]:
                 edited = mutate(rows, i, j, v)
@@ -760,7 +776,7 @@ class TestAssocGenerators:
         assert len(products) > 100 and {factors for factors, _ in products} >= set(PRODUCTS_256)
         for factors, w in products:
             m = convert(w, "mv")
-            view = _ByteView(m.oplus)
+            view = _TableView(m.oplus)
             gens = bytes(_generators(m, view))
             down = natural_order(m).down
             atoms = {x for x in range(m.k) if x != m.zero and down[x] == 1 << x | 1 << m.zero}
@@ -778,7 +794,7 @@ class TestAssocGenerators:
         element = st.integers(0, k - 1)
         rows = data.draw(st.lists(st.lists(element, min_size=k, max_size=k), min_size=k, max_size=k))
         m = MvAlgebra(CayleyTable(rows), data.draw(st.lists(element, min_size=k, max_size=k)), data.draw(element))
-        gens = list(_generators(m, _ByteView(m.oplus)))
+        gens = list(_generators(m, _TableView(m.oplus)))
         assert right_sum_closure(rows, gens) == set(range(k))
         for i, g in enumerate(gens):
             assert g not in right_sum_closure(rows, gens[:i])
@@ -1040,22 +1056,81 @@ def test_error_paths(call, error, args):
     ],
     ids=["wajsberg", "bck"],
 )
-def test_verify_over_256_elements_scans_own_axioms(build, violations, monkeypatch, scans):
-    # no byte filter and no MV proof beyond 256 elements: the report is the
-    # plain scan of the input's own axioms
+def test_verify_over_256_elements_scans_own_axioms(build, violations, scans):
+    # the MV proof fails, and the filters of the input's own axioms give the
+    # report of the plain scan, as at every size
     algebra = build()
-
-    def no_translation(*args):
-        raise AssertionError("a table over 256 elements was translated")
-
-    def no_filter(*args):
-        raise AssertionError("a byte filter ran on a table over 256 elements")
-
-    monkeypatch.setattr(mvcodes.algebras, "_translate", no_translation)
-    for name in dir(mvcodes.algebras):
-        if name.endswith("_first_slice"):
-            monkeypatch.setattr(mvcodes.algebras, name, no_filter)
     report = verify(algebra)
-    assert scans == [algebra]
+    assert [kind_of(a) for a in scans] == ["mv", kind_of(algebra)]
     assert report == plain_scan(257, axiom_suite(algebra))
     assert {v.axiom: v.witness for v in report.violations} == violations
+
+
+def shuffled_product(factors):
+    """The chain product of ``factors`` on a carrier shuffled by its size."""
+    w = _fold_product(factors)
+    forward = list(range(w.k))
+    random.Random(w.k).shuffle(forward)
+    return transport_structure(w, OrderIso(forward))
+
+
+@pytest.mark.parametrize("factors", [(257,), (2, 3, 43), (2, 3, 50)], ids=["257", "258", "300"])
+def test_relabelled_products_over_256_elements_verify(factors):
+    w = shuffled_product(factors)
+    for kind in ("wajsberg", "mv", "bck"):
+        assert verify(_translate(w, kind)).valid, kind
+
+
+@pytest.mark.parametrize("cell", [(0, 1), (2, 0), (128, 256)])
+@pytest.mark.parametrize("kind", ["wajsberg", "mv", "bck"])
+def test_one_cell_edits_over_256_elements_match_plain_scan(kind, cell):
+    # each edit of the shuffled 257-element chain breaks the axiom in three
+    # variables at x <= 1, where the plain scan finds its witness early
+    algebra = _translate(shuffled_product((257,)), kind)
+    rows, (i, j) = rows_of(algebra), cell
+    report = assert_matches_plain_scan(with_rows(algebra, mutate(rows, i, j, (rows[i][j] + 1) % 257)))
+    ((x, *_),) = (v.witness for v in report.violations if len(v.witness) == 3)
+    assert x <= 1
+
+
+def small_cases():
+    """Every order type of at most 12 elements, relabelled, in each
+    presentation, and one-cell, unary-map and constant mutations of each:
+    7 cases per presentation, as the arguments of ``_make``."""
+    rng, cases = random.Random(12), []
+    for _, factors, _ in catalog_upto(12):
+        w = shuffled_product(factors)
+        k = w.k
+        for kind, constants in (("wajsberg", ("one", "one")), ("mv", ("zero", "zero")), ("bck", ("zero", "one"))):
+            _, table, unary = _parts(_translate(w, kind))
+            valid = {"kind": kind, "table": table.rows, "unary": tuple(unary), "zero": w.zero, "one": w.one}
+            cells = [(rng.randrange(k), rng.randrange(k)) for _ in range(4 if kind == "bck" else 3)]
+            cases += [valid, *({**valid, "table": mutate(table.rows, i, j, rng.randrange(k))} for i, j in cells)]
+            if kind != "bck":  # a BCK unary map is a table row
+                i = rng.randrange(k)
+                cases.append({**valid, "unary": (*unary[:i], rng.randrange(k), *unary[i + 1 :])})
+            cases += [{**valid, name: rng.randrange(k)} for name in constants]
+    return cases
+
+
+def observed(case):
+    """The file text of a case, parsed back, and everything read off it: its
+    report, its conversions as text, its code and its skeleton."""
+    text = format_algebra(_make(**{**case, "table": CayleyTable(case["table"])}))
+    algebra = parse_algebra(text)
+    converted = [table_outcome(lambda a: format_algebra(convert(a, to)), algebra) for to in ("wajsberg", "mv", "bck")]
+    return text, verify(algebra), converted, table_outcome(code_from_algebra, algebra), table_outcome(skeleton, algebra)
+
+
+def test_tuple_rows_agree_with_byte_rows_on_small_tables(monkeypatch):
+    # the tuple rows of tables over 256 elements, forced onto every table
+    # through the one choice of the row format, give what the byte rows give
+    cases = small_cases()
+    assert len(cases) == 441
+    expected = list(map(observed, cases))
+    assert {report.valid for _, report, *_ in expected} == {False, True}
+    for module in (mvcodes.algebras, sys.modules["mvcodes.catalog"], sys.modules["mvcodes.fileio"]):
+        monkeypatch.setattr(module, "_cells", lambda k: mvcodes.algebras._TUPLE_CELLS)
+    assert type(shuffled_product((2, 3)).circ._rows[0]) is tuple
+    assert list(map(observed, cases)) == expected
+    assert small_cases() == cases

@@ -1001,6 +1001,8 @@ def test_table_parser_agrees_with_argparse(argv_paths, argv):
         ["enumerate", "7" * 5000],
         ["distance", "@algebra", "1"],
         ["distance", "@algebra", "1", "2", "3"],
+        ["enumerate", "6", "--output"],
+        ["attach", "c", "--output", "--all"],  # an option where its value belongs
     ],
 )
 def test_table_parser_declines_what_it_does_not_take(argv):
