@@ -4,18 +4,12 @@ Each module lists the public names it defines in its ``__all__``; the package
 re-exports them, and its ``__all__`` is those lists joined.
 """
 
-from . import algebras, attach, catalog, codes, convert, errors, fileio, order
+from importlib import import_module as _import_module
 
-# read before ``from .convert import *`` rebinds ``convert`` to the function
-__all__ = []
-__all__ += algebras.__all__
-__all__ += attach.__all__
-__all__ += catalog.__all__
-__all__ += codes.__all__
-__all__ += convert.__all__
-__all__ += errors.__all__
-__all__ += fileio.__all__
-__all__ += order.__all__
+_MODULES = ("algebras", "attach", "catalog", "codes", "convert", "errors", "fileio", "order")
+# each list is read off the module itself: ``from .convert import *`` binds
+# ``convert`` to the function, and a reload finds that binding, not the module
+__all__ = [name for module in _MODULES for name in _import_module(f".{module}", __name__).__all__]
 
 from .algebras import *  # noqa: E402, F403
 from .attach import *  # noqa: E402, F403

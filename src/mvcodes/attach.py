@@ -18,11 +18,13 @@ of them transport to the same algebra.
 Embedding searches the same products without building them: column c of a
 product's code is the down-set of c, read off the digits
 (``order._product_masks``). A host's table is folded only for an entry that
-has a hit, once, and checked against its closed-form columns.
+has a hit, once, and checked against its closed-form columns; entries too
+small or too narrow to host the code (``_closure_bounds``) are not searched.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from operator import not_
@@ -32,7 +34,7 @@ from .algebras import BckAlgebra, MvAlgebra, WajsbergAlgebra, _translate
 from .catalog import ChainProduct, _fold_product, _order_types, transport_structure
 from .codes import BlockCode, code_from_algebra
 from .errors import AlgebraError, NoEmbeddingFound, NonSquare
-from .order import OrderIso, _all_isos, _product_iso, _product_masks, _up_down, order_violation
+from .order import OrderIso, _all_isos, _masks, _product_iso, _product_masks, _product_width, _up_down, order_violation
 
 __all__ = [
     "AttachmentResult", "CodeRejected", "EmbeddingResult", "MatrixReport", "RejectionReason", "attach_bck",
@@ -276,6 +278,22 @@ def _covering_columns(ones: tuple[int, ...], want: set, m: int) -> Iterator[tupl
             frames.append((narrowed, packed[len(chosen)], iter(range(q))))
 
 
+def _closure_bounds(want: set, m: int, limit: int) -> tuple[int, int]:
+    """A least order and a least width of any host of the words ``want`` of
+    length m: the size of C, the AND-closure of ``want`` and 1^m, built a
+    word at a time and stopped once over ``limit`` words; and the most words
+    of C of equal weight. In a host, element x gives the word whose bit i is
+    [x <= c_i] for columns c; joins go to ANDs and the bottom to 1^m, so the
+    image is AND-closed, holds C, has at most q words, and its words of equal
+    weight, being incomparable, come from an antichain of the host."""
+    closure = {(1 << m) - 1}
+    for v in _masks(want):
+        closure |= {c & v for c in closure}
+        if len(closure) > limit:
+            break
+    return len(closure), max(Counter(map(int.bit_count, closure)).values())
+
+
 def embed_code(
     code: BlockCode,
     max_order: Optional[int] = None,
@@ -293,10 +311,12 @@ def embed_code(
     the tuples are searched depth first by ``_covering_columns``. Pruning
     drops only prefixes that no covering tuple extends, so the hits, and
     the ``all_matches`` list, come in the same lexicographic order as a scan
-    of every tuple. An entry's table is built only when it has a hit. Raises
-    NoEmbeddingFound when the search space up to ``max_order`` is exhausted,
-    and InvalidSize, as ``enumerate_wajsberg`` does, on reaching an order
-    whose catalog would exceed ``MAX_CATALOG_CELLS`` table cells.
+    of every tuple. An entry smaller than the AND-closure of the words and
+    1^m, or narrower than its largest weight level, has no hit and is skipped
+    (``_closure_bounds``). An entry's table is built only when it has a hit.
+    Raises NoEmbeddingFound when the search space up to ``max_order`` is
+    exhausted, and InvalidSize, as ``enumerate_wajsberg`` does, on reaching
+    an order whose catalog would exceed ``MAX_CATALOG_CELLS`` table cells.
     """
     m = code.length
     n = code.size
@@ -304,9 +324,12 @@ def embed_code(
     if max_order is None:
         max_order = lo + 4
     want = set(code._rows)
+    size, width = _closure_bounds(want, m, max_order)
     results = []
     for q in range(lo, max_order + 1):
         for factors in _order_types(q):
+            if q < size or _product_width(factors) < width:
+                continue
             down, entry = _product_masks(factors)[1], None
             for cols in _covering_columns(down, want, m):
                 if entry is None:

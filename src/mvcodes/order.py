@@ -340,3 +340,13 @@ def _all_isos(factors: tuple[int, ...], forward: tuple[int, ...]) -> list[tuple[
         ]
         out += [swap(iso) for swap in swaps for iso in out]
     return sorted(out)
+
+
+def _product_width(factors: tuple[int, ...]) -> int:
+    """The width of the chain product of ``factors``: its largest rank level
+    (it is Sperner: de Bruijn, Tengbergen and Kruyswijk 1951), the largest
+    coefficient of the product of the polynomials 1 + t + ... + t^(f - 1)."""
+    levels = [1]
+    for f in factors:
+        levels = [sum(levels[max(r - f + 1, 0) : r + 1]) for r in range(len(levels) + f - 1)]
+    return max(levels)

@@ -6,8 +6,10 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from collections import Counter
 from itertools import combinations, permutations, product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -35,10 +37,12 @@ from mvcodes import (
     natural_order,
     validate_code_matrix,
 )
-from mvcodes.attach import _canonical_embedding, _covering_columns
+from mvcodes.attach import _canonical_embedding, _closure_bounds, _covering_columns
 from mvcodes.catalog import _fold_product, factorizations, transport_structure
 from mvcodes.errors import InvalidSize, NotAPoset
-from mvcodes.order import OrderIso, Poset, _masks, _product_iso, _product_masks, _up_down, poset_isomorphisms
+from mvcodes.order import (
+    OrderIso, Poset, _masks, _product_iso, _product_masks, _product_width, _up_down, poset_isomorphisms,
+)
 
 from conftest import (
     CODE_CYCLED,
@@ -736,3 +740,101 @@ def test_columns_that_miss_a_wanted_word_raise():
     want = {(0, 0), (0, 1), (1, 0), (1, 1)}
     with pytest.raises(RuntimeError, match=r"^columns \(0, 1\) of host \(3,\) do not cover the code$"):
         _canonical_embedding(entry, (0, 1), set(map(bytes, want)), _masks(zip(*words)))
+
+
+def short_word_sets():
+    """Every word set of length m <= 3, then 30 random sets each of length 4
+    and 5, as (m, set of word tuples)."""
+    rng = random.Random(28)
+    for m in range(6):
+        words = list(product((0, 1), repeat=m))
+        if m < 4:
+            yield from ((m, set(ws)) for r in range(1, len(words) + 1) for ws in combinations(words, r))
+        else:
+            yield from ((m, set(rng.sample(words, rng.randint(1, 7)))) for _ in range(30))
+
+
+def rejects(want, m, factors, limit):
+    """Whether embed's bounds skip the catalog entry of ``factors``."""
+    size, width = _closure_bounds(want, m, limit)
+    return prod(factors) < size or _product_width(factors) < width
+
+
+class TestClosureBounds:
+    def test_product_width_is_the_largest_antichain(self):
+        for q in range(1, 11):
+            for factors in catalog._order_types(q):
+                up, down = _product_masks(factors)
+                comparable = [u | d for u, d in zip(up, down)]
+                # a subset s is an antichain when each member x meets s only in x
+                antichains = [
+                    s for s in range(1, 1 << q) if all(comparable[x] & s == 1 << x for x in range(q) if s >> x & 1)
+                ]
+                assert _product_width(factors) == max(map(int.bit_count, antichains)), factors
+
+    def test_rejected_entries_have_no_covering_columns(self):
+        # every entry of order <= 8 that the bounds reject yields no tuple
+        entries = [(q, f, _product_masks(f)[1]) for q in range(1, 9) for f in catalog._order_types(q)]
+        rejected = 0
+        for m, want in short_word_sets():
+            for q, factors, down in entries:
+                if q >= m and rejects(want, m, factors, 8):
+                    rejected += 1
+                    assert next(_covering_columns(down, want, m), None) is None, (factors, want)
+        assert rejected > 1000
+
+    @pytest.mark.parametrize("lengths, extra", [((0, 1, 2, 3), 2), ((4, 5), 1)])
+    def test_skipping_search_matches_full_scan(self, lengths, extra):
+        for m, want in short_word_sets():
+            if m in lengths:
+                code = BlockCode(tuple(sorted(want, reverse=True)))
+                max_order = min(8, max(m, code.size) + extra)
+                expected = scan_embed(code, max_order)
+                if expected:
+                    assert embed_code(code, max_order=max_order, all_matches=True) == expected, want
+                else:
+                    with pytest.raises(NoEmbeddingFound):
+                        embed_code(code, max_order=max_order, all_matches=True)
+
+    @pytest.mark.parametrize(
+        "words, max_order",
+        [
+            (["1000", "0100", "0010", "0001"], 8),
+            (["10000", "01000", "00100", "00010", "00001"], 9),
+            (["11000", "01100", "00110", "00011", "10001"], 9),  # weight-2 antichain
+            (["1100", "0110", "0011", "1001"], 8),
+            (["1100", "0110", "0011", "1001", "1010"], 9),
+        ],
+    )
+    def test_exhausted_shapes_search_nothing(self, monkeypatch, tmp_path, words, max_order):
+        calls = []
+        monkeypatch.setattr(mvcodes.attach, "_covering_columns", lambda *args: calls.append(args) or iter(()))
+        with pytest.raises(NoEmbeddingFound) as exc:
+            embed_code(code_of(words))
+        assert exc.value.max_order == max_order
+        path = tmp_path / "code.txt"
+        path.write_text(format_code(code_of(words)))
+        out, err = io.StringIO(), io.StringIO()
+        assert mvcodes.cli.run(["embed", str(path)], out=out, err=err) == 2
+        assert (out.getvalue(), err.getvalue()) == ("", f"no embedding found up to order {max_order}\n")
+        assert calls == []
+
+    def test_wide_closure_ends_the_search_at_once(self):
+        # 10 words with one 0 each: closure 1,024 words, width 252
+        code = code_of(["1" * i + "0" + "1" * (9 - i) for i in range(10)])
+        assert _closure_bounds(set(code.words), 10, 1 << 10) == (1024, 252)
+        start = time.perf_counter()
+        with pytest.raises(NoEmbeddingFound) as exc:
+            embed_code(code, max_order=60)
+        assert time.perf_counter() - start < 1
+        assert exc.value.max_order == 60
+
+
+@settings(max_examples=30, deadline=None)
+@given(host_and_wanted_words())
+def test_closure_bounds_keep_the_drawn_host(case):
+    # the drawn entry hosts the words cut from it; an added word may break that
+    entry, m, want = case
+    down = _product_masks(entry.factors)[1]
+    if next(_covering_columns(down, want, m), None) is not None:
+        assert not rejects(want, m, entry.factors, entry.order)

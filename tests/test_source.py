@@ -2,6 +2,10 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
 import types
 from collections import Counter
 from pathlib import Path
@@ -131,3 +135,25 @@ def test_each_public_name_is_declared_once():
     assert sorted(declared) == sorted(mvcodes.__all__)
     public = {name for name, value in vars(mvcodes).items() if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(mvcodes.__all__) == sorted(public)
+
+
+def test_reloading_the_package_keeps_its_public_names():
+    # a reload finds ``convert`` bound to the function, not to its module
+    script = textwrap.dedent(
+        """
+        import importlib
+        import mvcodes
+        import test_source
+
+        before = sorted(mvcodes.__all__)
+        importlib.reload(mvcodes)
+        assert sorted(mvcodes.__all__) == before, before
+        test_source.test_each_public_name_is_declared_once()
+        print(len(before))
+        """
+    )
+    here = Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(mvcodes.__file__).parents[1]), str(here)]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{len(mvcodes.__all__)}\n"
