@@ -17,9 +17,11 @@ of them transport to the same algebra.
 
 Embedding searches the same products without building them: column c of a
 product's code is the down-set of c, read off the digits
-(``order._product_masks``). A host's table is folded only for an entry that
-has a hit, once, and checked against its closed-form columns; entries too
-small or too narrow to host the code (``_closure_bounds``) are not searched.
+(``order._product_masks``). As in attach, the closed form only steers the
+search: a host's table is folded only for an entry that has a hit, once, and
+each hit's restriction is read off, and checked on, the code of the host
+table returned with it. Entries too small or too narrow to host the code
+(``_closure_bounds``) are not searched.
 """
 
 from __future__ import annotations
@@ -202,28 +204,22 @@ class EmbeddingResult:
         return "x".join(str(f) for f in self.factors)
 
 
-def _canonical_embedding(
-    entry: ChainProduct, cols: tuple[int, ...], want: set, down: tuple[int, ...]
-) -> EmbeddingResult:
+def _canonical_embedding(entry: ChainProduct, cols: tuple[int, ...], want: set) -> EmbeddingResult:
     """The hit ``cols`` in ``entry``, its host relabelled so that the selected
     columns sit in ascending positions; the restriction set is unchanged and
-    the host stays a catalog transport. The restriction is read off ``down``,
-    the down-set masks of ``entry``'s order (its code's columns)."""
-    q = entry.order
-    forward, inverse = list(range(q)), list(range(q))
+    the host stays a catalog transport. The restriction is read off the
+    host's code at those columns, its words distinct and in host order, and
+    checked to cover ``want``."""
+    forward = list(range(entry.order))
     ordered = sorted(cols)
     for a, b in zip(cols, ordered):
-        forward[a], inverse[b] = b, a
+        forward[a] = b
     host = transport_structure(entry.algebra, OrderIso(tuple(forward)))
-    # Host word p is the word of entry element inverse[p], and host column
-    # ordered[i] is entry column cols[i]: byte i of the word of element r is
-    # bit r of that column's mask.
-    masks = [down[c] for c in cols]
-    words = (bytes(d >> r & 1 for d in masks) for r in inverse)
+    words = (bytes(map(row.__getitem__, ordered)) for row in code_from_algebra(host)._rows)
     restriction = BlockCode(tuple(dict.fromkeys(words)))
     if not want.issubset(restriction._rows):
         raise RuntimeError(f"columns {cols} of host {entry.factors} do not cover the code")
-    return EmbeddingResult(q, host, entry.factors, tuple(ordered), restriction)
+    return EmbeddingResult(entry.order, host, entry.factors, tuple(ordered), restriction)
 
 
 def _covering_columns(ones: tuple[int, ...], want: set, m: int) -> Iterator[tuple[int, ...]]:
@@ -313,7 +309,8 @@ def embed_code(
     the ``all_matches`` list, come in the same lexicographic order as a scan
     of every tuple. An entry smaller than the AND-closure of the words and
     1^m, or narrower than its largest weight level, has no hit and is skipped
-    (``_closure_bounds``). An entry's table is built only when it has a hit.
+    (``_closure_bounds``). An entry's table is built only when it has a hit,
+    and each hit's restriction is read off the code of its returned host.
     Raises NoEmbeddingFound when the search space up to ``max_order`` is
     exhausted, and InvalidSize, as ``enumerate_wajsberg`` does, on reaching
     an order whose catalog would exceed ``MAX_CATALOG_CELLS`` table cells.
@@ -330,13 +327,10 @@ def embed_code(
         for factors in _order_types(q):
             if q < size or _product_width(factors) < width:
                 continue
-            down, entry = _product_masks(factors)[1], None
-            for cols in _covering_columns(down, want, m):
-                if entry is None:
-                    entry = ChainProduct(factors, _fold_product(factors))
-                    if _up_down(code_from_algebra(entry.algebra)._rows)[1] != down:
-                        raise RuntimeError(f"closed-form columns of {factors} differ from the code of its table")
-                result = _canonical_embedding(entry, cols, want, down)
+            entry = None
+            for cols in _covering_columns(_product_masks(factors)[1], want, m):
+                entry = entry or ChainProduct(factors, _fold_product(factors))
+                result = _canonical_embedding(entry, cols, want)
                 if not all_matches:
                     return result
                 results.append(result)

@@ -75,9 +75,9 @@ class _LazyRows:
         return f"{type(self).__name__}({self._view}={getattr(self, self._view)!r})"
 
 
-def _byte_rows(rows: tuple, allowed: bytes = b"\0\1") -> bool:
-    """Whether ``rows`` is not empty and every row is ``bytes`` of values in ``allowed``."""
-    return set(map(type, rows)) == {bytes} and not b"".join(rows).translate(None, allowed)
+def _byte_rows(rows: tuple) -> bool:
+    """Whether ``rows`` is not empty and every row is ``bytes`` of 0 / 1."""
+    return set(map(type, rows)) == {bytes} and not b"".join(rows).translate(None, b"\0\1")
 
 
 def _masks(rows: Iterable[Sequence[int]]) -> tuple[int, ...]:
@@ -147,7 +147,8 @@ class Poset(_LazyRows):
         return frozenset(compress(range(self.k), self._rows[x]))
 
     def down_set(self, x: int) -> frozenset[int]:
-        return frozenset(compress(range(self.k), b"".join(self._rows)[x :: self.k]))
+        d = self.down[x]
+        return frozenset(y for y in range(self.k) if d >> y & 1)
 
     @property
     def bottom(self) -> Optional[int]:
@@ -202,6 +203,7 @@ def poset_isomorphisms(source: Poset, target: Poset) -> Iterator[OrderIso]:
     Backtracks over carrier elements in index order trying candidate images in
     ascending order, so isomorphisms come out in lexicographic order of their
     forward maps. Candidates are pruned by (down-set, up-set) size signatures.
+    The search keeps its own stack, so an order of any size takes no recursion.
     """
     if source.k != target.k:
         raise SizeMismatch(f"poset sizes differ: {source.k} vs {target.k}")
@@ -211,28 +213,29 @@ def poset_isomorphisms(source: Poset, target: Poset) -> Iterator[OrderIso]:
     if sorted(sig_s) != sorted(sig_t):
         return
     candidates = [[j for j in range(k) if sig_t[j] == sig_s[i]] for i in range(k)]
+    if k == 0:
+        yield OrderIso(())
+        return
     p, q = source._rows, target._rows
-    forward = [-1] * k
-    used = [False] * k
-
-    def backtrack(i: int) -> Iterator[OrderIso]:
-        if i == k:
-            yield OrderIso(tuple(forward))
-            return
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            if all(
-                p[i][a] == q[j][forward[a]] and p[a][i] == q[forward[a]][j]
-                for a in range(i)
-            ):
-                forward[i] = j
-                used[j] = True
-                yield from backtrack(i + 1)
-                used[j] = False
-                forward[i] = -1
-
-    yield from backtrack(0)
+    forward, used = [], [False] * k
+    # one frame per element placed or being placed: its untried candidates
+    frames = [iter(candidates[0])]
+    while frames:
+        i = len(forward)
+        for j in frames[-1]:
+            if not used[j] and all(p[i][a] == q[j][forward[a]] and p[a][i] == q[forward[a]][j] for a in range(i)):
+                break
+        else:
+            frames.pop()
+            if forward:
+                used[forward.pop()] = False
+            continue
+        if i + 1 == k:
+            yield OrderIso((*forward, j))
+        else:
+            forward.append(j)
+            used[j] = True
+            frames.append(iter(candidates[i + 1]))
 
 
 def poset_isomorphism(source: Poset, target: Poset) -> Optional[OrderIso]:

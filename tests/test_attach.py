@@ -567,7 +567,7 @@ def scan_embed(code, max_order):
         for entry in enumerate_wajsberg(q):
             words = code_from_algebra(entry.algebra).words
             for cols in scan_columns(words, want, code.length):
-                results.append(_canonical_embedding(entry, cols, set(map(bytes, want)), _masks(zip(*words))))
+                results.append(_canonical_embedding(entry, cols, set(map(bytes, want))))
     return results
 
 
@@ -700,14 +700,15 @@ class TestClosedFormEmbedding:
 
 
 def test_embed_invariant_survives_optimised_mode():
-    # embed compares its closed-form columns with the code of each host it
-    # builds; a mismatch must be reported even when python -O strips asserts
+    # embed reads each restriction off the code of the host it returns; one
+    # that misses a wanted word must be reported even when python -O strips
+    # asserts
     script = textwrap.dedent(
         """
         import mvcodes.attach as attach
         from mvcodes import BlockCode
 
-        attach.code_from_algebra = lambda algebra: BlockCode(((1, 0), (1, 1)))
+        attach.code_from_algebra = lambda algebra: BlockCode(((0,),))
         try:
             attach.embed_code(BlockCode.from_strings(("1",)), max_order=2)
         except RuntimeError as exc:
@@ -736,10 +737,27 @@ def test_max_order_below_the_code_size_finds_nothing(max_order):
 def test_columns_that_miss_a_wanted_word_raise():
     # the 3-chain's code restricted to columns (0, 1) has 3 of the 4 words
     (entry,) = enumerate_wajsberg(3)
-    words = code_from_algebra(entry.algebra).words
     want = {(0, 0), (0, 1), (1, 0), (1, 1)}
     with pytest.raises(RuntimeError, match=r"^columns \(0, 1\) of host \(3,\) do not cover the code$"):
-        _canonical_embedding(entry, (0, 1), set(map(bytes, want)), _masks(zip(*words)))
+        _canonical_embedding(entry, (0, 1), set(map(bytes, want)))
+
+
+def test_restrictions_are_the_returned_hosts_codes_at_their_columns():
+    # every hit's restriction: the distinct words of its host's code cut to
+    # its columns, in host order
+    hits = 0
+    for m, want in short_word_sets():
+        if m > 3:
+            break
+        try:
+            results = embed_code(BlockCode(tuple(sorted(want, reverse=True))), max_order=8, all_matches=True)
+        except NoEmbeddingFound:
+            continue
+        for r in results:
+            cut = [tuple(w[c] for c in r.columns) for w in code_from_algebra(r.host).words]
+            assert r.restriction.words == tuple(dict.fromkeys(cut)), (want, r.factors, r.columns)
+        hits += len(results)
+    assert hits > 1000
 
 
 def short_word_sets():

@@ -471,6 +471,12 @@ class TestWajsbergIsomorphism:
             wajsberg_isomorphic(chain_wajsberg(4), wajsberg_from_table(PROD22)) is None
         )
 
+    def test_long_chain_takes_no_recursion(self):
+        # the order search holds no frame per element: 1,100 elements would
+        # exceed the default recursion limit
+        w = chain_wajsberg(1100)
+        assert wajsberg_isomorphic(w, w) == tuple(range(1100))
+
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             wajsberg_isomorphic(chain_wajsberg(2), chain_wajsberg(3))

@@ -70,6 +70,30 @@ def test_every_default_of_a_private_helper_is_used_in_the_package():
     assert unused == []
 
 
+def test_every_default_of_a_private_helper_is_overridden_in_the_package():
+    # a parameter that no package call sets is generality nothing uses; a
+    # starred argument counts as setting every parameter
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in Path(mvcodes.__file__).parent.glob("*.py")]
+    defaulted = {}
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            keyword = [a for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            defaulted[node.name] = (positional, {a.arg for a in positional[len(positional) - len(args.defaults) :] + keyword})
+    overridden = set()
+    for call in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        if name in defaulted:
+            positional, names = defaulted[name]
+            given = {kw.arg for kw in call.keywords} | {a.arg for a in positional[: len(call.args)]}
+            if None in given or any(isinstance(a, ast.Starred) for a in call.args):
+                given = names
+            overridden.update((name, arg) for arg in names & given)
+    unset = sorted((name, arg) for name, (_, names) in defaulted.items() for arg in names if (name, arg) not in overridden)
+    assert unset == []
+
+
 def test_presentations_are_told_apart_only_in_parts():
     # one isinstance chain, algebras._parts, knows the three presentation classes
     classes = {"BckAlgebra", "MvAlgebra", "WajsbergAlgebra"}
