@@ -48,13 +48,12 @@ by element.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import chain, product, repeat
 from operator import getitem, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import EquivalenceBroken, MalformedTable
-from .order import Poset, _LazyRows, _up_down
+from .order import Poset, _LazyRows, _Record, _up_down
 
 __all__ = [
     "Algebra", "AxiomReport", "BckAlgebra", "CayleyTable", "MvAlgebra", "Violation", "WajsbergAlgebra",
@@ -91,7 +90,6 @@ def _cells(k: int):
     return _BYTE_CELLS if k <= 256 else _TUPLE_CELLS
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class CayleyTable(_LazyRows):
     """A k-by-k operation table closed over ``{0, .., k-1}``.
 
@@ -108,6 +106,10 @@ class CayleyTable(_LazyRows):
     """
 
     rows: Rows
+
+    def __init__(self, rows: Rows):
+        self.__dict__["rows"] = rows
+        self.__post_init__()
 
     def __post_init__(self):
         rows = tuple(self.rows)
@@ -166,17 +168,16 @@ def _check_constant(name: str, value: int, k: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class BckAlgebra:
+class BckAlgebra(_Record):
     """Bounded commutative BCK presentation: operation ``*``, constants 0 and 1."""
 
     table: CayleyTable
     zero: int
     one: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "zero", _check_constant("zero", self.zero, self.k))
-        object.__setattr__(self, "one", _check_constant("one", self.one, self.k))
+    def __init__(self, table: CayleyTable, zero: int, one: int):
+        k = table.k
+        self.__dict__.update(table=table, zero=_check_constant("zero", zero, k), one=_check_constant("one", one, k))
 
     @property
     def k(self) -> int:
@@ -186,17 +187,16 @@ class BckAlgebra:
         return self.table._rows[x][y]
 
 
-@dataclass(frozen=True)
-class MvAlgebra:
+class MvAlgebra(_Record):
     """MV presentation: truncated sum, involutive complement, least element."""
 
     oplus: CayleyTable
     complement: tuple[int, ...]
     zero: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "complement", _check_unary(self.complement, self.k))
-        object.__setattr__(self, "zero", _check_constant("zero", self.zero, self.k))
+    def __init__(self, oplus: CayleyTable, complement: tuple[int, ...], zero: int):
+        k = oplus.k
+        self.__dict__.update(oplus=oplus, complement=_check_unary(complement, k), zero=_check_constant("zero", zero, k))
 
     @property
     def k(self) -> int:
@@ -213,17 +213,16 @@ class MvAlgebra:
         return self.complement[x]
 
 
-@dataclass(frozen=True)
-class WajsbergAlgebra:
+class WajsbergAlgebra(_Record):
     """Wajsberg presentation: implication, involutive negation, unit."""
 
     circ: CayleyTable
     negation: tuple[int, ...]
     one: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "negation", _check_unary(self.negation, self.k))
-        object.__setattr__(self, "one", _check_constant("one", self.one, self.k))
+    def __init__(self, circ: CayleyTable, negation: tuple[int, ...], one: int):
+        k = circ.k
+        self.__dict__.update(circ=circ, negation=_check_unary(negation, k), one=_check_constant("one", one, k))
 
     @property
     def k(self) -> int:
@@ -265,17 +264,21 @@ def _make(kind: str, table: CayleyTable, unary, zero, one) -> Algebra:
     return WajsbergAlgebra(table, unary, one)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     axiom: str
     witness: tuple[int, ...]
 
+    def __init__(self, axiom: str, witness: tuple[int, ...]):
+        self.__dict__.update(axiom=axiom, witness=witness)
 
-@dataclass(frozen=True)
-class AxiomReport:
+
+class AxiomReport(_Record):
     """Outcome of a verification run; valid iff no violations."""
 
     violations: tuple[Violation, ...]
+
+    def __init__(self, violations: tuple[Violation, ...]):
+        self.__dict__["violations"] = violations
 
     @property
     def valid(self) -> bool:

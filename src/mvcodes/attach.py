@@ -27,7 +27,6 @@ table returned with it. Entries too small or too narrow to host the code
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
 from operator import not_
 from typing import Iterator, Optional, Union
@@ -36,7 +35,9 @@ from .algebras import BckAlgebra, MvAlgebra, WajsbergAlgebra, _translate
 from .catalog import ChainProduct, _fold_product, _order_types, transport_structure
 from .codes import BlockCode, code_from_algebra
 from .errors import AlgebraError, NoEmbeddingFound, NonSquare
-from .order import OrderIso, _all_isos, _masks, _product_iso, _product_masks, _product_width, _up_down, order_violation
+from .order import (
+    OrderIso, _all_isos, _masks, _product_iso, _product_masks, _product_width, _Record, _up_down, order_violation,
+)
 
 __all__ = [
     "AttachmentResult", "CodeRejected", "EmbeddingResult", "MatrixReport", "RejectionReason", "attach_bck",
@@ -44,28 +45,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MatrixCheck:
+class MatrixCheck(_Record):
     condition: str
     position: tuple[int, int]
 
+    def __init__(self, condition: str, position: tuple[int, int]):
+        self.__dict__.update(condition=condition, position=position)
 
-@dataclass(frozen=True)
-class MatrixReport:
+
+class MatrixReport(_Record):
     """Boundary-shape checks of a square code matrix, with failure positions."""
 
     failures: tuple[MatrixCheck, ...]
+
+    def __init__(self, failures: tuple[MatrixCheck, ...]):
+        self.__dict__["failures"] = failures
 
     @property
     def valid(self) -> bool:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class RejectionReason:
+class RejectionReason(_Record):
     kind: str  # boundary-violation | not-a-poset | transitivity-failure | no-catalog-match
     witness: tuple[int, ...]
     detail: str
+
+    def __init__(self, kind: str, witness: tuple[int, ...], detail: str):
+        self.__dict__.update(kind=kind, witness=witness, detail=detail)
 
 
 class CodeRejected(AlgebraError):
@@ -76,13 +83,15 @@ class CodeRejected(AlgebraError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class AttachmentResult:
+class AttachmentResult(_Record):
     """An algebra on the code's row positions, with its catalog provenance."""
 
     algebra: WajsbergAlgebra
     iso: OrderIso
     source: ChainProduct
+
+    def __init__(self, algebra: WajsbergAlgebra, iso: OrderIso, source: ChainProduct):
+        self.__dict__.update(algebra=algebra, iso=iso, source=source)
 
     @property
     def catalog_id(self) -> tuple[int, tuple[int, ...]]:
@@ -190,8 +199,7 @@ def attach_bck(code: BlockCode) -> BckAlgebra:
     return _translate(attach_wajsberg(code).algebra, "bck")
 
 
-@dataclass(frozen=True)
-class EmbeddingResult:
+class EmbeddingResult(_Record):
     """A host algebra whose code, cut down to ``columns``, covers the input."""
 
     q: int
@@ -199,6 +207,11 @@ class EmbeddingResult:
     factors: tuple[int, ...]
     columns: tuple[int, ...]
     restriction: BlockCode
+
+    def __init__(
+        self, q: int, host: WajsbergAlgebra, factors: tuple[int, ...], columns: tuple[int, ...], restriction: BlockCode
+    ):
+        self.__dict__.update(q=q, host=host, factors=factors, columns=columns, restriction=restriction)
 
     def factor_label(self) -> str:
         return "x".join(str(f) for f in self.factors)

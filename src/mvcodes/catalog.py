@@ -25,12 +25,11 @@ coordinates of ``order``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .algebras import CayleyTable, WajsbergAlgebra, _cells, _relabel, natural_order
 from .errors import InvalidSize, NotAnOrderIso, SizeMismatch
-from .order import OrderIso, poset_isomorphisms
+from .order import OrderIso, _Record, poset_isomorphisms
 
 __all__ = [
     "ChainProduct", "chain_wajsberg", "enumerate_wajsberg", "factorizations", "pi_count", "product_wajsberg",
@@ -85,12 +84,14 @@ def factorizations(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class ChainProduct:
+class ChainProduct(_Record):
     """A catalog entry: the chain sizes and the algebra they generate."""
 
     factors: tuple[int, ...]
     algebra: WajsbergAlgebra
+
+    def __init__(self, factors: tuple[int, ...], algebra: WajsbergAlgebra):
+        self.__dict__.update(factors=factors, algebra=algebra)
 
     @property
     def order(self) -> int:

@@ -19,8 +19,7 @@ algebras coincides with descending lexicographic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .algebras import Algebra, MvAlgebra, _marks, _order_rows, natural_order
@@ -38,7 +37,6 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 _MARKS = bytes.maketrans(b"\0\1", b".#")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class BlockCode(_LazyRows):
     """A sequence of distinct equal-length bit words, kept as ``bytes`` of 0 / 1.
 
@@ -51,6 +49,10 @@ class BlockCode(_LazyRows):
 
     words: tuple[Word, ...]
     _view = "words"
+
+    def __init__(self, words: tuple[Word, ...]):
+        self.__dict__["words"] = words
+        self.__post_init__()
 
     def __post_init__(self):
         words = tuple(self.words)
@@ -139,13 +141,19 @@ def distance_D(algebra: Algebra, r: int, s: int) -> int:
 
 
 def min_hamming_distance(code: BlockCode) -> int:
+    """The least Hamming distance between two words. Words are distinct, so
+    no distance is below 1, and the scan stops at the first pair at 1."""
     if code.size < 2:
         raise TooFewWords("minimum distance needs at least two words")
     masks = _masks(code._rows)
-    return min((a ^ b).bit_count() for a, b in combinations(masks, 2))
+    best = code.length
+    for i, a in enumerate(masks[:-1]):
+        best = min(best, *map(int.bit_count, map(a.__xor__, masks[i + 1 :])))
+        if best == 1:
+            break
+    return best
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Skeleton(_LazyRows):
     """Square boolean matrix, a mark at (i, j) iff element i <= element j; rows
     are ``bytes`` of 0 / 1 (others read with ``bool``); a ragged one raises ``MalformedTable``."""
@@ -153,6 +161,10 @@ class Skeleton(_LazyRows):
     black: tuple[tuple[bool, ...], ...]
     _view = "black"
     _cell = bool
+
+    def __init__(self, black: tuple[tuple[bool, ...], ...]):
+        self.__dict__["black"] = black
+        self.__post_init__()
 
     def __post_init__(self):
         rows = tuple(self.black)

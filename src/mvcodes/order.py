@@ -23,7 +23,6 @@ and columns, are read off the digits with no table (``_product_masks``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, compress
 from math import prod
@@ -37,11 +36,60 @@ __all__ = ["OrderIso", "Poset", "poset_isomorphism", "poset_isomorphisms"]
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-class _LazyRows:
-    """The checked rows of a frozen dataclass in ``_rows``, behind its one
-    public field, named by ``_view``: a tuple of tuples of ``_cell`` values,
-    built from ``_rows`` on its first read and cached. Equality, hash and
-    repr are those of the rows, and ``k`` is their number."""
+class _Record:
+    """A frozen record: the one base of the package's records, which keeps
+    ``import mvcodes.cli`` clear of ``dataclasses`` and what it loads.
+
+    The fields are the class's annotations, after those of its bases, read
+    once per class; ``__match_args__`` is their tuple. Each record's
+    ``__init__`` takes its fields as parameters and stores them in
+    ``__dict__``, checked where the class checks them; a ``_LazyRows``
+    record then calls ``__post_init__``. Any later assignment or deletion
+    raises ``dataclasses.FrozenInstanceError``. Equality (same class, equal
+    ``_key``), hash and repr (``Name(field=value, ..)``) are those of the
+    fields; pickling stores the ``__dict__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__match_args__ = (*cls._fields, *vars(cls).get("__annotations__", ()))
+
+    def _key(self):
+        """What equality and hash compare: the values of the fields."""
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        _frozen("assign to", name)
+
+    def __delattr__(self, name):
+        _frozen("delete", name)
+
+
+def _frozen(verb: str, name: str):
+    # imported here: only a caller's mistake reaches this line
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+
+class _LazyRows(_Record):
+    """A frozen record with its checked rows in ``_rows``, behind its one
+    field, named by ``_view``: a tuple of tuples of ``_cell`` values, built
+    from ``_rows`` on its first read and cached. Equality and hash are those
+    of the rows, and ``k`` is their number."""
 
     _view = "rows"
     _cell = int
@@ -63,16 +111,8 @@ class _LazyRows:
         object.__setattr__(self, name, view)
         return view
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self):
-        return hash(self._rows)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self._view}={getattr(self, self._view)!r})"
+    def _key(self):
+        return self._rows
 
 
 def _byte_rows(rows: tuple) -> bool:
@@ -115,18 +155,20 @@ def order_violation(rows: Sequence[Sequence[int]], up: Sequence[int], down: Sequ
     return None
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Poset(_LazyRows):
     """A reflexive, antisymmetric, transitive relation on ``{0, .., k-1}``, as
     ``order_violation`` checks it; rows kept as ``bytes`` of 0 / 1 (square rows
     of that kind pass one fast test, any others are read with ``bool``), and
-    ``up`` / ``down`` its rows / columns as ``_masks`` bitmasks."""
+    ``up`` / ``down``, set by ``__post_init__``, its rows / columns as
+    ``_masks`` bitmasks."""
 
     leq: tuple[tuple[bool, ...], ...]
-    up: tuple[int, ...] = field(init=False)
-    down: tuple[int, ...] = field(init=False)
     _view = "leq"
     _cell = bool
+
+    def __init__(self, leq: tuple[tuple[bool, ...], ...]):
+        self.__dict__["leq"] = leq
+        self.__post_init__()
 
     def __post_init__(self):
         rows = tuple(self.leq)
@@ -166,15 +208,13 @@ class Poset(_LazyRows):
         return frozenset((x, y) for x, row in enumerate(self._rows) for y in compress(range(k), row) if x != y)
 
 
-@dataclass(frozen=True)
-class OrderIso:
+class OrderIso(_Record):
     """A carrier relabelling; ``forward[x]`` is the image of element ``x``."""
 
     forward: tuple[int, ...]
 
-    def __post_init__(self):
-        fwd = tuple(self.forward)
-        object.__setattr__(self, "forward", fwd)
+    def __init__(self, forward: tuple[int, ...]):
+        fwd = self.__dict__["forward"] = tuple(forward)
         if sorted(fwd) != list(range(len(fwd))):
             raise NotAnOrderIso(f"not a permutation: {fwd}")
 

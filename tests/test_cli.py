@@ -1030,6 +1030,31 @@ def test_well_formed_runs_load_no_argparse(tmp_path, six_bck_file, six_code_file
     assert proc.stdout == "0\n" * 9 + "[]\n"
 
 
+def test_well_formed_runs_load_no_dataclasses(tmp_path, six_bck_file, six_code_file):
+    # python -S: no site module, so nothing but the package can load them
+    bad = tmp_path / "bad.code"
+    bad.write_text(format_code(code_of(CODE_INTRANSITIVE)))
+    script = (
+        "import io, sys\n"
+        "loaded = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "from mvcodes import cli\n"
+        "algebra, code, bad, out = sys.argv[1:]\n"
+        "for argv in (\n"
+        "    ['verify', algebra], ['convert', algebra, '--to', 'wajsberg'], ['code', algebra],\n"
+        "    ['distance', algebra, '0', '5'], ['mindist', code], ['skeleton', algebra],\n"
+        "    ['enumerate', '12', '--output', out], ['attach', code, '--to', 'mv', '--all'],\n"
+        "    ['attach', bad], ['embed', code, '--all'], ['embed', code, '--max-order', '3'],\n"
+        "):\n"
+        "    print(cli.run(argv, io.StringIO(), io.StringIO()))\n"
+        "print(sorted(loaded), sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(mvcodes.__file__).parents[1]))
+    argv = [sys.executable, "-S", "-c", script, str(six_bck_file), str(six_code_file), str(bad), str(tmp_path / "out")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "0\n" * 8 + "2\n0\n2\n" + "[] []\n"
+
+
 def test_benchmark_job_shapes_build_no_parser(six_bck_file, six_code_file):
     algebra, code = str(six_bck_file), str(six_code_file)
     cli._build_parser.cache_clear()

@@ -1,7 +1,9 @@
 """Code generation, the codeword order, distances, and skeletons."""
 
 import random
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, compress, product
+from operator import xor
 
 import pytest
 from hypothesis import given, strategies as st
@@ -366,6 +368,38 @@ class TestMinHamming:
     def test_matches_pairwise_hamming(self, words):
         expected = min(hamming(a, b) for a, b in combinations(words, 2))
         assert min_hamming_distance(BlockCode(tuple(words))) == expected
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda m: st.lists(st.tuples(*[st.integers(0, 1)] * m), min_size=2, max_size=16, unique=True)
+        ),
+        st.integers(2, 3),
+    )
+    def test_matches_pairwise_hamming_above_one(self, words, copies):
+        # each word written ``copies`` times over: every distance is a multiple of copies
+        words = [w * copies for w in words]
+        expected = min(hamming(a, b) for a, b in combinations(words, 2))
+        assert expected >= copies
+        assert min_hamming_distance(BlockCode(tuple(words))) == expected
+
+    def test_codes_of_known_distance(self):
+        # the Hamming [7, 4] code: the sums mod 2 of subsets of its generator rows
+        generator = (0b1000110, 0b0100101, 0b0010011, 0b0001111)
+        words = {reduce(xor, compress(generator, bits), 0) for bits in product((0, 1), repeat=4)}
+        assert len(words) == 16
+        assert min_hamming_distance(BlockCode(tuple(format(w, "07b") for w in words))) == 3
+        even = [w for w in product((0, 1), repeat=5) if sum(w) % 2 == 0]
+        assert min_hamming_distance(BlockCode(tuple(even))) == 2
+        assert min_hamming_distance(code_of(("1100", "0011", "1111"))) == 2
+
+    def test_matches_pairwise_hamming_on_the_catalog(self):
+        for _, _, algebra in catalog_upto(64):
+            code = code_from_algebra(algebra)
+            if code.size < 2:
+                continue
+            masks = [int(w, 2) for w in code.word_strings()]
+            expected = min((a ^ b).bit_count() for a, b in combinations(masks, 2))
+            assert min_hamming_distance(code) == expected
 
 
 class TestSkeleton:

@@ -3,7 +3,6 @@
 import importlib
 import io
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -181,19 +180,29 @@ def presentations(w):
 
 
 def broken_presentations(w):
-    """Each presentation of w with one table cell or one unary entry changed."""
-    k, out = w.k, []
-    for kind, algebra in presentations(w).items():
-        table = {"wajsberg": "circ", "mv": "oplus", "bck": "table"}[kind]
-        rows = [list(r) for r in getattr(algebra, table).rows]
+    """Each presentation of w with one table cell or one unary entry changed,
+    rebuilt through its constructor."""
+    k = w.k
+    mv = wajsberg_to_mv(w)
+    bck = mv_to_bck(mv)
+
+    def bumped(table):
+        rows = [list(r) for r in table.rows]
         rows[k // 2][k - 1] = (rows[k // 2][k - 1] + 1) % k
-        out.append((kind, replace(algebra, **{table: CayleyTable(rows)})))
-        if kind != "bck":
-            unary = "negation" if kind == "wajsberg" else "complement"
-            values = list(getattr(algebra, unary))
-            values[0] = values[1]
-            out.append((kind, replace(algebra, **{unary: values})))
-    return out
+        return CayleyTable(rows)
+
+    def merged(values):
+        values = list(values)
+        values[0] = values[1]
+        return values
+
+    return [
+        ("wajsberg", WajsbergAlgebra(bumped(w.circ), w.negation, w.one)),
+        ("wajsberg", WajsbergAlgebra(w.circ, merged(w.negation), w.one)),
+        ("mv", MvAlgebra(bumped(mv.oplus), mv.complement, mv.zero)),
+        ("mv", MvAlgebra(mv.oplus, merged(mv.complement), mv.zero)),
+        ("bck", BckAlgebra(bumped(bck.table), bck.zero, bck.one)),
+    ]
 
 
 def refused(algebra):

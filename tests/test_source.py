@@ -25,6 +25,26 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_module_imports_dataclasses_when_it_loads():
+    # importing dataclasses loads inspect, ast, dis and tokenize: a third of
+    # the package's cold start; only a function body may import it
+    found = []
+
+    def visit(node, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names):
+            found.append(f"{path.name}:{node.lineno}")
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses" and not node.level:
+            found.append(f"{path.name}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path)
+
+    for path in sorted(Path(mvcodes.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path)
+    assert found == []
+
+
 def test_every_private_helper_is_used_in_the_package():
     # a module-level private function or class that only tests call is dead code
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in Path(mvcodes.__file__).parent.glob("*.py")}
