@@ -108,20 +108,15 @@ class CayleyTable(_LazyRows):
     rows: Rows
 
     def __init__(self, rows: Rows):
-        self.__dict__["rows"] = rows
-        self.__post_init__()
-
-    def __post_init__(self):
-        rows = tuple(self.rows)
+        rows = tuple(rows)
         k = len(rows)
         form, join, _, translate, identity = _cells(k)
         # k rows of the format, of length k, as ``_product_rows``, ``_relabel`` and the parser build them
         fast = set(map(type, rows)) == {form} and not translate(join(rows), None, identity[:k])
         if fast and set(map(len, rows)) == {k}:
-            self._keep(rows)
+            self.__dict__["_rows"] = rows
             return
         rows = tuple(tuple(map(int, row)) for row in rows)
-        object.__setattr__(self, "rows", rows)
         if k == 0:
             raise MalformedTable("empty table")
         for i, row in enumerate(rows):
@@ -130,7 +125,7 @@ class CayleyTable(_LazyRows):
             if min(row) < 0 or max(row) >= k:
                 j = next(j for j, v in enumerate(row) if not 0 <= v < k)
                 raise MalformedTable(f"entry ({i},{j}) = {row[j]} out of range [0,{k})")
-        object.__setattr__(self, "_rows", tuple(map(form, rows)))
+        self.__dict__.update(rows=rows, _rows=tuple(map(form, rows)))
 
     def at(self, x: int, y: int) -> int:
         return self._rows[x][y]
@@ -605,8 +600,10 @@ def _order_rows(algebra: Algebra, xs: Iterable[int]) -> tuple[bytes, ...]:
     """Rows xs of the natural order: for each x, which y satisfy x*y = 0 /
     x'+y = 1 / x->y = 1, as ``bytes`` of 0 and 1 (``_marks``).
 
-    The one place the order is read off a presentation; row x is the up-set
-    of x, i.e. its cut subset.
+    The one place the order is read off a presentation outside ``verify``,
+    whose filters read only their ``_TableView`` (the bck4 filter marks the
+    same rows there with ``_marks``); row x is the up-set of x, i.e. its cut
+    subset.
     """
     kind, table, u = _parts(algebra)
     rows = map(table._rows.__getitem__, map(u.__getitem__, xs) if kind == "mv" else xs)

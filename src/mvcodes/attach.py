@@ -213,8 +213,7 @@ class EmbeddingResult(_Record):
     ):
         self.__dict__.update(q=q, host=host, factors=factors, columns=columns, restriction=restriction)
 
-    def factor_label(self) -> str:
-        return "x".join(str(f) for f in self.factors)
+    factor_label = ChainProduct.factor_label
 
 
 def _canonical_embedding(entry: ChainProduct, cols: tuple[int, ...], want: set) -> EmbeddingResult:

@@ -51,11 +51,7 @@ class BlockCode(_LazyRows):
     _view = "words"
 
     def __init__(self, words: tuple[Word, ...]):
-        self.__dict__["words"] = words
-        self.__post_init__()
-
-    def __post_init__(self):
-        words = tuple(self.words)
+        words = tuple(words)
         if not (_byte_rows(words) and len(set(map(len, words))) == 1 and words[0]):
             words = tuple(tuple(map(int, w)) for w in words)
             if not words:
@@ -69,7 +65,7 @@ class BlockCode(_LazyRows):
             words = tuple(map(bytes, words))
         if len(set(words)) != len(words):
             raise DuplicateWord("repeated codeword")
-        self._keep(words)
+        self.__dict__["_rows"] = words
 
     @classmethod
     def from_strings(cls, strings: Iterable[str]) -> "BlockCode":
@@ -163,16 +159,12 @@ class Skeleton(_LazyRows):
     _cell = bool
 
     def __init__(self, black: tuple[tuple[bool, ...], ...]):
-        self.__dict__["black"] = black
-        self.__post_init__()
-
-    def __post_init__(self):
-        rows = tuple(self.black)
+        rows = tuple(black)
         rows = rows if _byte_rows(rows) else tuple(bytes(map(bool, row)) for row in rows)
         if not set(map(len, rows)) <= {len(rows)}:
             i = next(i for i, row in enumerate(rows) if len(row) != len(rows))
             raise MalformedTable(f"row {i} has length {len(rows[i])}, expected {len(rows)}")
-        self._keep(rows)
+        self.__dict__["_rows"] = rows
 
     def render(self) -> str:
         return b"\n".join(self._rows).translate(_MARKS).decode()

@@ -42,12 +42,11 @@ class _Record:
 
     The fields are the class's annotations, after those of its bases, read
     once per class; ``__match_args__`` is their tuple. Each record's
-    ``__init__`` takes its fields as parameters and stores them in
-    ``__dict__``, checked where the class checks them; a ``_LazyRows``
-    record then calls ``__post_init__``. Any later assignment or deletion
-    raises ``dataclasses.FrozenInstanceError``. Equality (same class, equal
-    ``_key``), hash and repr (``Name(field=value, ..)``) are those of the
-    fields; pickling stores the ``__dict__``.
+    ``__init__`` takes its fields as parameters, checks them where the class
+    checks them, and writes its state into ``__dict__``. Any later
+    assignment or deletion raises ``dataclasses.FrozenInstanceError``.
+    Equality (same class, equal ``_key``), hash and repr (``Name(field=value,
+    ..)``) are those of the fields; pickling stores the ``__dict__``.
     """
 
     _fields: tuple[str, ...] = ()
@@ -87,9 +86,11 @@ def _frozen(verb: str, name: str):
 
 class _LazyRows(_Record):
     """A frozen record with its checked rows in ``_rows``, behind its one
-    field, named by ``_view``: a tuple of tuples of ``_cell`` values, built
-    from ``_rows`` on its first read and cached. Equality and hash are those
-    of the rows, and ``k`` is their number."""
+    field, named by ``_view``: a tuple of tuples of ``_cell`` values.
+    ``__init__`` checks its argument and writes ``_rows`` into ``__dict__``;
+    the view is built from ``_rows`` on its first read and cached in
+    ``__dict__``, where later reads find it. Equality and hash are those of
+    the rows, and ``k`` is their number."""
 
     _view = "rows"
     _cell = int
@@ -98,17 +99,11 @@ class _LazyRows(_Record):
     def k(self) -> int:
         return len(self._rows)
 
-    def _keep(self, rows) -> None:
-        """Hold ``rows`` as the checked rows, and drop the view until it is read."""
-        object.__setattr__(self, "_rows", rows)
-        del self.__dict__[self._view]
-
     def __getattr__(self, name):
         # only the view is looked up here, and only until its first read
         if name != self._view:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        view = tuple(tuple(map(self._cell, row)) for row in self._rows)
-        object.__setattr__(self, name, view)
+        view = self.__dict__[name] = tuple(tuple(map(self._cell, row)) for row in self._rows)
         return view
 
     def _key(self):
@@ -159,31 +154,24 @@ class Poset(_LazyRows):
     """A reflexive, antisymmetric, transitive relation on ``{0, .., k-1}``, as
     ``order_violation`` checks it; rows kept as ``bytes`` of 0 / 1 (square rows
     of that kind pass one fast test, any others are read with ``bool``), and
-    ``up`` / ``down``, set by ``__post_init__``, its rows / columns as
-    ``_masks`` bitmasks."""
+    ``up`` / ``down`` its rows / columns as ``_masks`` bitmasks."""
 
     leq: tuple[tuple[bool, ...], ...]
     _view = "leq"
     _cell = bool
 
     def __init__(self, leq: tuple[tuple[bool, ...], ...]):
-        self.__dict__["leq"] = leq
-        self.__post_init__()
-
-    def __post_init__(self):
-        rows = tuple(self.leq)
+        rows = tuple(leq)
         k = len(rows)
         if not (_byte_rows(rows) and set(map(len, rows)) == {k}):
             rows = tuple(bytes(map(bool, row)) for row in rows)
             if any(len(row) != k for row in rows):
                 raise NotAPoset("shape", ())
-        self._keep(rows)
         up, down = _up_down(rows)
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "down", down)
         bad = order_violation(rows, up, down)
         if bad is not None:
             raise NotAPoset(*bad)
+        self.__dict__.update(_rows=rows, up=up, down=down)
 
     def up_set(self, x: int) -> frozenset[int]:
         return frozenset(compress(range(self.k), self._rows[x]))

@@ -191,7 +191,7 @@ class TestBlockCode:
             code_of(("01", "011"))
 
     def test_non_binary_string_rejected(self):
-        # the strings reach __post_init__ as they are; its int() pass reads them
+        # the strings reach the constructor as they are; its int() pass reads them
         assert code_of(("10", "01")).words == ((1, 0), (0, 1))
         with pytest.raises(MalformedTable, match=r"non-binary word: \(0, 1, 2\)"):
             code_of(("012", "110"))
@@ -271,13 +271,13 @@ class TestBlockCodeFastPath:
         text = format_code(code_from_algebra(algebra))
         pair = code_of(CODE_PAIR)
         types = []
-        init = BlockCode.__post_init__
+        init = BlockCode.__init__
 
-        def record(code):
-            types.extend(map(type, code.words))
-            init(code)
+        def record(code, words):
+            types.extend(map(type, words))
+            init(code, words)
 
-        monkeypatch.setattr(BlockCode, "__post_init__", record)
+        monkeypatch.setattr(BlockCode, "__init__", record)
         builds = {
             "parse_code": lambda: parse_code(text),
             "code_from_algebra": lambda: code_from_algebra(algebra),

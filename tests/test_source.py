@@ -45,6 +45,22 @@ def test_no_module_imports_dataclasses_when_it_loads():
     assert found == []
 
 
+def test_records_write_their_state_in_their_own_init():
+    # a record checks its arguments and writes __dict__ in one __init__: no
+    # dataclass-style __post_init__ hop, no _keep, no object.__setattr__
+    found = []
+    for path in sorted(Path(mvcodes.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in ("__post_init__", "_keep"):
+                found.append(f"{path.name}:{node.lineno} defines {node.name}")
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in ("__post_init__", "_keep"):
+                found.append(f"{path.name}:{node.lineno} reads {name}")
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__" and getattr(node.value, "id", None) == "object":
+                found.append(f"{path.name}:{node.lineno} calls object.__setattr__")
+    assert found == []
+
+
 def test_every_private_helper_is_used_in_the_package():
     # a module-level private function or class that only tests call is dead code
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in Path(mvcodes.__file__).parent.glob("*.py")}
@@ -68,9 +84,9 @@ def test_every_private_helper_is_used_in_the_package():
     assert dead == []
 
 
-def test_every_default_of_a_private_helper_is_used_in_the_package():
-    # a default that every package call overrides serves only the tests
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in Path(mvcodes.__file__).parent.glob("*.py")]
+def _defaulted(trees):
+    """Each module-level private function of ``trees``: its positional
+    parameters, and the names of its parameters that have a default."""
     defaulted = {}
     for node in (node for tree in trees for node in tree.body):
         if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
@@ -78,6 +94,13 @@ def test_every_default_of_a_private_helper_is_used_in_the_package():
             positional = args.posonlyargs + args.args
             keyword = [a for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
             defaulted[node.name] = (positional, {a.arg for a in positional[len(positional) - len(args.defaults) :] + keyword})
+    return defaulted
+
+
+def test_every_default_of_a_private_helper_is_used_in_the_package():
+    # a default that every package call overrides serves only the tests
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in Path(mvcodes.__file__).parent.glob("*.py")]
+    defaulted = _defaulted(trees)
     left_out = set()
     for call in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)):
         name = getattr(call.func, "id", getattr(call.func, "attr", None))
@@ -94,13 +117,7 @@ def test_every_default_of_a_private_helper_is_overridden_in_the_package():
     # a parameter that no package call sets is generality nothing uses; a
     # starred argument counts as setting every parameter
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in Path(mvcodes.__file__).parent.glob("*.py")]
-    defaulted = {}
-    for node in (node for tree in trees for node in tree.body):
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
-            args = node.args
-            positional = args.posonlyargs + args.args
-            keyword = [a for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
-            defaulted[node.name] = (positional, {a.arg for a in positional[len(positional) - len(args.defaults) :] + keyword})
+    defaulted = _defaulted(trees)
     overridden = set()
     for call in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)):
         name = getattr(call.func, "id", getattr(call.func, "attr", None))
