@@ -105,8 +105,6 @@ class CayleyTable(_LazyRows):
     ``_rows`` on first read (``_LazyRows``).
     """
 
-    rows: Rows
-
     def __init__(self, rows: Rows):
         rows = tuple(rows)
         k = len(rows)
@@ -166,10 +164,6 @@ def _check_constant(name: str, value: int, k: int) -> int:
 class BckAlgebra(_Record):
     """Bounded commutative BCK presentation: operation ``*``, constants 0 and 1."""
 
-    table: CayleyTable
-    zero: int
-    one: int
-
     def __init__(self, table: CayleyTable, zero: int, one: int):
         k = table.k
         self.__dict__.update(table=table, zero=_check_constant("zero", zero, k), one=_check_constant("one", one, k))
@@ -184,10 +178,6 @@ class BckAlgebra(_Record):
 
 class MvAlgebra(_Record):
     """MV presentation: truncated sum, involutive complement, least element."""
-
-    oplus: CayleyTable
-    complement: tuple[int, ...]
-    zero: int
 
     def __init__(self, oplus: CayleyTable, complement: tuple[int, ...], zero: int):
         k = oplus.k
@@ -210,10 +200,6 @@ class MvAlgebra(_Record):
 
 class WajsbergAlgebra(_Record):
     """Wajsberg presentation: implication, involutive negation, unit."""
-
-    circ: CayleyTable
-    negation: tuple[int, ...]
-    one: int
 
     def __init__(self, circ: CayleyTable, negation: tuple[int, ...], one: int):
         k = circ.k
@@ -260,17 +246,12 @@ def _make(kind: str, table: CayleyTable, unary, zero, one) -> Algebra:
 
 
 class Violation(_Record):
-    axiom: str
-    witness: tuple[int, ...]
-
     def __init__(self, axiom: str, witness: tuple[int, ...]):
         self.__dict__.update(axiom=axiom, witness=witness)
 
 
 class AxiomReport(_Record):
     """Outcome of a verification run; valid iff no violations."""
-
-    violations: tuple[Violation, ...]
 
     def __init__(self, violations: tuple[Violation, ...]):
         self.__dict__["violations"] = violations

@@ -46,17 +46,12 @@ __all__ = [
 
 
 class MatrixCheck(_Record):
-    condition: str
-    position: tuple[int, int]
-
     def __init__(self, condition: str, position: tuple[int, int]):
         self.__dict__.update(condition=condition, position=position)
 
 
 class MatrixReport(_Record):
     """Boundary-shape checks of a square code matrix, with failure positions."""
-
-    failures: tuple[MatrixCheck, ...]
 
     def __init__(self, failures: tuple[MatrixCheck, ...]):
         self.__dict__["failures"] = failures
@@ -67,9 +62,8 @@ class MatrixReport(_Record):
 
 
 class RejectionReason(_Record):
-    kind: str  # boundary-violation | not-a-poset | transitivity-failure | no-catalog-match
-    witness: tuple[int, ...]
-    detail: str
+    """Why a code is rejected: ``kind`` is boundary-violation, not-a-poset,
+    transitivity-failure or no-catalog-match."""
 
     def __init__(self, kind: str, witness: tuple[int, ...], detail: str):
         self.__dict__.update(kind=kind, witness=witness, detail=detail)
@@ -85,10 +79,6 @@ class CodeRejected(AlgebraError):
 
 class AttachmentResult(_Record):
     """An algebra on the code's row positions, with its catalog provenance."""
-
-    algebra: WajsbergAlgebra
-    iso: OrderIso
-    source: ChainProduct
 
     def __init__(self, algebra: WajsbergAlgebra, iso: OrderIso, source: ChainProduct):
         self.__dict__.update(algebra=algebra, iso=iso, source=source)
@@ -201,12 +191,6 @@ def attach_bck(code: BlockCode) -> BckAlgebra:
 
 class EmbeddingResult(_Record):
     """A host algebra whose code, cut down to ``columns``, covers the input."""
-
-    q: int
-    host: WajsbergAlgebra
-    factors: tuple[int, ...]
-    columns: tuple[int, ...]
-    restriction: BlockCode
 
     def __init__(
         self, q: int, host: WajsbergAlgebra, factors: tuple[int, ...], columns: tuple[int, ...], restriction: BlockCode

@@ -87,9 +87,6 @@ def factorizations(n: int) -> list[tuple[int, ...]]:
 class ChainProduct(_Record):
     """A catalog entry: the chain sizes and the algebra they generate."""
 
-    factors: tuple[int, ...]
-    algebra: WajsbergAlgebra
-
     def __init__(self, factors: tuple[int, ...], algebra: WajsbergAlgebra):
         self.__dict__.update(factors=factors, algebra=algebra)
 

@@ -7,8 +7,9 @@ object, row r as read by ``algebras._order_rows`` (the single reader that
 ``natural_order`` also uses), in one representation: ``bytes`` of 0 and 1.
 ``BlockCode`` and ``Skeleton`` keep those rows as they come and build their
 public tuples only when read (``order._LazyRows``); distances and the code
-order read their ``_masks``. Cut subsets and codewords skip natural_order's
-Poset validation, so an unverified table still gives sets and words here.
+order read their ``_masks``. Cut subsets, codewords and skeletons skip
+natural_order's Poset validation, so an unverified table still gives sets,
+words and marks here.
 
 The word order of a BlockCode is meaningful: it is the construction order,
 which doubles as the row order of the associated matrix and as the carrier
@@ -22,7 +23,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import Iterable, Sequence
 
-from .algebras import Algebra, MvAlgebra, _marks, _order_rows, natural_order
+from .algebras import Algebra, MvAlgebra, _marks, _order_rows
 from .errors import DuplicateWord, LengthMismatch, MalformedTable, TooFewWords
 from .order import _DIGITS, Poset, _byte_rows, _LazyRows, _masks
 
@@ -46,9 +47,6 @@ class BlockCode(_LazyRows):
     strings of ``0`` / ``1`` too, is converted entry by entry with ``int()``
     and checked in turn, which names the first bad word.
     """
-
-    words: tuple[Word, ...]
-    _view = "words"
 
     def __init__(self, words: tuple[Word, ...]):
         words = tuple(words)
@@ -154,8 +152,6 @@ class Skeleton(_LazyRows):
     """Square boolean matrix, a mark at (i, j) iff element i <= element j; rows
     are ``bytes`` of 0 / 1 (others read with ``bool``); a ragged one raises ``MalformedTable``."""
 
-    black: tuple[tuple[bool, ...], ...]
-    _view = "black"
     _cell = bool
 
     def __init__(self, black: tuple[tuple[bool, ...], ...]):
@@ -174,8 +170,11 @@ class Skeleton(_LazyRows):
 
 
 def skeleton(algebra: Algebra) -> Skeleton:
-    """The natural order of the algebra rendered as a square mark matrix."""
-    return Skeleton(natural_order(algebra)._rows)
+    """The natural order of the algebra rendered as a square mark matrix: its
+    rows as ``_order_rows`` reads them, unchecked, as for ``code_from_algebra``.
+    An unverified table whose relation is no order gives that relation's
+    marks, where ``natural_order`` raises NotAPoset."""
+    return Skeleton(_order_rows(algebra, range(algebra.k)))
 
 
 def mv_sum_indicator(m: MvAlgebra) -> Skeleton:

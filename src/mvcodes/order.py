@@ -40,11 +40,12 @@ class _Record:
     """A frozen record: the one base of the package's records, which keeps
     ``import mvcodes.cli`` clear of ``dataclasses`` and what it loads.
 
-    The fields are the class's annotations, after those of its bases, read
-    once per class; ``__match_args__`` is their tuple. Each record's
-    ``__init__`` takes its fields as parameters, checks them where the class
-    checks them, and writes its state into ``__dict__``. Any later
-    assignment or deletion raises ``dataclasses.FrozenInstanceError``.
+    A record's fields are its constructor's parameters, in order, read once
+    per class from the code of ``__init__``: an inherited ``__init__`` gives
+    inherited fields, and one with no code (``object.__init__``) none.
+    ``__match_args__`` is their tuple. Each ``__init__`` checks its fields
+    where the class checks them and writes its state into ``__dict__``. Any
+    later assignment or deletion raises ``dataclasses.FrozenInstanceError``.
     Equality (same class, equal ``_key``), hash and repr (``Name(field=value,
     ..)``) are those of the fields; pickling stores the ``__dict__``.
     """
@@ -52,7 +53,8 @@ class _Record:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        cls._fields = cls.__match_args__ = (*cls._fields, *vars(cls).get("__annotations__", ()))
+        code = getattr(cls.__init__, "__code__", None)
+        cls._fields = cls.__match_args__ = code.co_varnames[1 : code.co_argcount] if code else ()
 
     def _key(self):
         """What equality and hash compare: the values of the fields."""
@@ -86,13 +88,12 @@ def _frozen(verb: str, name: str):
 
 class _LazyRows(_Record):
     """A frozen record with its checked rows in ``_rows``, behind its one
-    field, named by ``_view``: a tuple of tuples of ``_cell`` values.
-    ``__init__`` checks its argument and writes ``_rows`` into ``__dict__``;
-    the view is built from ``_rows`` on its first read and cached in
-    ``__dict__``, where later reads find it. Equality and hash are those of
-    the rows, and ``k`` is their number."""
+    field: a tuple of tuples of ``_cell`` values. ``__init__`` checks its
+    argument and writes ``_rows`` into ``__dict__``; the view is built from
+    ``_rows`` on its first read and cached in ``__dict__``, where later reads
+    find it. Equality and hash are those of the rows, and ``k`` is their
+    number."""
 
-    _view = "rows"
     _cell = int
 
     @property
@@ -101,7 +102,7 @@ class _LazyRows(_Record):
 
     def __getattr__(self, name):
         # only the view is looked up here, and only until its first read
-        if name != self._view:
+        if (name,) != self._fields:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         view = self.__dict__[name] = tuple(tuple(map(self._cell, row)) for row in self._rows)
         return view
@@ -156,8 +157,6 @@ class Poset(_LazyRows):
     of that kind pass one fast test, any others are read with ``bool``), and
     ``up`` / ``down`` its rows / columns as ``_masks`` bitmasks."""
 
-    leq: tuple[tuple[bool, ...], ...]
-    _view = "leq"
     _cell = bool
 
     def __init__(self, leq: tuple[tuple[bool, ...], ...]):
@@ -198,8 +197,6 @@ class Poset(_LazyRows):
 
 class OrderIso(_Record):
     """A carrier relabelling; ``forward[x]`` is the image of element ``x``."""
-
-    forward: tuple[int, ...]
 
     def __init__(self, forward: tuple[int, ...]):
         fwd = self.__dict__["forward"] = tuple(forward)

@@ -8,6 +8,9 @@ from operator import xor
 import pytest
 from hypothesis import given, strategies as st
 
+import mvcodes.algebras
+import mvcodes.codes
+import mvcodes.order
 from mvcodes import (
     BckAlgebra,
     BlockCode,
@@ -16,6 +19,7 @@ from mvcodes import (
     MvAlgebra,
     LengthMismatch,
     MalformedTable,
+    NotAPoset,
     TooFewWords,
     chain_wajsberg,
     code_equivalent,
@@ -419,6 +423,30 @@ class TestSkeleton:
         assert all(type(v) is bool for row in marks.black for v in row)
         assert marks.render() == "\n".join("".join("#" if v else "." for v in row) for row in cells)
         assert skeleton(chain_wajsberg(k)).render() == "\n".join("." * x + "#" * (k - x) for x in range(k))
+
+    def test_reads_the_order_rows_and_builds_no_poset(self, monkeypatch):
+        # the rows are the natural order's, read off the table; nothing checks the order laws again
+        mvs = [(w, wajsberg_to_mv(w)) for _, _, w in catalog_upto(24)]
+        presentations = [p for w, mv in mvs for p in (w, mv, mv_to_bck(mv))]
+        expected = [skeleton(p).render() for p in presentations]
+        marks = ["\n".join("".join(".#"[v] for v in row) for row in natural_order(p).leq) for p in presentations]
+        assert expected == marks
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called by skeleton")
+
+        for module in (mvcodes.codes, mvcodes.order, mvcodes.algebras):
+            for name in ("Poset", "natural_order", "order_violation"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert [skeleton(p).render() for p in presentations] == expected
+
+    def test_unverified_table_gives_its_relation(self):
+        # the table of test_garbage_table_raises: 0 and 1 lie below each other
+        garbage = BckAlgebra(CayleyTable(((0, 0, 0), (0, 0, 0), (2, 2, 0))), 0, 2)
+        assert skeleton(garbage).render() == "###\n###\n..#"
+        with pytest.raises(NotAPoset):
+            natural_order(garbage)
 
     def test_mv_indicator_is_reversed_skeleton(self, six_bck):
         mv = bck_to_mv(six_bck)

@@ -50,7 +50,7 @@ def view_builds(monkeypatch):
     lazy = _LazyRows.__getattr__
 
     def counted(self, name):
-        if name == self._view:
+        if name in self._fields:
             builds.append(f"{type(self).__name__}.{name}")
         return lazy(self, name)
 

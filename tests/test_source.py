@@ -61,6 +61,23 @@ def test_records_write_their_state_in_their_own_init():
     assert found == []
 
 
+def test_records_declare_their_fields_only_as_init_parameters():
+    # _Record reads a record's fields off its __init__: a class-body field
+    # annotation or a _view name would repeat them
+    found = []
+    for path in sorted(Path(mvcodes.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            bases = {getattr(base, "id", None) for base in getattr(node, "bases", ())}
+            if isinstance(node, ast.ClassDef) and bases & {"_Record", "_LazyRows"}:
+                for statement in node.body:
+                    if isinstance(statement, ast.AnnAssign):
+                        found.append(f"{path.name}:{statement.lineno} annotates a field of {node.name}")
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name == "_view":
+                found.append(f"{path.name}:{node.lineno} names _view")
+    assert found == []
+
+
 def test_every_private_helper_is_used_in_the_package():
     # a module-level private function or class that only tests call is dead code
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in Path(mvcodes.__file__).parent.glob("*.py")}
