@@ -148,9 +148,9 @@ def _check_unary(values, k: int) -> tuple[int, ...]:
     vals = tuple(map(int, values))
     if len(vals) != k:
         raise MalformedTable(f"unary map has {len(vals)} entries, expected {k}")
-    for i, v in enumerate(vals):
-        if not 0 <= v < k:
-            raise MalformedTable(f"unary entry {i} = {v} out of range [0,{k})")
+    if min(vals) < 0 or max(vals) >= k:
+        i = next(i for i, v in enumerate(vals) if not 0 <= v < k)
+        raise MalformedTable(f"unary entry {i} = {vals[i]} out of range [0,{k})")
     return vals
 
 

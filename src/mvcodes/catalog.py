@@ -18,9 +18,11 @@ product step, which ``product_wajsberg`` also takes: in the row format of
 ``enumerate_wajsberg`` lists them, and the CLI writes each one out before it
 builds the next.
 
-A representative's factors, and its order isomorphisms onto a relabelled
-carrier, are read back off its order in closed form by the Birkhoff
-coordinates of ``order``.
+``attach`` reads a representative's factors, and its order isomorphisms
+onto a relabelled carrier (``order._all_isos``), back off its order in
+closed form by the Birkhoff coordinates of ``order``;
+``wajsberg_isomorphisms`` searches the order isomorphisms of any two
+algebras and keeps those that transport the structure.
 """
 
 from __future__ import annotations

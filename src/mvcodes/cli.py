@@ -80,26 +80,21 @@ def _load_verified(path: Path, out) -> Algebra:
     algebra = parse_algebra(_read(path))
     report = verify(algebra)
     if not report.valid:
-        _print_violations(algebra, report, out)
+        print(f"invalid: {KIND_LABELS[kind_of(algebra)]}", file=out)
+        for v in report.violations:
+            args = ", ".join(str(x) for x in v.witness)
+            print(f"violated {v.axiom} witness ({args})", file=out)
         raise NotAnAlgebra(f"{path} does not verify", report)
     return algebra
 
 
-def _print_violations(algebra, report, out) -> None:
-    print(f"invalid: {KIND_LABELS[kind_of(algebra)]}", file=out)
-    for v in report.violations:
-        args = ", ".join(str(x) for x in v.witness)
-        print(f"violated {v.axiom} witness ({args})", file=out)
-
-
 def _cmd_verify(args, out, err) -> int:
-    algebra = parse_algebra(_read(args.algebra))
-    report = verify(algebra)
-    if report.valid:
-        print(f"valid: {KIND_LABELS[kind_of(algebra)]}", file=out)
-        return EX_OK
-    _print_violations(algebra, report, out)
-    return EX_REJECTED
+    try:
+        algebra = _load_verified(args.algebra, out)
+    except NotAnAlgebra:
+        return EX_REJECTED
+    print(f"valid: {KIND_LABELS[kind_of(algebra)]}", file=out)
+    return EX_OK
 
 
 def _cmd_convert(args, out, err) -> int:

@@ -148,25 +148,14 @@ def _format_bytes(flat: bytes, k: int) -> list[str]:
     return blocks
 
 
-def _format_rows(rows, names: list[str]) -> str:
-    """Rows of ints as the lines ``_format_bytes`` gives, for any k."""
-    # One join over the names of all cells, each with the separator after
-    # it; one itemgetter call per row gathers the names.
-    k = len(names)
-    spaced = [name + " " for name in names]
-    cells = []
-    for row in rows:
-        cells += itemgetter(*row)(spaced)
-    cells[k - 1 :: k] = [names[row[-1]] + "\n" for row in rows]
-    return "".join(cells)
-
-
 def format_algebra(algebra: Algebra) -> str:
     """Serialise an algebra in the exact file format (no comments).
 
     The unary map and the table are formatted in the row format of
     ``_cells``: ``bytes`` by ``_format_bytes``, whose blocks and the head are
-    joined once, into the text at its final size; tuples by ``_format_rows``."""
+    joined once, into the text at its final size; tuples, which occur only
+    above 256 elements, by one join per row of the names ``itemgetter``
+    gathers."""
     kind, table, unary = _parts(algebra)
     k = algebra.k
     row, join, *_ = _cells(k)
@@ -179,7 +168,8 @@ def format_algebra(algebra: Algebra) -> str:
         rows = (row(unary), *table._rows)
     if row is bytes:
         return "".join([head, *_format_bytes(join(rows), k)])
-    return head + _format_rows(rows, [str(v) for v in range(k)])
+    names = [str(v) for v in range(k)]
+    return head + "".join(" ".join(itemgetter(*cells)(names)) + "\n" for cells in rows)
 
 
 def parse_code(text: str) -> BlockCode:

@@ -209,10 +209,7 @@ class OrderIso(_Record):
 
     @property
     def inverse(self) -> tuple[int, ...]:
-        inv = [0] * self.k
-        for x, y in enumerate(self.forward):
-            inv[y] = x
-        return tuple(inv)
+        return tuple(sorted(range(self.k), key=self.forward.__getitem__))
 
     def __call__(self, x: int) -> int:
         return self.forward[x]

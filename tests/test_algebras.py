@@ -1027,12 +1027,18 @@ def test_meet_commutes_on_verified_bck(six_bck):
     "call, error, args",
     [
         (lambda w: WajsbergAlgebra(w.circ, (2, 1), 2), MalformedTable, ("unary map has 2 entries, expected 3",)),
+        (lambda w: WajsbergAlgebra(w.circ, (2, 5, 0), 2), MalformedTable, ("unary entry 1 = 5 out of range [0,3)",)),
+        (lambda w: MvAlgebra(w.circ, (-1, 1, 0), 0), MalformedTable, ("unary entry 0 = -1 out of range [0,3)",)),
+        (lambda w: WajsbergAlgebra(w.circ, (2, 1, 0), 3), MalformedTable, ("one = 3 out of range [0,3)",)),
         (lambda w: evaluate_axiom(w, "w2", (0, 1)), ValueError, ("w2 takes 3 variables",)),
         (lambda w: evaluate_axiom(w, "w5", (0,)), KeyError, ("w5",)),
         (lambda w: kind_of(42), TypeError, ("not an algebra: 42",)),
         (lambda w: axiom_suite(42), TypeError, ("not an algebra: 42",)),
     ],
-    ids=["unary-length", "axiom-arity", "axiom-name", "kind-of-non-algebra", "suite-of-non-algebra"],
+    ids=[
+        "unary-length", "unary-above", "unary-below", "one-above",
+        "axiom-arity", "axiom-name", "kind-of-non-algebra", "suite-of-non-algebra",
+    ],
 )
 def test_error_paths(call, error, args):
     with pytest.raises(error) as exc:

@@ -22,7 +22,7 @@ from mvcodes import (
     verify,
 )
 from mvcodes.algebras import kind_of
-from mvcodes.fileio import _format_bytes, _format_rows
+from mvcodes.fileio import _format_bytes
 
 from conftest import CODE_SIX, SIX_COMPLEMENT, SIX_PLUS, SIX_STAR, catalog_upto, code_of
 
@@ -78,7 +78,7 @@ def test_byte_formatter_matches_scalar_formatter(k):
     cells = list(range(k)) * k
     rng.shuffle(cells)
     table = CayleyTable([cells[i : i + k] for i in range(0, k * k, k)])
-    assert "".join(_format_bytes(b"".join(table._rows), k)) == _format_rows(table.rows, [str(v) for v in range(k)])
+    assert "".join(_format_bytes(b"".join(table._rows), k)) == "".join(" ".join(map(str, row)) + "\n" for row in table.rows)
     unary = rng.sample(range(k), k)
     for algebra in (BckAlgebra(table, 0, k - 1), MvAlgebra(table, unary, 0), WajsbergAlgebra(table, unary, k - 1)):
         text = format_algebra(algebra)

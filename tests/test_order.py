@@ -163,6 +163,12 @@ class TestPosetIsomorphism:
         assert len(autos) == 2  # identity and the middle swap
         assert autos[0].forward == (0, 1, 2, 3)
 
+    def test_empty_poset_has_the_empty_isomorphism(self):
+        empty = Poset(())
+        assert list(poset_isomorphisms(empty, empty)) == [OrderIso(())]
+        assert poset_isomorphism(empty, empty) == OrderIso(())
+        assert OrderIso(()).inverse == ()
+
 
 class TestBitmaskCore:
     """The mask-based order core against the bool-row formulas."""

@@ -172,6 +172,20 @@ def test_each_axiom_is_named_once_in_its_suite():
     assert {name: literals[name] for name in names} == dict.fromkeys(names, 1)
 
 
+def test_the_cli_verifies_in_one_place():
+    # every command that needs a valid algebra, verify itself too, loads it
+    # through _load_verified, the one place that prints the violations
+    tree = ast.parse((Path(mvcodes.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    callers = [
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "verify"
+    ]
+    assert callers == ["_load_verified"]
+
+
 def test_order_masks_have_one_home():
     # columns become masks only in order._up_down, by strided slices, and the
     # Birkhoff helpers live next to it
