@@ -48,7 +48,7 @@ by element.
 from __future__ import annotations
 
 import sys
-from itertools import chain, product, repeat
+from itertools import chain, filterfalse, product, repeat
 from operator import getitem, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -494,25 +494,23 @@ def _scan(algebra: Algebra) -> Iterator[Violation]:
     """The lexicographically least witness of each violated axiom, yielded
     in suite order.
 
-    Each axiom with a filter is skipped when its filter flags no slice, and
-    searched only in the flagged slice (x, ...) otherwise, over one
-    ``_TableView``; the predicate finds the witness in it. Every table size
-    takes this one path.
+    Each axiom is skipped when its filter flags no slice, and its predicate
+    searched only in the flagged slice (x, ...) otherwise; an axiom in one
+    variable flags the first x its predicate fails. The filters share one
+    ``_TableView``, and every table size and arity takes this one loop.
     """
     k = algebra.k
     view = _TableView(_parts(algebra)[1])
     for name, arity, pred, first_slice in axiom_suite(algebra):
-        if first_slice:
-            x = first_slice(algebra, view)
-            if x is None:
-                continue
-        for witness in product((x,) if first_slice else range(k), *repeat(range(k), arity - 1)):
+        x = first_slice(algebra, view) if first_slice else next(filterfalse(pred, range(k)), None)
+        if x is None:
+            continue
+        for witness in product((x,), *repeat(range(k), arity - 1)):
             if not pred(*witness):
                 yield Violation(name, witness)
                 break
         else:
-            if first_slice:
-                raise RuntimeError(f"{name} filter flagged slice x = {x}, but every pair or triple there holds")
+            raise RuntimeError(f"{name} filter flagged slice x = {x}, but every pair or triple there holds")
 
 
 def _translate(algebra: Algebra, kind: str) -> Algebra:

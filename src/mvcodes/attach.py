@@ -221,7 +221,9 @@ def _canonical_embedding(entry: ChainProduct, cols: tuple[int, ...], want: set) 
 def _covering_columns(ones: tuple[int, ...], want: set, m: int) -> Iterator[tuple[int, ...]]:
     """Injective column tuples of length ``m`` on which a square code of q
     words covers ``want``; ``ones[c]`` is the mask of the words with a 1 in
-    column c.
+    column c. On the ``down`` masks of a poset P and the rows of a poset Q,
+    they are the forward maps of ``poset_isomorphisms(Q, P)``: a tuple f
+    matches each x to a distinct row g(x) <= f(x) of P, so g = f.
 
     Yields them in the order of ``itertools.permutations(range(q), m)``,
     depth first, trying unused columns (a bitmask) in ascending order, on a

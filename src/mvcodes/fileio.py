@@ -83,6 +83,14 @@ def _int_row(line: str, k: int, values: dict[str, int], what: str, row: type):
         return tuple(_int(part, what) for part in parts)
 
 
+# Each presentation's constants line: pattern, usage text, the names it binds
+_CONSTANTS = {
+    "bck": (r"zero:[ \t]*([0-9]+)[ \t]+one:[ \t]*([0-9]+)", "zero: <i> one: <j>", ("zero", "one")),
+    "mv": (r"zero:[ \t]*([0-9]+)", "zero: <i>", ("zero",)),
+    "wajsberg": (r"one:[ \t]*([0-9]+)", "one: <j>", ("one",)),
+}
+
+
 def parse_algebra(text: str) -> Algebra:
     """Parse one algebra file; raises ParseError on any deviation."""
     lines = _content_lines(text)
@@ -94,18 +102,9 @@ def parse_algebra(text: str) -> Algebra:
     # the canonical token of each element; a file of k rows has at least k
     # lines left, so a huge order on a short file builds no huge lookup
     values = {str(v): v for v in range(min(k, len(lines)))}
-    zero = one = unary = None  # constants as strings of digits, or None where ``kind`` holds none
-    row = _cells(k)[0]
-    if kind == "bck":
-        zero, one = _match(
-            _take(lines, "constants line"),
-            r"zero:[ \t]*([0-9]+)[ \t]+one:[ \t]*([0-9]+)",
-            "zero: <i> one: <j>",
-        )
-    elif kind == "mv":
-        (zero,) = _match(_take(lines, "constants line"), r"zero:[ \t]*([0-9]+)", "zero: <i>")
-    else:
-        (one,) = _match(_take(lines, "constants line"), r"one:[ \t]*([0-9]+)", "one: <j>")
+    pattern, usage, names = _CONSTANTS[kind]
+    digits = _match(_take(lines, "constants line"), pattern, usage)
+    row, unary = _cells(k)[0], None
     if kind != "bck":
         unary = _int_row(
             _match(_take(lines, "unary line"), r"unary:[ \t]*(.+)", "unary: row")[0], k, values, "unary row", row
@@ -113,8 +112,8 @@ def parse_algebra(text: str) -> Algebra:
     rows = tuple(_int_row(_take(lines, f"table row {i}"), k, values, f"table row {i}", row) for i in range(k))
     if lines:
         raise ParseError(f"trailing content: {lines[0]!r}")
-    zero, one = (c and _int(c, "constants line") for c in (zero, one))
-    return _make(kind, CayleyTable(rows), unary, zero, one)
+    constants = {name: _int(c, "constants line") for name, c in zip(names, digits)}
+    return _make(kind, CayleyTable(rows), unary, constants.get("zero"), constants.get("one"))
 
 
 # Digit planes of a byte value: its hundreds, tens and ones digits in ASCII,
@@ -159,13 +158,10 @@ def format_algebra(algebra: Algebra) -> str:
     kind, table, unary = _parts(algebra)
     k = algebra.k
     row, join, *_ = _cells(k)
-    head = f"kind: {kind}\norder: {k}\n"
-    if kind == "bck":
-        head += f"zero: {algebra.zero} one: {algebra.one}\n"
-        rows = table._rows
-    else:
-        head += (f"zero: {algebra.zero}\n" if kind == "mv" else f"one: {algebra.one}\n") + "unary: "
-        rows = (row(unary), *table._rows)
+    constants = " ".join(f"{name}: {getattr(algebra, name)}" for name in _CONSTANTS[kind][2])
+    head, rows = f"kind: {kind}\norder: {k}\n{constants}\n", table._rows
+    if kind != "bck":
+        head, rows = head + "unary: ", (row(unary), *rows)
     if row is bytes:
         return "".join([head, *_format_bytes(join(rows), k)])
     names = [str(v) for v in range(k)]

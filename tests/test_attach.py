@@ -622,6 +622,36 @@ def test_search_matches_full_scan_on_short_codes():
                     assert list(_covering_columns(ones, want, m)) == scan_columns(host, want, m), (entry, want)
 
 
+def random_poset(rng, k):
+    """The transitive closure of random edges that all go up one random
+    linear order of k elements."""
+    rank = rng.sample(range(k), k)
+    leq = [[x == y or (rank[x] < rank[y] and rng.random() < 0.4) for y in range(k)] for x in range(k)]
+    for z, x, y in product(range(k), repeat=3):
+        leq[x][y] = leq[x][y] or (leq[x][z] and leq[z][y])
+    return Poset(tuple(map(tuple, leq)))
+
+
+def test_covering_columns_of_a_poset_are_its_isomorphisms():
+    # covering tuples of the source's rows in the target's down masks are the
+    # forward maps of poset_isomorphisms, in the same order; half the targets
+    # relabel the source, so most of those pairs have an isomorphism
+    rng = random.Random(34)
+    isomorphic = 0
+    for _ in range(400):
+        k = rng.randint(0, 5)
+        source = random_poset(rng, k)
+        if rng.random() < 0.5:
+            target = random_poset(rng, k)
+        else:
+            inv = rng.sample(range(k), k)
+            target = Poset(tuple(tuple(source.leq[inv[a]][inv[b]] for b in range(k)) for a in range(k)))
+        forwards = [iso.forward for iso in poset_isomorphisms(source, target)]
+        assert list(_covering_columns(target.down, set(source._rows), k)) == forwards, (source.leq, target.leq)
+        isomorphic += bool(forwards)
+    assert isomorphic > 200
+
+
 def test_invariant_checks_survive_optimised_mode():
     # attach re-derives the code from the transported algebra; a wrong
     # regeneration must be reported even when python -O strips asserts

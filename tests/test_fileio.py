@@ -19,6 +19,7 @@ from mvcodes import (
     format_code,
     parse_algebra,
     parse_code,
+    product_wajsberg,
     verify,
 )
 from mvcodes.algebras import kind_of
@@ -162,6 +163,51 @@ def test_tokens_that_are_not_element_names(unary, row, error, message):
 def test_huge_order_on_a_short_file_fails_fast():
     with pytest.raises(ParseError, match="expected unary row of 1000000000000 indices"):
         parse_algebra("kind: mv\norder: 1000000000000\nzero: 0\nunary: 1 0\n1 1\n0 1\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("kind: bck\norder: 1\nzero: 0\n0\n", "expected zero: <i> one: <j>, got: 'zero: 0'"),
+        ("kind: mv\norder: 1\none: 0\nunary: 0\n0\n", "expected zero: <i>, got: 'one: 0'"),
+        ("kind: mv\norder: 1\nzero: 0 one: 0\nunary: 0\n0\n", "expected zero: <i>, got: 'zero: 0 one: 0'"),
+        ("kind: wajsberg\norder: 1\nzero: 0\nunary: 0\n0\n", "expected one: <j>, got: 'zero: 0'"),
+        ("kind: wajsberg\norder: 1\none: -1\nunary: 0\n0\n", "expected one: <j>, got: 'one: -1'"),
+    ],
+    ids=["bck", "mv-one", "mv-both", "wajsberg-zero", "wajsberg-negative"],
+)
+def test_constants_line_names_its_presentation(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_algebra(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kind", ["bck", "mv", "wajsberg"])
+@pytest.mark.parametrize(
+    "rows, message",
+    [("0 0\n", "expected table row 0 of 1 indices, got: '0 0'"), ("0\nextra\n", "trailing content: 'extra'")],
+    ids=["bad-row", "trailing"],
+)
+def test_table_errors_are_reported_before_a_long_constant(kind, rows, message):
+    # a constant is read as an integer only after the rows and the trailing
+    # content check, so a constant past int()'s 4,300 digits does not hide them
+    long = "1" * 5000
+    head = {"bck": f"zero: {long} one: 0\n", "mv": f"zero: {long}\nunary: 0\n", "wajsberg": f"one: {long}\nunary: 0\n"}
+    with pytest.raises(ParseError) as exc:
+        parse_algebra(f"kind: {kind}\norder: 1\n{head[kind]}{rows}")
+    assert str(exc.value) == message
+    with pytest.raises(ParseError, match="^constants line holds an integer of 5000 digits, too long to read$"):
+        parse_algebra(f"kind: {kind}\norder: 1\n{head[kind]}0\n")
+
+
+@pytest.mark.parametrize("kind", ["bck", "mv", "wajsberg"])
+def test_every_presentation_round_trips(kind):
+    # the one-element chain, the (2,3) product, and 257 elements in tuple rows
+    two_three = product_wajsberg(chain_wajsberg(2), chain_wajsberg(3))
+    for algebra in (chain_wajsberg(1), two_three, chain_wajsberg(257)):
+        presented = convert(algebra, kind)
+        assert kind_of(presented) == kind
+        assert parse_algebra(format_algebra(presented)) == presented
 
 
 def test_code_round_trip():

@@ -186,6 +186,27 @@ def test_the_cli_verifies_in_one_place():
     assert callers == ["_load_verified"]
 
 
+def test_suite_rows_and_constants_lines_are_read_by_one_path():
+    # _scan runs an axiom in one variable through the loop of the filtered
+    # ones, and fileio reads each presentation's constants line off one table:
+    # the only kind it names is "bck", which has no unary line
+    package = Path(mvcodes.__file__).parent
+    scan = next(
+        node for node in ast.walk(ast.parse((package / "algebras.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "_scan"
+    )
+    branches = [node for node in ast.walk(scan) if isinstance(node, ast.If)]
+    assert [n.lineno for n in branches if any(getattr(t, "id", None) == "first_slice" for t in ast.walk(n.test))] == []
+    compared = [
+        side.value
+        for node in ast.walk(ast.parse((package / "fileio.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Compare) and any(getattr(side, "id", None) == "kind" for side in [node.left, *node.comparators])
+        for side in [node.left, *node.comparators]
+        if isinstance(side, ast.Constant)
+    ]
+    assert set(compared) == {"bck"}
+
+
 def test_order_masks_have_one_home():
     # columns become masks only in order._up_down, by strided slices, and the
     # Birkhoff helpers live next to it
